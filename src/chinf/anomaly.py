@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MtsSeries, MtsWindow, make_windows, window_label
-from .influence import self_influence_per_channel, tracin
+# self_influence_per_channel stays bound here: perfbench/test_perfbench.py
+# checks that the tracer wraps this module's binding of it
+from .influence import self_influence_per_channel, self_influence_rows, tracin  # noqa: F401
 from .models import ModelState, channel_loss
 from .autodiff import ParamSelector
 
@@ -124,15 +126,12 @@ def _channel_score_matrix(
     selector: ParamSelector | None,
 ) -> np.ndarray:
     """(windows, channels) matrix of per-channel scores for one method."""
-    rows = []
-    for win in windows:
-        if method == "cif_self_influence":
-            rows.append(self_influence_per_channel(state, win, eta, selector))
-        else:  # reconstruction_error
-            rows.append(
-                np.array([channel_loss(state, win, j) for j in range(win.n_channels)])
-            )
-    return np.array(rows)
+    if method == "cif_self_influence":
+        return self_influence_rows(state, windows, eta, selector)
+    # reconstruction_error
+    return np.array(
+        [[channel_loss(state, win, j) for j in range(win.n_channels)] for win in windows]
+    )
 
 
 def score_windows(

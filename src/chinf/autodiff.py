@@ -9,6 +9,7 @@ engine is validated against.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,17 +52,29 @@ class GradientVector:
 
 
 class TapeNode:
-    """One recorded value: a leaf or the output of a primitive."""
+    """One recorded value: a leaf or the output of a primitive.
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "name")
+    The node holds its tape weakly. The tape holds its nodes, so a strong
+    back-reference would make a cycle that keeps every tape and all its
+    intermediate arrays alive until the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("_tape", "idx", "value", "parents", "vjp", "name")
 
     def __init__(self, tape, idx, value, parents, vjp, name=None):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.idx = idx
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.name = name
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise ValueError("node outlived its tape; keep a reference to the tape")
+        return tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,7 +84,7 @@ class TapeNode:
 class Tape:
     """Topologically ordered record of primitive applications."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes: list[TapeNode] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,7 +65,10 @@ def _field(config, name, kind, default=None, required=False):
                 raise ValueError
             return int(value)
         if kind is float:
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+            return number
         if kind is bool:
             if not isinstance(value, bool):
                 raise ValueError
@@ -209,8 +213,7 @@ def cmd_influence(config, out_dir):
     if mode != "self":
         raise ConfigError(f"mode: unknown value {mode!r}, expected 'matrix' or 'self'")
     lines = ["origin_t," + ",".join(series.channel_names)]
-    for win in windows:
-        vec = influence.self_influence_per_channel(state, win, eta, selector)
+    for win, vec in zip(windows, influence.self_influence_rows(state, windows, eta, selector)):
         lines.append(str(win.origin_t) + "," + ",".join(repr(float(v)) for v in vec))
     name = _field(config, "out_csv", str, "self_influence.csv")
     with open(_out_path(out_dir, name), "w", encoding="utf-8", newline="\n") as f:

@@ -17,9 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GradientVector, ParamSelector
+from .autodiff import GradientVector, NonFiniteError, ParamSelector
 from .core import MtsWindow
-from .models import ModelState, channel_gradients, last_layer_selector, whole_gradient
+from .models import (
+    ModelState,
+    channel_gradient_rows,
+    last_layer_selector,
+    param_shapes,
+    whole_gradient,
+)
+
+# Gradient-row entries held at once by self_influence_rows (8 MB of float64)
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,17 +58,23 @@ class InfluenceMatrix:
         return float(self.values.sum())
 
 
+def _check_eta(eta: float) -> float:
+    # written so that NaN fails too
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if eta == np.inf:
+        raise ValueError(f"eta must be finite, got {eta}")
+    return float(eta)
+
+
 def _resolve_eta(state: ModelState, eta: float | None) -> float:
     if eta is None:
-        eta = state.trained_lr
-        if eta <= 0:
+        if not state.trained_lr > 0:
             raise ValueError(
                 "model has no recorded training learning rate; pass eta explicitly"
             )
-        return float(eta)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return float(eta)
+        eta = state.trained_lr
+    return _check_eta(eta)
 
 
 def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
@@ -72,15 +87,7 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
         raise ValueError(
             f"gradient lengths differ: {g_src.values.size} vs {g_dst.values.size}"
         )
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return eta * float(g_src.values @ g_dst.values)
-
-
-def _gradient_rows(
-    state: ModelState, window: MtsWindow, selector: ParamSelector
-) -> np.ndarray:
-    return np.array([g.values for g in channel_gradients(state, window, selector)])
+    return _check_eta(eta) * float(g_src.values @ g_dst.values)
 
 
 def influence_matrix(
@@ -92,9 +99,9 @@ def influence_matrix(
 ) -> InfluenceMatrix:
     """All per-channel-pair influences of z_src on z_dst.
 
-    The N per-channel gradients of each window are computed once and the
-    matrix is assembled from pairwise dot products, so the cost is 2N
-    backward passes, not N^2.
+    The N per-channel gradients of both windows come from one batched
+    closed-form pass and the matrix is assembled from their pairwise dot
+    products.
     """
     if z_src.n_channels != z_dst.n_channels:
         raise ValueError(
@@ -103,8 +110,10 @@ def influence_matrix(
     eta = _resolve_eta(state, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
-    g_src = _gradient_rows(state, z_src, selector)
-    g_dst = g_src if z_dst is z_src else _gradient_rows(state, z_dst, selector)
+    if z_dst is z_src:
+        g_src = g_dst = channel_gradient_rows(state, [z_src], selector)[0]
+    else:
+        g_src, g_dst = channel_gradient_rows(state, [z_src, z_dst], selector)
     return InfluenceMatrix(eta * (g_src @ g_dst.T), eta, selector.selector_id)
 
 
@@ -139,11 +148,41 @@ def self_influence_per_channel(
 
     Computed without materializing the off-diagonal entries.
     """
+    return self_influence_rows(state, [z], eta, selector)[0]
+
+
+def self_influence_rows(
+    state: ModelState,
+    windows: list[MtsWindow],
+    eta: float | None = None,
+    selector: ParamSelector | None = None,
+) -> np.ndarray:
+    """(windows, channels) self-influence diagonals of a window list.
+
+    Gradient rows are built a chunk of windows at a time, so memory stays
+    bounded however long the list is; each row's squared norm is reduced
+    the same way whatever the chunk size, so the result equals the
+    window-by-window values exactly.
+    """
     eta = _resolve_eta(state, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
-    rows = _gradient_rows(state, z, selector)
-    return eta * np.einsum("ij,ij->i", rows, rows)
+    if len(windows) == 0:
+        raise ValueError("windows must be nonempty")
+    shapes = param_shapes(state.spec)
+    # channel_gradient_rows rejects unknown names; here they count as size 1
+    per_window = windows[0].n_channels * sum(
+        int(np.prod(shapes.get(name, ()))) for name in selector.names
+    )
+    step = max(1, _CHUNK_ELEMENTS // max(1, per_window))
+    parts = []
+    for start in range(0, len(windows), step):
+        rows = channel_gradient_rows(state, windows[start : start + step], selector)
+        parts.append(np.einsum("bnp,bnp->bn", rows, rows))
+    scores = eta * np.concatenate(parts)
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("self-influence overflowed")
+    return scores
 
 
 def save_influence_csv(

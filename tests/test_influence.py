@@ -142,6 +142,16 @@ class TestEtaHandling:
         with pytest.raises(ValueError, match="eta must be positive"):
             tracin(state, win, win, eta=-1.0)
 
+    @pytest.mark.parametrize(
+        "eta, message", [(float("nan"), "must be positive, got nan"), (float("inf"), "must be finite")]
+    )
+    def test_rejects_non_finite_eta(self, eta, message):
+        state, win = self.trained_state()
+        with pytest.raises(ValueError, match=f"eta {message}"):
+            self_influence_per_channel(state, win, eta=eta)
+        with pytest.raises(ValueError, match=f"eta {message}"):
+            cif(gv([1.0]), gv([1.0]), eta)
+
     def test_doubling_eta_doubles_every_entry(self):
         state, win = self.trained_state()
         m1 = influence_matrix(state, win, win, eta=0.001).values

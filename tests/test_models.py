@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from chinf import influence
+from chinf import autodiff as ad
 from chinf import (
     ModelSpec,
     ModelState,
@@ -8,6 +10,7 @@ from chinf import (
     TrainConfig,
     all_params_selector,
     channel_gradient,
+    channel_gradient_rows,
     channel_gradients,
     channel_loss,
     init_params,
@@ -21,7 +24,7 @@ from chinf import (
     whole_gradient,
     window_loss,
 )
-from chinf.autodiff import finite_difference_gradient
+from chinf.autodiff import ParamSelector, finite_difference_gradient
 
 from bench_suite import random_model_case, random_window
 
@@ -241,6 +244,121 @@ class TestGradients:
             channel_gradient(state, win, 5)
 
 
+def tape_channel_gradient(state, window, j, selector):
+    """Channel j's loss gradient from a tape built here out of autodiff
+    primitives, one window at a time: the oracle for the closed form."""
+    spec, params = state.spec, state.params
+    values = window.values
+    x, target = values[: spec.window], values[spec.window :] if spec.horizon else values
+    tape = ad.Tape()
+    leaf = {name: tape.leaf(value, name) for name, value in params.items()}
+    z = tape.leaf(x)
+    if spec.architecture == "mlp_mix":
+        z = ad.matmul(z, leaf["mix"])
+    if spec.architecture == "linear_ci":
+        y = ad.add_bias(ad.matmul(leaf["weight"], z), leaf["bias"])
+    else:
+        act = ad.tanh if spec.activation == "tanh" else ad.relu
+        hidden = act(ad.add_bias(ad.matmul(leaf["w1"], z), leaf["b1"]))
+        y = ad.add_bias(ad.matmul(leaf["w2"], hidden), leaf["b2"])
+    sq = ad.square(ad.subtract(y, tape.leaf(target)))
+    return ad.backward(tape, ad.reduce_sum(ad.slice_columns(sq, j, j + 1)), selector).values
+
+
+def kernel_selectors(spec):
+    yield "last_layer", last_layer_selector(spec)
+    yield "all", all_params_selector(spec)
+    for name in param_shapes(spec):
+        yield "single", ParamSelector(f"{spec.architecture}/{name}", (name,))
+
+
+class TestChannelGradientRows:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_matches_tape(self, architecture, activation, horizon):
+        rng = np.random.default_rng(61)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = init_params(spec, seed=2)
+        # perturbed so biases are nonzero and relu units fall on both sides of 0
+        state = ModelState(
+            spec, {k: v + 0.1 * rng.normal(size=v.shape) for k, v in state.params.items()}
+        )
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(4)]
+        for kind, selector in kernel_selectors(spec):
+            rows = channel_gradient_rows(state, windows, selector)
+            assert rows.flags.c_contiguous
+            want = np.array(
+                [[tape_channel_gradient(state, w, j, selector) for j in range(3)] for w in windows]
+            )
+            assert rows.shape == want.shape
+            if kind == "last_layer":
+                assert np.array_equal(rows, want), selector.selector_id
+            else:
+                err = np.max(np.abs(rows - want)) / (np.max(np.abs(want)) + 1e-300)
+                assert err <= 1e-12, (selector.selector_id, err)
+
+    def test_default_selector_is_last_layer(self):
+        state = init_params(ModelSpec("mlp_ci", 4, 2, hidden=3), seed=0)
+        win = random_window(np.random.default_rng(2), 4, 2)
+        assert np.array_equal(
+            channel_gradient_rows(state, [win]),
+            channel_gradient_rows(state, [win], last_layer_selector(state.spec)),
+        )
+
+    def test_unknown_parameter_rejected(self):
+        state = identity_linear(3, 2)
+        win = random_window(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ValueError, match="unknown parameter 'w1'"):
+            channel_gradient_rows(state, [win], ParamSelector("x", ("w1",)))
+
+    def test_empty_window_list_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            channel_gradient_rows(identity_linear(3, 2), [])
+
+    def test_chunked_list_equals_per_window_results(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        spec = ModelSpec("mlp_ci", 6, 4, hidden=5)
+        state = init_params(spec, seed=3)
+        windows = [random_window(rng, 6, 4) for _ in range(23)]
+        for selector in (last_layer_selector(spec), all_params_selector(spec)):
+            per_window_size = 4 * sum(
+                int(np.prod(param_shapes(spec)[name])) for name in selector.names
+            )
+            # chunks of 5 windows, the last one short
+            monkeypatch.setattr(influence, "_CHUNK_ELEMENTS", 5 * per_window_size + 1)
+            chunked = influence.self_influence_rows(state, windows, 0.1, selector)
+            one_by_one = np.array(
+                [influence.self_influence_per_channel(state, w, 0.1, selector) for w in windows]
+            )
+            assert np.array_equal(chunked, one_by_one)
+            rows = channel_gradient_rows(state, windows, selector)
+            for b, w in enumerate(windows):
+                assert np.array_equal(rows[b], channel_gradient_rows(state, [w], selector)[0])
+
+    def test_forward_overflow_raises(self):
+        spec = ModelSpec("mlp_ci", 3, 2, hidden=2, activation="relu")
+        params = dict(init_params(spec, seed=0).params)
+        params["w1"] = np.full((2, 3), 1e300)
+        state = ModelState(spec, params)
+        win = MtsWindow(np.full((3, 2), 1e10), origin_t=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                channel_gradient_rows(state, [win], all_params_selector(spec))
+            with pytest.raises(ValueError, match="non-finite"):
+                influence.self_influence_rows(state, [win], eta=1.0)
+
+    def test_score_overflow_raises(self):
+        # finite forward pass and gradient rows whose squared norm overflows
+        spec = ModelSpec("linear_ci", 2, 1)
+        state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.full(2, 1e200)})
+        win = MtsWindow(np.ones((2, 1)), origin_t=1)
+        assert np.isfinite(channel_gradient_rows(state, [win])).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                influence.self_influence_rows(state, [win], eta=1.0)
+
+
 def training_windows(rng, spec, count):
     return [random_window(rng, spec.total_rows, spec.channels) for _ in range(count)]
 
@@ -293,6 +411,11 @@ class TestTrain:
         assert np.array_equal(out.params["w1"], state.params["w1"])
         assert np.array_equal(out.params["b1"], state.params["b1"])
         assert not np.array_equal(out.params["w2"], state.params["w2"])
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.01])
+    def test_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and non-negative"):
+            TrainConfig(learning_rate=lr)
 
     def test_records_learning_rate(self):
         spec = ModelSpec("linear_ci", 3, 2)
