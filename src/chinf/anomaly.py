@@ -19,7 +19,7 @@ from .core import MtsSeries, MtsWindow, make_windows, window_label
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows, tracin  # noqa: F401
-from .models import ModelState, channel_loss
+from .models import ModelState, channel_losses
 from .autodiff import ParamSelector
 
 METHODS = ("cif_self_influence", "tracin_self_influence", "reconstruction_error")
@@ -60,7 +60,6 @@ class ScoreSeries:
 @dataclass(frozen=True)
 class DetectConfig:
     method: str = "cif_self_influence"
-    window: int = 10
     stride: int = 1
     eta: float | None = None
     selector: ParamSelector | None = None
@@ -80,8 +79,6 @@ class DetectConfig:
             raise ValueError(
                 f"threshold_on must be 'val' or 'test', got {self.threshold_on!r}"
             )
-        if self.window < 1:
-            raise ValueError(f"window must be positive, got {self.window}")
         if self.stride < 1:
             raise ValueError(f"stride must be positive, got {self.stride}")
         if self.normalize_per_channel and self.method == "tracin_self_influence":
@@ -129,9 +126,7 @@ def _channel_score_matrix(
     if method == "cif_self_influence":
         return self_influence_rows(state, windows, eta, selector)
     # reconstruction_error
-    return np.array(
-        [[channel_loss(state, win, j) for j in range(win.n_channels)] for win in windows]
-    )
+    return channel_losses(state, windows)
 
 
 def score_windows(
@@ -209,19 +204,8 @@ def prf1(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, float, flo
     return precision, recall, f1
 
 
-def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
-    distinct = np.unique(scores)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.concatenate(([-np.inf], mids, [np.inf]))
-
-
-def select_threshold(scores, labels) -> float:
-    """Threshold maximizing F1 of (score > h); ties go to the smallest h.
-
-    Candidates are the midpoints between consecutive distinct score values
-    plus two infinite sentinels, which cover every achievable prediction
-    vector. Accepts a ScoreSeries or a plain vector.
-    """
+def _vector_and_positives(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Float score vector and positive-label mask; both classes must occur."""
     if isinstance(scores, ScoreSeries):
         scores = scores.scores
     scores = np.asarray(scores, dtype=np.float64)
@@ -232,51 +216,45 @@ def select_threshold(scores, labels) -> float:
         )
     pos = labels != 0
     if pos.all() or not pos.any():
-        raise ValueError("F1 undefined: labels contain a single class")
-    best_h = None
-    best_f1 = -1.0
-    for h in _threshold_candidates(scores):
-        _, _, f1 = prf1(scores > h, pos)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_h = float(h)
-    return best_h
+        raise ValueError(f"{what} undefined: labels contain a single class")
+    return scores, pos
+
+
+def select_threshold(scores, labels) -> float:
+    """Threshold maximizing F1 of (score > h); ties go to the smallest h.
+
+    Candidates are the midpoints between consecutive distinct score values
+    plus two infinite sentinels, which cover every achievable prediction
+    vector. Accepts a ScoreSeries or a plain vector.
+    """
+    scores, pos = _vector_and_positives(scores, labels, "F1")
+    distinct = np.unique(scores)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    candidates = np.concatenate(([-np.inf], mids, [np.inf]))
+    # counts of (score > h) for every candidate h at once
+    predicted = scores.size - np.searchsorted(np.sort(scores), candidates, side="right")
+    actual = np.count_nonzero(pos)
+    tp = actual - np.searchsorted(np.sort(scores[pos]), candidates, side="right")
+    # prf1's integer ratio; argmax takes the first, i.e. smallest, best h
+    f1 = 2 * tp / (predicted + actual)
+    return float(candidates[np.argmax(f1)])
 
 
 def auroc(scores, labels) -> float:
     """Area under the ROC curve via average ranks (ties averaged)."""
-    if isinstance(scores, ScoreSeries):
-        scores = scores.scores
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise ValueError(
-            f"scores length {scores.size} does not match labels {labels.size}"
-        )
-    pos = labels != 0
+    scores, pos = _vector_and_positives(scores, labels, "AUROC")
     n_pos = int(np.count_nonzero(pos))
     n_neg = scores.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUROC undefined: labels contain a single class")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    rank = 1
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (rank + rank + (j - i)) / 2.0
-        rank += j - i + 1
-        i = j + 1
+    # a run of k tied scores ending at 1-based rank e shares rank e - (k-1)/2
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     pos_rank_sum = float(ranks[pos].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _scored_streams(state, series, config):
     """Raw and normalized per-mode score vectors for one labeled series."""
-    windows = make_windows(series, config.window, config.stride)
+    windows = make_windows(series, state.spec.total_rows, config.stride)
     labels = np.array([window_label(w, series) for w in windows], dtype=np.int64)
     origins = tuple(w.origin_t for w in windows)
     if config.normalize_per_channel:

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import anomaly, data, influence, models, pruning
@@ -227,7 +226,6 @@ def cmd_detect(config, out_dir):
     try:
         detect_config = anomaly.DetectConfig(
             method=_field(config, "method", str, "cif_self_influence"),
-            window=_field(config, "window", int, state.spec.window),
             stride=_field(config, "stride", int, 1),
             eta=_field(config, "eta", float),
             selector=_resolve_selector(_field(config, "selector", str), state.spec),
@@ -249,7 +247,7 @@ def cmd_detect(config, out_dir):
     return {"report": csv_name, "summary": json_name}
 
 
-def cmd_prune(config, out_dir, threads=1):
+def cmd_prune(config, out_dir):
     series = _load_series(_field(config, "series_csv", str, required=True))
     spec = _model_spec_from(config)
     if spec.horizon < 1:
@@ -271,19 +269,14 @@ def cmd_prune(config, out_dir, threads=1):
     eta = _field(config, "eta", float)
     refit_epochs = _field(config, "refit_epochs", int, 5)
 
-    def one(seed, strategy):
-        tc = replace(train_config, seed=seed)
-        return pruning.prune_and_eval(
-            split, spec, tc, m, strategy,
+    results = [
+        pruning.prune_and_eval(
+            split, spec, replace(train_config, seed=seed), m, strategy,
             stride=stride, eta=eta, seed=seed, refit_epochs=refit_epochs,
         )
-
-    tasks = [(seed, strategy) for seed in seeds for strategy in strategies]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: one(*t), tasks))
-    else:
-        results = [one(*t) for t in tasks]
+        for seed in seeds
+        for strategy in strategies
+    ]
     name = _field(config, "out_csv", str, "pruning.csv")
     pruning.save_pruning_csv(results, _out_path(out_dir, name))
     return {"results": name}
@@ -309,7 +302,6 @@ def _build_parser():
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
     return parser
 
 
@@ -320,13 +312,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"threads: must be at least 1, got {args.threads}")
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "prune":
-            outputs = cmd_prune(config, args.out, threads=args.threads)
-        else:
-            outputs = COMMANDS[args.command](config, args.out)
+        outputs = COMMANDS[args.command](config, args.out)
         _write_manifest(args.out, args.command, config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

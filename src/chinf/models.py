@@ -30,6 +30,9 @@ ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_FORMAT = "chinf-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Forward-pass entries held at once by channel_losses and mean_window_mse
+_FORWARD_CHUNK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -199,31 +202,24 @@ def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray
     return params["w2"] @ h + params["b2"][:, None], xm, a, h
 
 
-def _forward_np(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    return _forward_parts(spec, params, x)[0]
-
-
 def reconstruct(state: ModelState, window: MtsWindow) -> np.ndarray:
     """Model output for one window: (window, N) or (horizon, N)."""
     x, _ = _split_xy(state.spec, window)
-    return _forward_np(state.spec, state.params, x)
+    return _forward_parts(state.spec, state.params, x)[0]
 
 
 def channel_loss(state: ModelState, window: MtsWindow, j: int) -> float:
     """Sum of squared errors on channel j over the predicted rows."""
-    x, target = _split_xy(state.spec, window)
-    n = x.shape[1]
+    n = window.n_channels
     if not 0 <= j < n:
         raise ValueError(f"channel index {j} out of range for {n} channels")
-    y = _forward_np(state.spec, state.params, x)
-    d = y[:, j] - target[:, j]
-    return float(d @ d)
+    return float(channel_losses(state, [window])[0, j])
 
 
 def window_loss(state: ModelState, window: MtsWindow) -> float:
     """Sum of squared errors over all predicted entries of one window."""
     x, target = _split_xy(state.spec, window)
-    y = _forward_np(state.spec, state.params, x)
+    y = _forward_parts(state.spec, state.params, x)[0]
     d = (y - target).ravel()
     return float(d @ d)
 
@@ -240,6 +236,33 @@ def _stack_xy(
         if x.shape[1] != n:
             raise ValueError(f"{what} disagree on channel count")
     return np.stack([x for x, _ in pairs]), np.stack([t for _, t in pairs])
+
+
+def _residual_chunks(state: ModelState, windows: list[MtsWindow]):
+    """Prediction-minus-target (b, out_rows, N) stacks, a chunk of windows
+    at a time, so inputs, activations and residuals stay in a fixed budget."""
+    spec = state.spec
+    if len(windows) == 0:
+        raise ValueError("windows must be nonempty")
+    # x and mixed x, hidden a and h, then prediction, target and residual
+    rows_per_channel = 2 * spec.window + 2 * spec.hidden + 3 * spec.out_rows
+    step = max(1, _FORWARD_CHUNK_ENTRIES // (windows[0].n_channels * rows_per_channel))
+    for start in range(0, len(windows), step):
+        x, target = _stack_xy(spec, windows[start : start + step], "windows")
+        yield _forward_parts(spec, state.params, x)[0] - target
+
+
+def channel_losses(state: ModelState, windows: list[MtsWindow]) -> np.ndarray:
+    """(B, N) per-channel sums of squared errors of a window list.
+
+    Each contiguous channel residual is reduced as a (1, R) @ (R, 1) product,
+    which rounds like a one-window d @ d whatever the list length or chunking.
+    """
+    parts = []
+    for d in _residual_chunks(state, windows):
+        cols = np.ascontiguousarray(d.transpose(0, 2, 1))[:, :, None, :]
+        parts.append((cols @ cols.transpose(0, 1, 3, 2))[:, :, 0, 0])
+    return np.concatenate(parts)
 
 
 def _act_grad_np(spec: ModelSpec, a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -460,16 +483,15 @@ def train(
 
 def mean_window_mse(state: ModelState, windows: list[MtsWindow]) -> float:
     """Per-element mean squared error over a window list."""
-    if len(windows) == 0:
-        raise ValueError("windows must be nonempty")
-    total = 0.0
+    sums = []
     entries = 0
-    for win in windows:
-        x, target = _split_xy(state.spec, win)
-        d = (_forward_np(state.spec, state.params, x) - target).ravel()
-        total += float(d @ d)
+    for d in _residual_chunks(state, windows):
+        flat = d.reshape(d.shape[0], 1, -1)
+        sums.append((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
         entries += d.size
-    return total / entries
+    # accumulate adds the window sums one by one in window order, so the
+    # total rounds exactly like a running sum
+    return float(np.add.accumulate(np.concatenate(sums))[-1]) / entries
 
 
 def save_checkpoint(state: ModelState, path: str) -> None:

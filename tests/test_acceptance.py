@@ -220,7 +220,7 @@ def test_criterion_05_anomaly_method_ordering(capsys):
             train_series, val, test = bench_suite.anomaly_scenario(seed)
             state = bench_suite.anomaly_model(train_series, seed)
             for method in f1:
-                config = DetectConfig(method=method, window=bench_suite.ANOMALY_WINDOW)
+                config = DetectConfig(method=method)
                 report = detect(state, test, config, val_series=val)
                 f1[method].append(report.f1)
                 if method == "cif_self_influence":

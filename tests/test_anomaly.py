@@ -119,6 +119,18 @@ def brute_force_threshold(scores, labels):
     return best_h
 
 
+def adjacent_float_ties(rng, n):
+    """Scores a few ulps apart, so many midpoints round onto a score."""
+    base = rng.normal()
+    return base + np.spacing(base) * rng.integers(-3, 4, size=n)
+
+
+def sparse_labels(rng, n, rate=0.1):
+    labels = (rng.random(n) < rate).astype(np.int64)
+    labels[0], labels[1] = 0, 1
+    return labels
+
+
 class TestSelectThreshold:
     def test_worked_example(self):
         h = select_threshold(np.array([0.1, 0.2, 0.9]), np.array([0, 0, 1]))
@@ -161,6 +173,21 @@ class TestSelectThreshold:
             labels[rng.integers(n)] ^= 1
         assert select_threshold(scores, labels) == brute_force_threshold(scores, labels)
 
+    @pytest.mark.parametrize("n", [1500, 4000])
+    def test_adjacent_float_ties(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            scores = adjacent_float_ties(rng, n)
+            labels = sparse_labels(rng, n, rate=rng.uniform(0.05, 0.6))
+            assert select_threshold(scores, labels) == brute_force_threshold(scores, labels)
+
+    def test_continuous_scores_with_tied_copies(self):
+        rng = np.random.default_rng(81)
+        scores = rng.normal(size=3000)
+        scores[::7] = scores[1::7][: scores[::7].size]
+        labels = sparse_labels(rng, scores.size)
+        assert select_threshold(scores, labels) == brute_force_threshold(scores, labels)
+
 
 def pair_count_auroc(scores, labels):
     pos = scores[np.asarray(labels) != 0]
@@ -194,6 +221,16 @@ class TestAuroc:
             assert auroc(scores, labels) == pytest.approx(
                 pair_count_auroc(scores, labels), abs=1e-12
             )
+
+
+    @pytest.mark.parametrize("n", [1500, 3000])
+    def test_large_lists_with_adjacent_float_ties(self, n):
+        rng = np.random.default_rng(n + 1)
+        scores = adjacent_float_ties(rng, n)
+        labels = sparse_labels(rng, n)
+        assert auroc(scores, labels) == pytest.approx(
+            pair_count_auroc(scores, labels), abs=1e-12
+        )
 
 
 class TestScoreWindows:
@@ -266,7 +303,7 @@ def trained_scenario():
 
 class TestDetect:
     def config(self, **kw):
-        return DetectConfig(window=bench_suite.ANOMALY_WINDOW, **kw)
+        return DetectConfig(**kw)
 
     def test_report_is_internally_consistent(self, trained_scenario):
         state, val, test = trained_scenario

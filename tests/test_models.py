@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chinf import influence
+from chinf import influence, models
 from chinf import autodiff as ad
 from chinf import (
     ModelSpec,
@@ -13,6 +13,7 @@ from chinf import (
     channel_gradient_rows,
     channel_gradients,
     channel_loss,
+    channel_losses,
     init_params,
     last_layer_selector,
     load_checkpoint,
@@ -272,6 +273,15 @@ def kernel_selectors(spec):
         yield "single", ParamSelector(f"{spec.architecture}/{name}", (name,))
 
 
+def perturbed_state(spec, rng):
+    """Initial parameters moved so biases are nonzero and relu units fall
+    on both sides of 0."""
+    state = init_params(spec, seed=2)
+    return ModelState(
+        spec, {k: v + 0.1 * rng.normal(size=v.shape) for k, v in state.params.items()}
+    )
+
+
 class TestChannelGradientRows:
     @pytest.mark.parametrize("horizon", [0, 2])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -279,11 +289,7 @@ class TestChannelGradientRows:
     def test_matches_tape(self, architecture, activation, horizon):
         rng = np.random.default_rng(61)
         spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
-        state = init_params(spec, seed=2)
-        # perturbed so biases are nonzero and relu units fall on both sides of 0
-        state = ModelState(
-            spec, {k: v + 0.1 * rng.normal(size=v.shape) for k, v in state.params.items()}
-        )
+        state = perturbed_state(spec, rng)
         windows = [random_window(rng, spec.total_rows, 3) for _ in range(4)]
         for kind, selector in kernel_selectors(spec):
             rows = channel_gradient_rows(state, windows, selector)
@@ -357,6 +363,59 @@ class TestChannelGradientRows:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="overflow"):
                 influence.self_influence_rows(state, [win], eta=1.0)
+
+
+def split_target(spec, window):
+    return window.values[spec.window :] if spec.horizon > 0 else window.values
+
+
+class TestChannelLosses:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_matches_per_column_dot(self, architecture, activation, horizon):
+        rng = np.random.default_rng(71)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(6)]
+        losses = channel_losses(state, windows)
+        assert losses.shape == (6, 3)
+        for b, w in enumerate(windows):
+            y, target = reconstruct(state, w), split_target(spec, w)
+            for j in range(3):
+                d = y[:, j] - target[:, j]
+                assert losses[b, j] == d @ d
+                assert channel_loss(state, w, j) == losses[b, j]
+
+    def test_chunked_list_equals_per_window_results(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        spec = ModelSpec("mlp_mix", 6, 4, hidden=5, horizon=2)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 4) for _ in range(23)]
+        one_by_one = np.array([channel_losses(state, [w])[0] for w in windows])
+        # one window's forward entries: 4 channels x (2*6 + 2*5 + 3*2) rows;
+        # chunks of 5 windows, the last one short
+        monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", 5 * 4 * 28 + 1)
+        assert np.array_equal(channel_losses(state, windows), one_by_one)
+
+    def test_empty_window_list_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            channel_losses(identity_linear(3, 2), [])
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_mean_window_mse_is_a_window_order_running_sum(self, monkeypatch, chunk):
+        rng = np.random.default_rng(73)
+        spec = ModelSpec("mlp_ci", 6, 3, hidden=4, horizon=3)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(40)]
+        if chunk is not None:
+            monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", chunk)
+        total, entries = 0.0, 0
+        for w in windows:
+            d = (reconstruct(state, w) - split_target(spec, w)).ravel()
+            total += float(d @ d)
+            entries += d.size
+        assert mean_window_mse(state, windows) == total / entries
 
 
 def training_windows(rng, spec, count):
