@@ -64,6 +64,9 @@ def _field(config, name, kind, default=None, required=False):
                 raise ValueError
             return int(value)
         if kind is float:
+            # JSON numbers only: float() would also take "0.01" and true
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError
             number = float(value)
             if not math.isfinite(number):
                 raise ConfigError(f"{name}: expected a finite number, got {value!r}")
@@ -80,7 +83,9 @@ def _field(config, name, kind, default=None, required=False):
             if not isinstance(value, list):
                 raise ValueError
             return value
-    except (TypeError, ValueError):
+    # OverflowError: int() of an infinite JSON number, float() of an integer
+    # beyond the float range
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 

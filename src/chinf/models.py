@@ -187,19 +187,28 @@ def _act_np(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _shared_map(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
+    """The per-channel map on already-mixed input with `window` rows.
+
+    Returns the prediction and the hidden pre- and post-activations (None
+    for linear_ci) that the closed-form backward steps reuse.
+    """
+    if spec.architecture == "linear_ci":
+        return params["weight"] @ x + params["bias"][:, None], None, None
+    a = params["w1"] @ x + params["b1"][:, None]
+    h = _act_np(spec, a)
+    return params["w2"] @ h + params["b2"][:, None], a, h
+
+
 def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
     """Forward pass on one (window, N) input or a (B, window, N) stack.
 
     Returns the prediction together with the mixed input and the hidden
-    pre- and post-activations (None for linear_ci) that the closed-form
-    backward step reuses.
+    pre- and post-activations (None for linear_ci).
     """
     xm = x @ params["mix"] if spec.architecture == "mlp_mix" else x
-    if spec.architecture == "linear_ci":
-        return params["weight"] @ xm + params["bias"][:, None], xm, None, None
-    a = params["w1"] @ xm + params["b1"][:, None]
-    h = _act_np(spec, a)
-    return params["w2"] @ h + params["b2"][:, None], xm, a, h
+    y, a, h = _shared_map(spec, params, xm)
+    return y, xm, a, h
 
 
 def reconstruct(state: ModelState, window: MtsWindow) -> np.ndarray:
@@ -277,6 +286,15 @@ def _check_finite(what: str, *arrays) -> None:
             raise ad.NonFiniteError(f"{what} produced non-finite values")
 
 
+def _selected_shapes(spec: ModelSpec, names: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """param_shapes(spec), after checking that every name is a parameter."""
+    shapes = param_shapes(spec)
+    for name in names:
+        if name not in shapes:
+            raise ValueError(f"selector references unknown parameter {name!r}")
+    return shapes
+
+
 def channel_gradient_rows(
     state: ModelState, windows: list[MtsWindow], selector: ParamSelector | None = None
 ) -> np.ndarray:
@@ -298,10 +316,7 @@ def channel_gradient_rows(
     spec = state.spec
     if selector is None:
         selector = last_layer_selector(spec)
-    shapes = param_shapes(spec)
-    for name in selector.names:
-        if name not in shapes:
-            raise ValueError(f"selector references unknown parameter {name!r}")
+    shapes = _selected_shapes(spec, selector.names)
     params = state.params
     x, target = _stack_xy(spec, windows, "windows")
     y, xm, a, h = _forward_parts(spec, params, x)
@@ -399,6 +414,8 @@ def _squared_error_tape(spec: ModelSpec, params, inputs: np.ndarray, targets: np
     The (b, window, N) inputs are row-stacked, so mixing multiplies channel
     columns row-wise before the blocks are rearranged into one
     column-stacked (window, b*N) node for the shared per-channel map.
+    whole_gradient records one window; on a batch this is the route whose
+    gradients _batch_gradients reproduces in closed form.
     """
     b, _, n = inputs.shape
     tape = Tape()
@@ -427,15 +444,63 @@ def whole_gradient(
     return ad.backward(tape, ad.reduce_sum(sq), selector)
 
 
-def _unflatten(spec: ModelSpec, names: tuple[str, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
-    shapes = param_shapes(spec)
-    out = {}
-    pos = 0
-    for name in names:
-        size = int(np.prod(shapes[name]))
-        out[name] = flat[pos : pos + size].reshape(shapes[name])
-        pos += size
-    return out
+def _batch_gradients(
+    spec: ModelSpec,
+    params: dict[str, np.ndarray],
+    x_rows: np.ndarray,
+    t_cols: np.ndarray,
+    names: tuple[str, ...],
+) -> dict[str, np.ndarray]:
+    """Gradients of one batch's mean squared error over the named parameters.
+
+    The arithmetic and the operand layouts are those of the tape route
+    (_squared_error_tape, then autodiff.backward), so the gradients are
+    bit-identical to it: the (b*window, N) row-stacked inputs are mixed,
+    then rearranged into one column-stacked (window, b*N) matrix for the
+    shared map. With residual d and G = 2 d / d.size, the output layer gets
+    G H^T and the row sums of G; one more step gives da = (W2^T G) * act'(a)
+    for the hidden layer, and the mixing matrix gets x_rows^T times the
+    input adjoint put back into row blocks.
+
+    Raises NonFiniteError for any non-finite trained parameter or forward
+    value the tape would have recorded, and ValueError for a non-finite
+    gradient.
+    """
+    b_times_n = t_cols.shape[1]
+    n = x_rows.shape[1]
+    b, w = b_times_n // n, spec.window
+    _check_finite("training parameters", *(params[name] for name in names))
+    mixed = spec.architecture == "mlp_mix"
+    xm = x_rows @ params["mix"] if mixed else x_rows
+    x = xm.reshape(b, w, n).transpose(1, 0, 2).reshape(w, b_times_n)
+    y, a, h = _shared_map(spec, params, x)
+    d = y - t_cols
+    # a non-finite prediction, residual or square makes the squared-error
+    # total non-finite; the activation can hide a non-finite pre-activation,
+    # and the hidden layer a non-finite mixed input
+    total = np.asarray((d * d).sum())
+    _check_finite("training forward pass", xm if mixed else None, a, total)
+    g = 2.0 * d * (1.0 / d.size)
+
+    grads = {}
+    weight, bias = ("weight", "bias") if spec.architecture == "linear_ci" else ("w2", "b2")
+    if weight in names:
+        grads[weight] = g @ (x if h is None else h).T
+    if bias in names:
+        grads[bias] = g.sum(axis=1)
+    if {"w1", "b1", "mix"} & set(names):
+        da = (params["w2"].T @ g) * _act_grad_np(spec, a, h)
+        if "w1" in names:
+            grads["w1"] = da @ x.T
+        if "b1" in names:
+            grads["b1"] = da.sum(axis=1)
+        if "mix" in names:
+            dx = (params["w1"].T @ da).reshape(w, b, n).transpose(1, 0, 2)
+            grads["mix"] = x_rows.T @ dx.reshape(b * w, n)
+    for grad in grads.values():
+        if not np.isfinite(grad).all():
+            raise ValueError("gradient has non-finite entries")
+    return grads
 
 
 def train(
@@ -447,15 +512,16 @@ def train(
     """Plain minibatch gradient descent on mean squared error.
 
     Deterministic: shuffling comes only from config.seed. Windows in a batch
-    are row-stacked so each step costs one tape and one backward pass.
-    ``trainable`` restricts updates to a parameter subset; the default is
-    every parameter.
+    are row-stacked and each step takes its gradient in closed form
+    (_batch_gradients), with no tape. ``trainable`` restricts updates to a
+    parameter subset; the default is every parameter.
     """
     spec = state.spec
     inputs, targets = _stack_xy(spec, train_windows, "training windows")
     n = inputs.shape[2]
 
-    selector = trainable if trainable is not None else all_params_selector(spec)
+    names = (trainable if trainable is not None else all_params_selector(spec)).names
+    _selected_shapes(spec, names)
     params = {name: np.array(v) for name, v in state.params.items()}
     rng = np.random.default_rng(config.seed)
     count = len(train_windows)
@@ -464,19 +530,15 @@ def train(
         for batch_idx, start in enumerate(range(0, count, config.batch_size)):
             batch = perm[start : start + config.batch_size]
             b = len(batch)
+            x_rows = inputs[batch].reshape(b * spec.window, n)
+            t_cols = targets[batch].transpose(1, 0, 2).reshape(spec.out_rows, b * n)
             try:
-                tape, sq = _squared_error_tape(spec, params, inputs[batch], targets[batch])
-                loss = ad.scale(ad.reduce_sum(sq), 1.0 / (b * spec.out_rows * n))
+                grads = _batch_gradients(spec, params, x_rows, t_cols, names)
             except ad.NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
                 ) from e
-            if not np.isfinite(float(loss.value)):
-                raise RuntimeError(
-                    f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
-                )
-            grad = ad.backward(tape, loss, selector)
-            for name, g in _unflatten(spec, selector.names, grad.values).items():
+            for name, g in grads.items():
                 params[name] = params[name] - config.learning_rate * g
     return ModelState(spec, params, trained_lr=config.learning_rate)
 

@@ -84,11 +84,9 @@ def accumulate_channel_scores(
     if len(val_windows) == 0:
         raise ValueError("validation windows must be nonempty")
     per_window = self_influence_rows(state, val_windows, eta, selector)
-    # row by row in window order: a pairwise sum would move the last digits
-    # of the totals, and with them pruning.csv
-    total = per_window[0]
-    for row in per_window[1:]:
-        total = total + row
+    # accumulate adds the rows one by one in window order; a pairwise sum
+    # would move the last digits of the totals, and with them pruning.csv
+    total = np.add.accumulate(per_window, axis=0)[-1]
     ranking = tuple(int(i) for i in np.argsort(total, kind="stable"))
     return ChannelScoreTable(total, ranking)
 

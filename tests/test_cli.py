@@ -155,6 +155,13 @@ class TestInfluence:
         assert run("influence", "--config", cfg, "--out", tmp_path) == 2
         assert "selector: unknown value 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["0.5", True])
+    def test_eta_must_be_a_json_number(self, pipeline, tmp_path, capsys, eta):
+        cfg = self.influence_config(pipeline, tmp_path, eta=eta)
+        assert run("influence", "--config", cfg, "--out", tmp_path) == 2
+        assert f"eta: expected float, got {eta!r}" in capsys.readouterr().err
+        assert not (tmp_path / "self_influence.csv").exists()
+
     def test_non_finite_eta_rejected(self, pipeline, tmp_path, capsys):
         cfg = self.influence_config(pipeline, tmp_path, eta=float("nan"))
         assert run("influence", "--config", cfg, "--out", tmp_path) == 2
@@ -317,6 +324,34 @@ class TestErrors:
         path = write_config(tmp_path / "t.json", cfg)
         assert run("train", "--config", path, "--out", tmp_path) == 2
         assert "learning_rate: expected a finite number, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("learning_rate", ["0.01", False])
+    def test_learning_rate_must_be_a_json_number(self, pipeline, tmp_path, capsys, learning_rate):
+        cfg = json.loads((DATA / "train.json").read_text())
+        cfg["series_csv"] = str(pipeline / "series.csv")
+        cfg["learning_rate"] = learning_rate
+        path = write_config(tmp_path / "t.json", cfg)
+        assert run("train", "--config", path, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"learning_rate: expected float, got {learning_rate!r}" in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("learning_rate", "1" + "0" * 400), ("epochs", "1e400"), ("batch_size", "-1e400")],
+        ids=["huge_integer_float_field", "infinite_int_field", "negative_infinite_int_field"],
+    )
+    def test_number_beyond_float_range_rejected(self, pipeline, tmp_path, capsys, field, text):
+        cfg = json.loads((DATA / "train.json").read_text())
+        cfg["series_csv"] = str(pipeline / "series.csv")
+        cfg[field] = 0
+        path = tmp_path / "t.json"
+        # json.dumps cannot write these numbers, so splice the literal in
+        path.write_text(json.dumps(cfg).replace(f'"{field}": 0', f'"{field}": {text}'))
+        assert run("train", "--config", path, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: expected " in err
+        assert not (tmp_path / "model.json").exists()
 
     def test_anomalous_train_slice_rejected(self, tmp_path, capsys):
         # pushing train_frac past the first anomaly breaks the clean-train rule

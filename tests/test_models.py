@@ -494,6 +494,156 @@ class TestTrain:
         with pytest.raises(ValueError, match="nonempty"):
             train(init_params(spec, 0), [], TrainConfig())
 
+    def test_runs_no_tape_backward_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training ran a tape backward pass")
+
+        monkeypatch.setattr(ad, "backward", refuse)
+        spec = ModelSpec("mlp_mix", 4, 3, hidden=3, horizon=1)
+        wins = training_windows(np.random.default_rng(9), spec, 10)
+        train(init_params(spec, 0), wins, TrainConfig(2, 0.01, 4, 0))
+
+
+def tape_train(state, windows, config, trainable=None):
+    """SGD with every step taken on the tape (_squared_error_tape, then
+    autodiff.backward): the oracle for train's closed-form step."""
+    spec = state.spec
+    selector = trainable if trainable is not None else all_params_selector(spec)
+    inputs, targets = models._stack_xy(spec, windows, "training windows")
+    params = {name: np.array(v) for name, v in state.params.items()}
+    rng = np.random.default_rng(config.seed)
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(windows))
+        for batch_idx, start in enumerate(range(0, len(windows), config.batch_size)):
+            batch = perm[start : start + config.batch_size]
+            try:
+                tape, sq = models._squared_error_tape(
+                    spec, params, inputs[batch], targets[batch]
+                )
+                loss = ad.scale(ad.reduce_sum(sq), 1.0 / sq.value.size)
+            except ad.NonFiniteError as e:
+                raise RuntimeError(
+                    f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
+                ) from e
+            flat = ad.backward(tape, loss, selector).values
+            pos = 0
+            for name in selector.names:
+                shape = params[name].shape
+                size = params[name].size
+                step = flat[pos : pos + size].reshape(shape)
+                params[name] = params[name] - config.learning_rate * step
+                pos += size
+    return ModelState(spec, params, trained_lr=config.learning_rate)
+
+
+def trainable_selectors(spec):
+    yield None
+    yield last_layer_selector(spec)
+    if spec.architecture == "mlp_mix":
+        yield ParamSelector(f"{spec.architecture}/mixing", ("mix",))
+
+
+class TestTrainMatchesTape:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_parameters_are_bit_identical(self, architecture, activation, horizon):
+        rng = np.random.default_rng(71)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        # 23 windows in batches of 5 leave a partial last batch
+        wins = training_windows(rng, spec, 23)
+        config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=5, seed=4)
+        for trainable in trainable_selectors(spec):
+            got = train(state, wins, config, trainable)
+            want = tape_train(state, wins, config, trainable)
+            for name in state.params:
+                assert np.array_equal(got.params[name], want.params[name]), (trainable, name)
+
+
+def window_of(rows):
+    return MtsWindow(np.array(rows, dtype=np.float64), origin_t=len(rows) - 1)
+
+
+def hidden_overflow_case(activation, bad_rows):
+    """mlp_ci whose pre-activation overflows on one window; relu maps the
+    resulting NaN (inf - inf) to 0 and tanh maps inf to 1, so the loss
+    alone stays finite."""
+    spec = ModelSpec("mlp_ci", 2, 1, hidden=1, activation=activation)
+    params = {"w1": [[1e300, 1e300]], "b1": [0.0], "w2": [[1.0], [1.0]], "b2": [0.0, 0.0]}
+    rng = np.random.default_rng(0)
+    wins = training_windows(rng, spec, 5) + [window_of(bad_rows)]
+    return ModelState(spec, params), wins, TrainConfig(2, 1e-3, 2, 0), None
+
+
+def lr_blowup_case():
+    spec = ModelSpec("linear_ci", 4, 2)
+    wins = training_windows(np.random.default_rng(5), spec, 8)
+    return init_params(spec, 0), wins, TrainConfig(60, 1e12, 8, 0), None
+
+
+def gradient_overflow_case(trainable_mix):
+    """Finite forward values and loss, but an output-layer product (linear)
+    or a hidden adjoint (mlp_mix, mixing matrix only) overflows."""
+    wins = [window_of([[1e200], [1e200], [0.0]])]
+    config = TrainConfig(1, 1e-3, 1, 0)
+    if not trainable_mix:
+        spec = ModelSpec("linear_ci", 2, 1, horizon=1)
+        return ModelState(spec, {"weight": [[1e-50, 0.0]], "bias": [0.0]}), wins, config, None
+    spec = ModelSpec("mlp_mix", 2, 1, hidden=1, activation="tanh", horizon=1)
+    params = {"mix": [[1e-100]], "w1": [[1.0, 1.0]], "b1": [0.0], "w2": [[1e154]], "b2": [0.0]}
+    return ModelState(spec, params), wins, config, ParamSelector("mlp_mix/mixing", ("mix",))
+
+
+def mixing_overflow_case():
+    spec = ModelSpec("mlp_mix", 2, 2, hidden=2, activation="relu")
+    params = dict(init_params(spec, 0).params)
+    params["mix"] = np.full((2, 2), 1e300)
+    wins = training_windows(np.random.default_rng(0), spec, 3)
+    wins.append(window_of([[1e10, 1e10], [1e10, 1e10]]))
+    return ModelState(spec, params), wins, TrainConfig(2, 1e-3, 2, 1), None
+
+
+NOT_FINITE_AT_0_0 = (RuntimeError, "training loss is not finite at epoch 0, batch 0")
+GRADIENT_NOT_FINITE = (ValueError, "gradient has non-finite entries")
+
+
+class TestTrainFailuresMatchTape:
+    """train rejects exactly what the tape route rejected, with the same
+    exception type and message."""
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            (lambda: hidden_overflow_case("relu", [[1e10], [-1e10]]), NOT_FINITE_AT_0_0),
+            (
+                lambda: hidden_overflow_case("tanh", [[1e10], [1e10]]),
+                (RuntimeError, "training loss is not finite at epoch 0, batch 1"),
+            ),
+            (lr_blowup_case, (RuntimeError, "training loss is not finite at epoch 13, batch 0")),
+            (lambda: gradient_overflow_case(False), GRADIENT_NOT_FINITE),
+            (lambda: gradient_overflow_case(True), GRADIENT_NOT_FINITE),
+            (mixing_overflow_case, NOT_FINITE_AT_0_0),
+        ],
+        ids=[
+            "relu_hides_nan",
+            "tanh_hides_inf",
+            "lr_blowup",
+            "output_gradient",
+            "mixing_gradient",
+            "mixing_forward",
+        ],
+    )
+    def test_same_exception_as_tape(self, case, expected):
+        state, wins, config, trainable = case()
+        raised = []
+        for trainer in (train, tape_train):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises((RuntimeError, ValueError)) as info:
+                    trainer(state, wins, config, trainable)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1] == expected
+
 
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chinf import autodiff, influence
 from chinf import (
     ChannelScoreTable,
     ModelSpec,
@@ -102,6 +103,16 @@ class TestAccumulate:
         )
         a, a2 = table.scores[0], table.scores[2]
         assert abs(a - a2) <= 1e-9 * (abs(a) + 1e-12)
+
+    def test_equals_a_window_order_row_loop(self):
+        split = small_split()
+        state, _ = trained_on(split)
+        wins = make_windows(split.val, SMALL_SPEC.total_rows)
+        rows = influence.self_influence_rows(state, wins)
+        total = rows[0]
+        for row in rows[1:]:
+            total = total + row
+        assert np.array_equal(accumulate_channel_scores(state, wins).scores, total)
 
     def test_empty_windows_rejected(self):
         split = small_split()
@@ -231,6 +242,18 @@ class TestPruneAndEval:
         full = prune_and_eval(split, spec, config, 4, "continuous")
         assert not full.mixing_refit
         assert full.mse_selected_model_on_all_channels == full.mse_full_model
+
+    def test_runs_no_tape_backward_pass(self, monkeypatch):
+        # training and scoring are closed-form; the tape serves whole_gradient
+        def refuse(*args, **kwargs):
+            raise AssertionError("pruning ran a tape backward pass")
+
+        monkeypatch.setattr(autodiff, "backward", refuse)
+        split = small_split()
+        prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, 2, "influence_equidistant")
+        spec = ModelSpec("mlp_mix", window=8, channels=4, hidden=4, horizon=2)
+        result = prune_and_eval(split, spec, SMALL_CONFIG, 2, "most_influence", refit_epochs=1)
+        assert result.mixing_refit
 
     def test_mixing_spec_must_match_data_width(self):
         split = small_split()
