@@ -57,7 +57,11 @@ def _field(config, name, kind, default=None, required=False):
         if required:
             raise ConfigError(f"{name}: required field is missing")
         return default
-    value = config[name]
+    return _typed(name, config[name], kind)
+
+
+def _typed(name, value, kind):
+    """value as a `kind`, or a config error naming the field."""
     try:
         if kind is int:
             if isinstance(value, bool) or int(value) != value:
@@ -88,6 +92,16 @@ def _field(config, name, kind, default=None, required=False):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+def _in_range(name, value, low, high=math.inf, *, low_open=False):
+    """value, or a config error naming the field when it lies outside
+    [low, high] ((low, high] with low_open). None, an unset optional
+    field, passes."""
+    if value is None or ((low < value if low_open else low <= value) and value <= high):
+        return value
+    interval = f"{'(' if low_open else '['}{low}, {high}{')' if high == math.inf else ']'}"
+    raise ConfigError(f"{name}: expected a value in {interval}, got {value!r}")
 
 
 def _out_path(out_dir, name):
@@ -142,15 +156,22 @@ def _split_from(config, series):
         raise ConfigError(f"train_frac/val_frac: {e}") from None
 
 
+def _frequencies(config):
+    entries = _field(config, "base_frequencies", list)
+    if not entries:
+        return None
+    return tuple(
+        _typed(f"base_frequencies[{i}]", value, float) for i, value in enumerate(entries)
+    )
+
+
 def cmd_synth(config, out_dir):
     try:
         syn = data.SyntheticConfig(
             clusters=_field(config, "clusters", int, 2),
             channels_per_cluster=_field(config, "channels_per_cluster", int, 2),
             length=_field(config, "length", int, 512),
-            base_frequencies=(
-                tuple(config["base_frequencies"]) if config.get("base_frequencies") else None
-            ),
+            base_frequencies=_frequencies(config),
             phase_jitter=_field(config, "phase_jitter", float, 0.1),
             noise_std=_field(config, "noise_std", float, 0.05),
             seed=_field(config, "seed", int, 0),
@@ -170,7 +191,8 @@ def cmd_synth(config, out_dir):
             )
         except ValueError as e:
             raise ConfigError(f"anomalies[{i}]: {e}") from None
-        series = data.inject_anomalies(series, spec, seed=_field(entry, "seed", int, 0))
+        seed = _in_range(f"anomalies[{i}].seed", _field(entry, "seed", int, 0), 0)
+        series = data.inject_anomalies(series, spec, seed=seed)
     name = _field(config, "out_csv", str, "series.csv")
     data.save_csv(series, _out_path(out_dir, name))
     return {"series": name}
@@ -181,7 +203,8 @@ def cmd_train(config, out_dir):
     spec = _model_spec_from(config)
     train_config = _train_config_from(config)
     split = _split_from(config, series)
-    windows = make_windows(split.train, spec.total_rows, _field(config, "stride", int, 1))
+    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
+    windows = make_windows(split.train, spec.total_rows, stride)
     state = models.init_params(spec, train_config.seed)
     state = models.train(state, windows, train_config)
     name = _field(config, "checkpoint", str, "model.json")
@@ -199,9 +222,9 @@ def _load_checkpoint(config):
 def cmd_influence(config, out_dir):
     series = _load_series(_field(config, "series_csv", str, required=True))
     state = _load_checkpoint(config)
-    stride = _field(config, "stride", int, 1)
+    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
     windows = make_windows(series, state.spec.total_rows, stride)
-    eta = _field(config, "eta", float)
+    eta = _in_range("eta", _field(config, "eta", float), 0, low_open=True)
     selector = _resolve_selector(_field(config, "selector", str), state.spec)
     mode = _field(config, "mode", str, "self")
     if mode == "matrix":
@@ -232,7 +255,7 @@ def cmd_detect(config, out_dir):
         detect_config = anomaly.DetectConfig(
             method=_field(config, "method", str, "cif_self_influence"),
             stride=_field(config, "stride", int, 1),
-            eta=_field(config, "eta", float),
+            eta=_in_range("eta", _field(config, "eta", float), 0, low_open=True),
             selector=_resolve_selector(_field(config, "selector", str), state.spec),
             normalization=_field(config, "normalization", str, "best_of_both"),
             threshold_on=_field(config, "threshold_on", str, "val"),
@@ -259,7 +282,7 @@ def cmd_prune(config, out_dir):
         raise ConfigError("horizon: pruning needs a forecasting model (horizon > 0)")
     train_config = _train_config_from(config)
     split = _split_from(config, series)
-    m = _field(config, "m", int, required=True)
+    m = _in_range("m", _field(config, "m", int, required=True), 1, series.n_channels)
     strategies = _field(config, "strategies", list, list(pruning.STRATEGIES))
     for s in strategies:
         if s not in pruning.STRATEGIES:
@@ -270,9 +293,13 @@ def cmd_prune(config, out_dir):
     for s in seeds:
         if not isinstance(s, int) or isinstance(s, bool):
             raise ConfigError(f"seeds: expected integers, got {s!r}")
-    stride = _field(config, "stride", int, 1)
-    eta = _field(config, "eta", float)
-    refit_epochs = _field(config, "refit_epochs", int, 5)
+        _in_range("seeds", s, 0)
+    for label, items in (("strategies", strategies), ("seeds", seeds)):
+        if not items:
+            raise ConfigError(f"{label}: expected a nonempty list")
+    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
+    eta = _in_range("eta", _field(config, "eta", float), 0, low_open=True)
+    refit_epochs = _in_range("refit_epochs", _field(config, "refit_epochs", int, 5), 1)
 
     results = [
         pruning.prune_and_eval(

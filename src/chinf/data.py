@@ -45,6 +45,8 @@ class SyntheticConfig:
             raise ValueError(f"phase_jitter must be non-negative, got {self.phase_jitter}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.base_frequencies is not None:
             freqs = tuple(float(f) for f in self.base_frequencies)
             if len(freqs) != self.clusters:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradientVector, ParamSelector, Tape
+from .autodiff import GradientVector, ParamSelector
 from .core import MtsWindow, _readonly
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
@@ -139,6 +139,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
@@ -388,60 +390,25 @@ def channel_gradient(
     return channel_gradients(state, window, selector)[j]
 
 
-def _act_tape(spec: ModelSpec, node):
-    if spec.activation == "tanh":
-        return ad.tanh(node)
-    return ad.relu(node)
-
-
-def _ci_tape(tape: Tape, spec: ModelSpec, params, x_node):
-    """Shared per-channel map on an already-mixed (w, columns) node."""
-    if spec.architecture == "linear_ci":
-        w = tape.leaf(params["weight"], "weight")
-        b = tape.leaf(params["bias"], "bias")
-        return ad.add_bias(ad.matmul(w, x_node), b)
-    w1 = tape.leaf(params["w1"], "w1")
-    b1 = tape.leaf(params["b1"], "b1")
-    w2 = tape.leaf(params["w2"], "w2")
-    b2 = tape.leaf(params["b2"], "b2")
-    h = _act_tape(spec, ad.add_bias(ad.matmul(w1, x_node), b1))
-    return ad.add_bias(ad.matmul(w2, h), b2)
-
-
-def _squared_error_tape(spec: ModelSpec, params, inputs: np.ndarray, targets: np.ndarray):
-    """Tape with the squared-error matrix of a window batch recorded.
-
-    The (b, window, N) inputs are row-stacked, so mixing multiplies channel
-    columns row-wise before the blocks are rearranged into one
-    column-stacked (window, b*N) node for the shared per-channel map.
-    whole_gradient records one window; on a batch this is the route whose
-    gradients _batch_gradients reproduces in closed form.
-    """
-    b, _, n = inputs.shape
-    tape = Tape()
-    x_node = tape.leaf(inputs.reshape(b * spec.window, n))
-    if spec.architecture == "mlp_mix":
-        x_node = ad.matmul(x_node, tape.leaf(params["mix"], "mix"))
-    h = ad.blocks_to_columns(x_node, b, spec.window, n)
-    y = _ci_tape(tape, spec, params, h)
-    t_cols = targets.transpose(1, 0, 2).reshape(spec.out_rows, b * n)
-    return tape, ad.square(ad.subtract(y, tape.leaf(t_cols)))
-
-
 def whole_gradient(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> GradientVector:
-    """Gradient of the whole-window loss, taken in one tape backward pass.
+    """Gradient of the whole-window loss over the selected parameters.
 
-    The tape shares no arithmetic with channel_gradient_rows, so the
-    per-channel gradients summing to this is a check, not an identity of
-    the code.
+    This is train's closed-form batch step (_batch_gradients) on one window
+    with adjoint scale 1, so it is the gradient of the sum of squared errors,
+    not of their mean. It is derived separately from channel_gradient_rows,
+    so the per-channel gradients summing to this is a check, not an
+    identity of the code.
     """
+    spec = state.spec
     if selector is None:
-        selector = last_layer_selector(state.spec)
-    x, target = _split_xy(state.spec, window)
-    tape, sq = _squared_error_tape(state.spec, state.params, x[None], target[None])
-    return ad.backward(tape, ad.reduce_sum(sq), selector)
+        selector = last_layer_selector(spec)
+    _selected_shapes(spec, selector.names)
+    x, target = _split_xy(spec, window)
+    grads = _batch_gradients(spec, state.params, x, target, selector.names, 1.0)
+    flat = np.concatenate([grads[name].ravel() for name in selector.names])
+    return GradientVector(flat, selector.selector_id)
 
 
 def _batch_gradients(
@@ -450,26 +417,29 @@ def _batch_gradients(
     x_rows: np.ndarray,
     t_cols: np.ndarray,
     names: tuple[str, ...],
+    scale: float,
 ) -> dict[str, np.ndarray]:
-    """Gradients of one batch's mean squared error over the named parameters.
+    """Gradients of scale times one batch's sum of squared errors.
 
-    The arithmetic and the operand layouts are those of the tape route
-    (_squared_error_tape, then autodiff.backward), so the gradients are
-    bit-identical to it: the (b*window, N) row-stacked inputs are mixed,
-    then rearranged into one column-stacked (window, b*N) matrix for the
-    shared map. With residual d and G = 2 d / d.size, the output layer gets
-    G H^T and the row sums of G; one more step gives da = (W2^T G) * act'(a)
-    for the hidden layer, and the mixing matrix gets x_rows^T times the
-    input adjoint put back into row blocks.
+    train passes scale = 1 / t_cols.size (the batch mean) and whole_gradient
+    passes 1 (one window's sum). The arithmetic and the operand layouts are
+    those of the tape route that tests/test_models.py keeps as the oracle
+    (the squared-error matrix recorded on an autodiff tape, then
+    autodiff.backward), so the gradients are bit-identical to it: the
+    (b*window, N) row-stacked inputs are mixed, then rearranged into one
+    column-stacked (window, b*N) matrix for the shared map. With residual d
+    and G = 2 d * scale, the output layer gets G H^T and the row sums of G;
+    one more step gives da = (W2^T G) * act'(a) for the hidden layer, and
+    the mixing matrix gets x_rows^T times the input adjoint put back into
+    row blocks.
 
-    Raises NonFiniteError for any non-finite trained parameter or forward
-    value the tape would have recorded, and ValueError for a non-finite
-    gradient.
+    Raises NonFiniteError for any non-finite parameter or forward value the
+    tape would have recorded, and ValueError for a non-finite gradient.
     """
     b_times_n = t_cols.shape[1]
     n = x_rows.shape[1]
     b, w = b_times_n // n, spec.window
-    _check_finite("training parameters", *(params[name] for name in names))
+    _check_finite("parameters", *(params[name] for name in names))
     mixed = spec.architecture == "mlp_mix"
     xm = x_rows @ params["mix"] if mixed else x_rows
     x = xm.reshape(b, w, n).transpose(1, 0, 2).reshape(w, b_times_n)
@@ -479,8 +449,8 @@ def _batch_gradients(
     # total non-finite; the activation can hide a non-finite pre-activation,
     # and the hidden layer a non-finite mixed input
     total = np.asarray((d * d).sum())
-    _check_finite("training forward pass", xm if mixed else None, a, total)
-    g = 2.0 * d * (1.0 / d.size)
+    _check_finite("forward pass", xm if mixed else None, a, total)
+    g = 2.0 * d * scale
 
     grads = {}
     weight, bias = ("weight", "bias") if spec.architecture == "linear_ci" else ("w2", "b2")
@@ -533,7 +503,9 @@ def train(
             x_rows = inputs[batch].reshape(b * spec.window, n)
             t_cols = targets[batch].transpose(1, 0, 2).reshape(spec.out_rows, b * n)
             try:
-                grads = _batch_gradients(spec, params, x_rows, t_cols, names)
+                grads = _batch_gradients(
+                    spec, params, x_rows, t_cols, names, 1.0 / t_cols.size
+                )
             except ad.NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"

@@ -316,7 +316,7 @@ class TestDetect:
         assert (report.precision, report.recall, report.f1) == (p, r, f1)
 
     def test_default_detect_runs_no_tape_backward_pass(self, trained_scenario, monkeypatch):
-        # per-channel gradients are closed-form; the tape is for training
+        # per-channel gradients are closed-form; nothing in the runtime uses the tape
         calls = []
         original = autodiff.backward
 
@@ -328,6 +328,15 @@ class TestDetect:
         state, val, test = trained_scenario
         detect(state, test, DetectConfig(), val_series=val)
         assert len(calls) == 0
+
+    def test_tracin_detect_runs_no_tape_backward_pass(self, trained_scenario, monkeypatch):
+        # tracin's whole-window gradient is closed-form as well
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect ran a tape backward pass")
+
+        monkeypatch.setattr(autodiff, "backward", refuse)
+        state, val, test = trained_scenario
+        detect(state, test, DetectConfig(method="tracin_self_influence"), val_series=val)
 
     def test_finds_injected_anomalies(self, trained_scenario):
         state, val, test = trained_scenario

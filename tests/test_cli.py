@@ -362,3 +362,64 @@ class TestErrors:
         path = write_config(tmp_path / "t.json", cfg)
         assert run("train", "--config", path, "--out", tmp_path) == 2
         assert "train_frac/val_frac" in capsys.readouterr().err
+
+
+def base_config(command, pipeline, prune_series):
+    """A working config for command, run against the shared artifacts."""
+    series = str(pipeline / "series.csv")
+    if command == "synth":
+        return json.loads((DATA / "synth.json").read_text())
+    if command == "prune":
+        cfg = json.loads((DATA / "prune.json").read_text())
+        cfg["series_csv"] = str(prune_series / "prune_series.csv")
+        return cfg
+    if command == "influence":
+        return {"series_csv": series, "checkpoint": str(pipeline / "model.json"), "stride": 50}
+    cfg = json.loads((DATA / f"{command}.json").read_text())
+    cfg.update(series_csv=series, checkpoint=str(pipeline / "model.json"))
+    return cfg
+
+
+FIELD_BOUND_CASES = [
+    ("train", {"seed": -3}, "train config: seed must be non-negative, got -3"),
+    ("prune", {"seed": -3}, "train config: seed must be non-negative, got -3"),
+    ("prune", {"seeds": [0, -1]}, "seeds: expected a value in [0, inf), got -1"),
+    ("synth", {"seed": -1}, "synth config: seed must be non-negative, got -1"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]],
+                              "seed": -2}]},
+     "anomalies[0].seed: expected a value in [0, inf), got -2"),
+    ("train", {"stride": 0}, "stride: expected a value in [1, inf), got 0"),
+    ("influence", {"stride": 0}, "stride: expected a value in [1, inf), got 0"),
+    ("prune", {"stride": -2}, "stride: expected a value in [1, inf), got -2"),
+    ("influence", {"eta": 0}, "eta: expected a value in (0, inf), got 0.0"),
+    ("detect", {"eta": -0.5}, "eta: expected a value in (0, inf), got -0.5"),
+    ("prune", {"eta": 0}, "eta: expected a value in (0, inf), got 0.0"),
+    ("prune", {"m": 99}, "m: expected a value in [1, 6], got 99"),
+    ("prune", {"m": 0}, "m: expected a value in [1, 6], got 0"),
+    ("prune", {"architecture": "mlp_mix", "hidden": 4, "refit_epochs": 0},
+     "refit_epochs: expected a value in [1, inf), got 0"),
+    ("prune", {"seeds": []}, "seeds: expected a nonempty list"),
+    ("prune", {"strategies": []}, "strategies: expected a nonempty list"),
+    ("synth", {"base_frequencies": [0.5, "1e400"]},
+     "base_frequencies[1]: expected a finite number, got inf"),
+    ("synth", {"base_frequencies": ["a", "b"]}, "base_frequencies[0]: expected float, got 'a'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    FIELD_BOUND_CASES,
+    ids=[f"{c}-{'-'.join(o)}-{i}" for i, (c, o, _) in enumerate(FIELD_BOUND_CASES)],
+)
+def test_out_of_range_field_exits_2(
+    pipeline, prune_series, tmp_path, capsys, command, overrides, message
+):
+    cfg = dict(base_config(command, pipeline, prune_series), **overrides)
+    # json.dumps cannot write 1e400, so splice the literal in
+    text = json.dumps(cfg).replace('"1e400"', "1e400")
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(command, "--config", path, "--out", out) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -16,6 +16,7 @@ from chinf import (
     tracin,
     train,
 )
+from chinf import autodiff
 
 from bench_suite import random_model_case, random_window
 
@@ -111,6 +112,19 @@ class TestInfluenceMatrix:
         for i, gs in enumerate(g_src):
             for j, gd in enumerate(g_dst):
                 assert m.values[i, j] == pytest.approx(cif(gs, gd, 0.3), rel=1e-12)
+
+    def test_runs_no_tape_backward_pass(self, monkeypatch):
+        # the channel rows and tracin's whole-window gradients are closed-form
+        def refuse(*args, **kwargs):
+            raise AssertionError("influence ran a tape backward pass")
+
+        monkeypatch.setattr(autodiff, "backward", refuse)
+        rng = np.random.default_rng(24)
+        for case in range(12):
+            state, z1, z2, selector = random_model_case(rng, case)
+            influence_matrix(state, z1, z2, eta=0.01, selector=selector)
+            tracin(state, z1, z2, eta=0.01, selector=selector)
+            tracin(state, z1, z1, eta=0.01, selector=selector)
 
     def test_channel_count_mismatch_rejected(self):
         state = init_params(ModelSpec("linear_ci", 3, 2), seed=0)

@@ -245,25 +245,48 @@ class TestGradients:
             channel_gradient(state, win, 5)
 
 
-def tape_channel_gradient(state, window, j, selector):
-    """Channel j's loss gradient from a tape built here out of autodiff
-    primitives, one window at a time: the oracle for the closed form."""
-    spec, params = state.spec, state.params
-    values = window.values
-    x, target = values[: spec.window], values[spec.window :] if spec.horizon else values
+def tape_squared_error(spec, params, inputs, targets):
+    """Tape with the squared-error matrix of a (b, rows, N) window batch
+    recorded, built here out of autodiff primitives: the oracle route for
+    every closed form in models.
+
+    The inputs are row-stacked, so mixing multiplies channel columns
+    row-wise before the blocks are rearranged into one column-stacked
+    (window, b*N) node for the shared per-channel map.
+    """
+    b, _, n = inputs.shape
     tape = ad.Tape()
     leaf = {name: tape.leaf(value, name) for name, value in params.items()}
-    z = tape.leaf(x)
+    z = tape.leaf(inputs.reshape(b * spec.window, n))
     if spec.architecture == "mlp_mix":
         z = ad.matmul(z, leaf["mix"])
+    z = ad.blocks_to_columns(z, b, spec.window, n)
     if spec.architecture == "linear_ci":
         y = ad.add_bias(ad.matmul(leaf["weight"], z), leaf["bias"])
     else:
         act = ad.tanh if spec.activation == "tanh" else ad.relu
         hidden = act(ad.add_bias(ad.matmul(leaf["w1"], z), leaf["b1"]))
         y = ad.add_bias(ad.matmul(leaf["w2"], hidden), leaf["b2"])
-    sq = ad.square(ad.subtract(y, tape.leaf(target)))
+    t_cols = targets.transpose(1, 0, 2).reshape(spec.out_rows, b * n)
+    return tape, ad.square(ad.subtract(y, tape.leaf(t_cols)))
+
+
+def tape_window_loss(state, window):
+    """Tape and squared-error node of one window (b = 1)."""
+    x, target = models._split_xy(state.spec, window)
+    return tape_squared_error(state.spec, state.params, x[None], target[None])
+
+
+def tape_channel_gradient(state, window, j, selector):
+    """Channel j's loss gradient on the tape: the oracle for the closed form."""
+    tape, sq = tape_window_loss(state, window)
     return ad.backward(tape, ad.reduce_sum(ad.slice_columns(sq, j, j + 1)), selector).values
+
+
+def tape_whole_gradient(state, window, selector):
+    """The whole-window loss gradient on the tape."""
+    tape, sq = tape_window_loss(state, window)
+    return ad.backward(tape, ad.reduce_sum(sq), selector)
 
 
 def kernel_selectors(spec):
@@ -505,7 +528,7 @@ class TestTrain:
 
 
 def tape_train(state, windows, config, trainable=None):
-    """SGD with every step taken on the tape (_squared_error_tape, then
+    """SGD with every step taken on the tape (tape_squared_error, then
     autodiff.backward): the oracle for train's closed-form step."""
     spec = state.spec
     selector = trainable if trainable is not None else all_params_selector(spec)
@@ -517,9 +540,7 @@ def tape_train(state, windows, config, trainable=None):
         for batch_idx, start in enumerate(range(0, len(windows), config.batch_size)):
             batch = perm[start : start + config.batch_size]
             try:
-                tape, sq = models._squared_error_tape(
-                    spec, params, inputs[batch], targets[batch]
-                )
+                tape, sq = tape_squared_error(spec, params, inputs[batch], targets[batch])
                 loss = ad.scale(ad.reduce_sum(sq), 1.0 / sq.value.size)
             except ad.NonFiniteError as e:
                 raise RuntimeError(
@@ -643,6 +664,52 @@ class TestTrainFailuresMatchTape:
                     trainer(state, wins, config, trainable)
             raised.append((info.type, str(info.value)))
         assert raised[0] == raised[1] == expected
+
+
+class TestWholeGradientMatchesTape:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_bit_identical(self, architecture, activation, horizon):
+        rng = np.random.default_rng(81)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(4)]
+        for _, selector in kernel_selectors(spec):
+            for w in windows:
+                got = whole_gradient(state, w, selector)
+                want = tape_whole_gradient(state, w, selector)
+                assert got.selector_id == want.selector_id
+                assert np.array_equal(got.values, want.values), selector.selector_id
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: hidden_overflow_case("relu", [[1e10], [-1e10]]),
+            lambda: hidden_overflow_case("tanh", [[1e10], [1e10]]),
+            lambda: gradient_overflow_case(False),
+            lambda: gradient_overflow_case(True),
+            mixing_overflow_case,
+        ],
+        ids=["relu_hides_nan", "tanh_hides_inf", "output_gradient", "mixing_gradient",
+             "mixing_forward"],
+    )
+    def test_same_exception_type_as_tape(self, case):
+        state, wins, _, trainable = case()
+        selector = trainable if trainable is not None else all_params_selector(state.spec)
+        raised = []
+        for gradient in (whole_gradient, tape_whole_gradient):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError) as info:
+                    gradient(state, wins[-1], selector)
+            raised.append(info.type)
+        assert raised[0] is raised[1]
+
+    def test_unknown_parameter_rejected(self):
+        state = identity_linear(3, 2)
+        win = random_window(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ValueError, match="unknown parameter 'w1'"):
+            whole_gradient(state, win, ParamSelector("x", ("w1",)))
 
 
 class TestCheckpoint:

@@ -244,7 +244,7 @@ class TestPruneAndEval:
         assert full.mse_selected_model_on_all_channels == full.mse_full_model
 
     def test_runs_no_tape_backward_pass(self, monkeypatch):
-        # training and scoring are closed-form; the tape serves whole_gradient
+        # training and scoring are closed-form; the tape is only the test oracle
         def refuse(*args, **kwargs):
             raise AssertionError("pruning ran a tape backward pass")
 
