@@ -11,11 +11,11 @@ per window origin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MtsSeries, MtsWindow, make_windows, window_label
+from .core import MtsSeries, Windows, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows, tracin  # noqa: F401
@@ -115,43 +115,33 @@ class AnomalyReport:
         object.__setattr__(self, "labels", labels)
 
 
-def _channel_score_matrix(
-    state: ModelState,
-    windows: list[MtsWindow],
-    method: str,
-    eta: float | None,
-    selector: ParamSelector | None,
-) -> np.ndarray:
-    """(windows, channels) matrix of per-channel scores for one method."""
+def _score_columns(state, windows, method, eta, selector) -> np.ndarray:
+    """(windows, k) scores: the N per-channel columns, or tracin's one (k = 1)."""
     if method == "cif_self_influence":
         return self_influence_rows(state, windows, eta, selector)
-    # reconstruction_error
-    return channel_losses(state, windows)
+    if method == "tracin_self_influence":
+        return np.array([[tracin(state, w, w, eta, selector)] for w in windows])
+    if method == "reconstruction_error":
+        return channel_losses(state, windows)
+    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
 def score_windows(
     state: ModelState,
-    windows: list[MtsWindow],
+    windows: Windows,
     method: str = "cif_self_influence",
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> ScoreSeries:
-    """Score every window; higher means more anomalous.
+    """Score every window of a stack or list; higher means more anomalous.
 
     cif_self_influence and reconstruction_error take the max over channels
     of the per-channel quantity; tracin_self_influence scores the window as
     a whole and cannot say which channel is responsible.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if len(windows) == 0:
-        raise ValueError("windows must be nonempty")
-    origins = tuple(w.origin_t for w in windows)
-    if method == "tracin_self_influence":
-        scores = np.array([tracin(state, w, w, eta, selector) for w in windows])
-    else:
-        scores = _channel_score_matrix(state, windows, method, eta, selector).max(axis=1)
-    return ScoreSeries(scores, method, origins)
+    windows = as_window_stack(windows)
+    columns = _score_columns(state, windows, method, eta, selector)
+    return ScoreSeries(columns.max(axis=1), method, windows.origins)
 
 
 def _normalize_raw(scores: np.ndarray, mode: str) -> np.ndarray:
@@ -255,21 +245,12 @@ def auroc(scores, labels) -> float:
 def _scored_streams(state, series, config):
     """Raw and normalized per-mode score vectors for one labeled series."""
     windows = make_windows(series, state.spec.total_rows, config.stride)
-    labels = np.array([window_label(w, series) for w in windows], dtype=np.int64)
-    origins = tuple(w.origin_t for w in windows)
+    labels = series.timestep_labels[windows.origins]
     if config.normalize_per_channel:
-        per_channel = _channel_score_matrix(
-            state, windows, config.method, config.eta, config.selector
-        )
-        raw = ScoreSeries(per_channel.max(axis=1), config.method, origins)
+        columns = _score_columns(state, windows, config.method, config.eta, config.selector)
+        raw = ScoreSeries(columns.max(axis=1), config.method, windows.origins)
         normalized = {
-            mode: ScoreSeries(
-                np.array(
-                    [_normalize_raw(per_channel[:, j], mode) for j in range(per_channel.shape[1])]
-                ).max(axis=0),
-                config.method,
-                origins,
-            )
+            mode: replace(raw, scores=np.max([_normalize_raw(c, mode) for c in columns.T], axis=0))
             for mode in NORMALIZATIONS
         }
     else:

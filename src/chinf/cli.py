@@ -115,10 +115,11 @@ def _write_manifest(out_dir, command, resolved):
         f.write("\n")
 
 
-def _load_series(path):
-    if not os.path.exists(path):
+def _input_path(config, name):
+    path = _field(config, name, str, required=True)
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    return data.load_csv(path)
+    return path
 
 
 def _model_spec_from(config):
@@ -189,9 +190,11 @@ def cmd_synth(config, out_dir):
                 intervals=tuple(tuple(p) for p in _field(entry, "intervals", list, required=True)),
                 magnitude=_field(entry, "magnitude", float, 3.0),
             )
-        except ValueError as e:
+            seed = _in_range("seed", _field(entry, "seed", int, 0), 0)
+        except ConfigError as e:
+            raise ConfigError(f"anomalies[{i}].{e}") from None
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"anomalies[{i}]: {e}") from None
-        seed = _in_range(f"anomalies[{i}].seed", _field(entry, "seed", int, 0), 0)
         series = data.inject_anomalies(series, spec, seed=seed)
     name = _field(config, "out_csv", str, "series.csv")
     data.save_csv(series, _out_path(out_dir, name))
@@ -199,7 +202,7 @@ def cmd_synth(config, out_dir):
 
 
 def cmd_train(config, out_dir):
-    series = _load_series(_field(config, "series_csv", str, required=True))
+    series = data.load_csv(_input_path(config, "series_csv"))
     spec = _model_spec_from(config)
     train_config = _train_config_from(config)
     split = _split_from(config, series)
@@ -212,16 +215,9 @@ def cmd_train(config, out_dir):
     return {"checkpoint": name}
 
 
-def _load_checkpoint(config):
-    path = _field(config, "checkpoint", str, required=True)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
-    return models.load_checkpoint(path)
-
-
 def cmd_influence(config, out_dir):
-    series = _load_series(_field(config, "series_csv", str, required=True))
-    state = _load_checkpoint(config)
+    series = data.load_csv(_input_path(config, "series_csv"))
+    state = models.load_checkpoint(_input_path(config, "checkpoint"))
     stride = _in_range("stride", _field(config, "stride", int, 1), 1)
     windows = make_windows(series, state.spec.total_rows, stride)
     eta = _in_range("eta", _field(config, "eta", float), 0, low_open=True)
@@ -240,8 +236,8 @@ def cmd_influence(config, out_dir):
     if mode != "self":
         raise ConfigError(f"mode: unknown value {mode!r}, expected 'matrix' or 'self'")
     lines = ["origin_t," + ",".join(series.channel_names)]
-    for win, vec in zip(windows, influence.self_influence_rows(state, windows, eta, selector)):
-        lines.append(str(win.origin_t) + "," + ",".join(repr(float(v)) for v in vec))
+    for t, vec in zip(windows.origins, influence.self_influence_rows(state, windows, eta, selector)):
+        lines.append(str(t) + "," + ",".join(repr(float(v)) for v in vec))
     name = _field(config, "out_csv", str, "self_influence.csv")
     with open(_out_path(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
@@ -249,8 +245,8 @@ def cmd_influence(config, out_dir):
 
 
 def cmd_detect(config, out_dir):
-    series = _load_series(_field(config, "series_csv", str, required=True))
-    state = _load_checkpoint(config)
+    series = data.load_csv(_input_path(config, "series_csv"))
+    state = models.load_checkpoint(_input_path(config, "checkpoint"))
     try:
         detect_config = anomaly.DetectConfig(
             method=_field(config, "method", str, "cif_self_influence"),
@@ -276,7 +272,7 @@ def cmd_detect(config, out_dir):
 
 
 def cmd_prune(config, out_dir):
-    series = _load_series(_field(config, "series_csv", str, required=True))
+    series = data.load_csv(_input_path(config, "series_csv"))
     spec = _model_spec_from(config)
     if spec.horizon < 1:
         raise ConfigError("horizon: pruning needs a forecasting model (horizon > 0)")

@@ -12,10 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _window_values(values, ndim: int) -> np.ndarray:
+    """Read-only copy of one window's (w, N) or a stack's (B, w, N) values."""
+    values = _readonly(values)
+    if values.ndim != ndim or values.size == 0:
+        raise ValueError(f"window values must be nonempty and {ndim}-D, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("window values must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -75,12 +85,7 @@ class MtsWindow:
     origin_t: int
 
     def __post_init__(self):
-        values = _readonly(self.values)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValueError(f"window values must be 2-D with w >= 1, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("window values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _window_values(self.values, 2))
 
     @property
     def n_channels(self) -> int:
@@ -110,24 +115,58 @@ class DatasetSplit:
             raise ValueError("train split must not contain anomalous timesteps")
 
 
-def make_windows(series: MtsSeries, w: int, stride: int = 1) -> list[MtsWindow]:
+@dataclass(frozen=True)
+class WindowStack:
+    """Equal-shape windows as one read-only (B, w, N) array; ``origins[b]``
+    is window b's origin_t. An int index gives that window as an MtsWindow,
+    a slice gives a smaller stack."""
+
+    values: np.ndarray
+    origins: np.ndarray
+
+    def __post_init__(self):
+        values = _window_values(self.values, 3)
+        origins = _readonly(self.origins, np.int64)
+        if origins.shape != values.shape[:1]:
+            raise ValueError(f"{origins.size} origins for {len(values)} windows")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "origins", origins)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WindowStack(self.values[index], self.origins[index])
+        return MtsWindow(self.values[index], int(self.origins[index]))
+
+
+Windows = WindowStack | list[MtsWindow]
+
+
+def as_window_stack(windows: Windows) -> WindowStack:
+    """The batch functions' one conversion: a stack as it is, a window list stacked once."""
+    if isinstance(windows, WindowStack):
+        return windows
+    return WindowStack([w.values for w in windows], [w.origin_t for w in windows])
+
+
+def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
     """Slide a length-``w`` window over the series with the given stride.
 
     Window k covers rows [k*stride, k*stride + w); its origin_t is the
-    index of its last row. Returns floor((T - w) / stride) + 1 windows.
+    index of its last row. Returns floor((T - w) / stride) + 1 windows as
+    one stack, copied once out of the series.
     """
     if w < 1:
         raise ValueError(f"window length must be >= 1, got {w}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    t_total = series.n_timesteps
-    if w > t_total:
-        raise ValueError(f"window exceeds series length ({w} > {t_total})")
-    count = (t_total - w) // stride + 1
-    return [
-        MtsWindow(values=series.values[k * stride : k * stride + w], origin_t=k * stride + w - 1)
-        for k in range(count)
-    ]
+    if w > series.n_timesteps:
+        raise ValueError(f"window exceeds series length ({w} > {series.n_timesteps})")
+    # (count, N, w) read-only view of the series, one row per window start
+    view = np.lib.stride_tricks.sliding_window_view(series.values, w, axis=0)[::stride]
+    return WindowStack(view.transpose(0, 2, 1), np.arange(len(view)) * stride + w - 1)
 
 
 def window_label(window: MtsWindow, series: MtsSeries) -> int:

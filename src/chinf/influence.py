@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
-from .core import MtsWindow
+from .core import MtsWindow, Windows, as_window_stack
 from .models import (
     ModelState,
     channel_gradient_rows,
@@ -110,7 +110,8 @@ def influence_matrix(
     eta = _resolve_eta(state, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
-    if z_dst is z_src:
+    # equal windows have equal rows: one pass, and an exactly symmetric matrix
+    if np.array_equal(z_src.values, z_dst.values):
         g_src = g_dst = channel_gradient_rows(state, [z_src], selector)[0]
     else:
         g_src, g_dst = channel_gradient_rows(state, [z_src, z_dst], selector)
@@ -153,11 +154,11 @@ def self_influence_per_channel(
 
 def self_influence_rows(
     state: ModelState,
-    windows: list[MtsWindow],
+    windows: Windows,
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> np.ndarray:
-    """(windows, channels) self-influence diagonals of a window list.
+    """(windows, channels) self-influence diagonals of a stack or window list.
 
     Gradient rows are built a chunk of windows at a time, so memory stays
     bounded however long the list is; each row's squared norm is reduced
@@ -167,11 +168,10 @@ def self_influence_rows(
     eta = _resolve_eta(state, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
-    if len(windows) == 0:
-        raise ValueError("windows must be nonempty")
+    windows = as_window_stack(windows)
     shapes = param_shapes(state.spec)
     # channel_gradient_rows rejects unknown names; here they count as size 1
-    per_window = windows[0].n_channels * sum(
+    per_window = windows.values.shape[2] * sum(
         int(np.prod(shapes.get(name, ()))) for name in selector.names
     )
     step = max(1, _CHUNK_ELEMENTS // max(1, per_window))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, _readonly
+from .core import MtsWindow, Windows, WindowStack, _readonly, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -168,9 +168,10 @@ def last_layer_selector(spec: ModelSpec) -> ParamSelector:
     return ParamSelector(f"{spec.architecture}/last_layer", names)
 
 
-def _split_xy(spec: ModelSpec, window: MtsWindow) -> tuple[np.ndarray, np.ndarray]:
-    values = window.values
-    rows, n = values.shape
+def _split_xy(spec: ModelSpec, win: MtsWindow | WindowStack) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs and targets of one window, or (B, ...) views of a stack's."""
+    values = win.values
+    rows, n = values.shape[-2:]
     if rows != spec.total_rows:
         raise ValueError(
             f"window has {rows} rows, model expects {spec.total_rows} "
@@ -179,7 +180,7 @@ def _split_xy(spec: ModelSpec, window: MtsWindow) -> tuple[np.ndarray, np.ndarra
     if spec.architecture == "mlp_mix" and n != spec.channels:
         raise ValueError(f"window has {n} channels, model expects {spec.channels}")
     if spec.horizon > 0:
-        return values[: spec.window], values[spec.window :]
+        return values[..., : spec.window, :], values[..., spec.window :, :]
     return values, values
 
 
@@ -235,36 +236,21 @@ def window_loss(state: ModelState, window: MtsWindow) -> float:
     return float(d @ d)
 
 
-def _stack_xy(
-    spec: ModelSpec, windows: list[MtsWindow], what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, window, N) inputs and (B, out_rows, N) targets of a window list."""
-    if len(windows) == 0:
-        raise ValueError(f"{what} must be nonempty")
-    pairs = [_split_xy(spec, win) for win in windows]
-    n = pairs[0][0].shape[1]
-    for x, _ in pairs:
-        if x.shape[1] != n:
-            raise ValueError(f"{what} disagree on channel count")
-    return np.stack([x for x, _ in pairs]), np.stack([t for _, t in pairs])
-
-
-def _residual_chunks(state: ModelState, windows: list[MtsWindow]):
+def _residual_chunks(state: ModelState, windows: Windows):
     """Prediction-minus-target (b, out_rows, N) stacks, a chunk of windows
     at a time, so inputs, activations and residuals stay in a fixed budget."""
     spec = state.spec
-    if len(windows) == 0:
-        raise ValueError("windows must be nonempty")
+    inputs, targets = _split_xy(spec, as_window_stack(windows))
     # x and mixed x, hidden a and h, then prediction, target and residual
     rows_per_channel = 2 * spec.window + 2 * spec.hidden + 3 * spec.out_rows
-    step = max(1, _FORWARD_CHUNK_ENTRIES // (windows[0].n_channels * rows_per_channel))
-    for start in range(0, len(windows), step):
-        x, target = _stack_xy(spec, windows[start : start + step], "windows")
-        yield _forward_parts(spec, state.params, x)[0] - target
+    step = max(1, _FORWARD_CHUNK_ENTRIES // (inputs.shape[2] * rows_per_channel))
+    for start in range(0, len(inputs), step):
+        chunk = slice(start, start + step)
+        yield _forward_parts(spec, state.params, inputs[chunk])[0] - targets[chunk]
 
 
-def channel_losses(state: ModelState, windows: list[MtsWindow]) -> np.ndarray:
-    """(B, N) per-channel sums of squared errors of a window list.
+def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
+    """(B, N) per-channel sums of squared errors of a stack or window list.
 
     Each contiguous channel residual is reduced as a (1, R) @ (R, 1) product,
     which rounds like a one-window d @ d whatever the list length or chunking.
@@ -298,9 +284,9 @@ def _selected_shapes(spec: ModelSpec, names: tuple[str, ...]) -> dict[str, tuple
 
 
 def channel_gradient_rows(
-    state: ModelState, windows: list[MtsWindow], selector: ParamSelector | None = None
+    state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
-    """(B, N, P) gradients of every channel's loss for a list of windows.
+    """(B, N, P) gradients of every channel's loss for a stack or window list.
 
     Row [b, j] is window b's channel-j loss gradient over the selected
     parameters, in selector order and row-major within each parameter (the
@@ -320,7 +306,7 @@ def channel_gradient_rows(
         selector = last_layer_selector(spec)
     shapes = _selected_shapes(spec, selector.names)
     params = state.params
-    x, target = _stack_xy(spec, windows, "windows")
+    x, target = _split_xy(spec, as_window_stack(windows))
     y, xm, a, h = _forward_parts(spec, params, x)
     # an overflow in the mixed input reaches a (or y) too
     _check_finite("forward pass", a, y)
@@ -475,7 +461,7 @@ def _batch_gradients(
 
 def train(
     state: ModelState,
-    train_windows: list[MtsWindow],
+    train_windows: Windows,
     config: TrainConfig,
     trainable: ParamSelector | None = None,
 ) -> ModelState:
@@ -487,14 +473,14 @@ def train(
     parameter subset; the default is every parameter.
     """
     spec = state.spec
-    inputs, targets = _stack_xy(spec, train_windows, "training windows")
+    inputs, targets = _split_xy(spec, as_window_stack(train_windows))
     n = inputs.shape[2]
 
     names = (trainable if trainable is not None else all_params_selector(spec)).names
     _selected_shapes(spec, names)
     params = {name: np.array(v) for name, v in state.params.items()}
     rng = np.random.default_rng(config.seed)
-    count = len(train_windows)
+    count = len(inputs)
     for epoch in range(config.epochs):
         perm = rng.permutation(count)
         for batch_idx, start in enumerate(range(0, count, config.batch_size)):
@@ -515,8 +501,8 @@ def train(
     return ModelState(spec, params, trained_lr=config.learning_rate)
 
 
-def mean_window_mse(state: ModelState, windows: list[MtsWindow]) -> float:
-    """Per-element mean squared error over a window list."""
+def mean_window_mse(state: ModelState, windows: Windows) -> float:
+    """Per-element mean squared error over a stack or window list."""
     sums = []
     entries = 0
     for d in _residual_chunks(state, windows):
@@ -555,13 +541,16 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 def load_checkpoint(path: str) -> ModelState:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    spec = ModelSpec(**doc["spec"])
-    params = {
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
-    return ModelState(spec, params, trained_lr=float(doc["trained_lr"]))
+    try:
+        spec = ModelSpec(**doc["spec"])
+        params = {
+            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in doc["params"].items()
+        }
+        return ModelState(spec, params, trained_lr=float(doc["trained_lr"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None

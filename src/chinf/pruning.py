@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, MtsSeries, MtsWindow, make_windows
+from .core import DatasetSplit, Windows, WindowStack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -76,13 +76,11 @@ class PruningResult:
 
 def accumulate_channel_scores(
     state: ModelState,
-    val_windows: list[MtsWindow],
+    val_windows: Windows,
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> ChannelScoreTable:
     """Sum each channel's self-influence over the validation windows."""
-    if len(val_windows) == 0:
-        raise ValueError("validation windows must be nonempty")
     per_window = self_influence_rows(state, val_windows, eta, selector)
     # accumulate adds the rows one by one in window order; a pairwise sum
     # would move the last digits of the totals, and with them pruning.csv
@@ -122,15 +120,10 @@ def baseline_select(
     raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def _subset_series(series: MtsSeries, selected: tuple[int, ...]) -> MtsSeries:
-    names = tuple(series.channel_names[c] for c in selected)
-    return MtsSeries(series.values[:, list(selected)], names, series.timestep_labels)
-
-
 def _refit_mixing(
     subset_state: ModelState,
     spec: ModelSpec,
-    full_train_windows: list[MtsWindow],
+    full_train_windows: WindowStack,
     train_config: TrainConfig,
     refit_epochs: int,
 ) -> ModelState:
@@ -192,7 +185,7 @@ def prune_and_eval(
         selected = baseline_select(placeholder, m, strategy, seed)
 
     subset_spec = replace(spec, channels=m) if spec.architecture == "mlp_mix" else spec
-    subset_windows = make_windows(_subset_series(split.train, selected), rows, stride)
+    subset_windows = WindowStack(train_windows.values[..., list(selected)], train_windows.origins)
     subset_state = train(
         init_params(subset_spec, train_config.seed), subset_windows, train_config
     )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +215,13 @@ def test_every_command_accepts_every_architecture_and_horizon(
     ]
     for method in ("cif_self_influence", "tracin_self_influence", "reconstruction_error"):
         runs.append(("detect", {"method": method}))
+    # the all-parameters selector on every gradient path
+    runs += [
+        ("influence", {"stride": 25, "selector": "all"}),
+        ("influence", {"mode": "matrix", "src_index": 0, "dst_index": 3, "selector": "all"}),
+        ("detect", {"method": "cif_self_influence", "selector": "all"}),
+        ("detect", {"method": "tracin_self_influence", "selector": "all"}),
+    ]
     if horizon > 0:
         prune_cfg = dict(train_cfg, m=4, seeds=[0], refit_epochs=1)
         del prune_cfg["checkpoint"]
@@ -317,6 +327,14 @@ class TestErrors:
         assert run("train", "--config", path, "--out", tmp_path) == 1
         assert "error: input file not found: missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["series_csv", "checkpoint"])
+    def test_directory_as_input_file(self, pipeline, tmp_path, capsys, field):
+        cfg = {"series_csv": str(pipeline / "series.csv"), "checkpoint": str(pipeline / "model.json")}
+        cfg[field] = str(tmp_path)
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run("influence", "--config", path, "--out", tmp_path / "out") == 1
+        assert f"error: input file not found: {tmp_path}" in capsys.readouterr().err
+
     def test_non_finite_learning_rate_rejected(self, pipeline, tmp_path, capsys):
         cfg = json.loads((DATA / "train.json").read_text())
         cfg["series_csv"] = str(pipeline / "series.csv")
@@ -403,6 +421,13 @@ FIELD_BOUND_CASES = [
     ("synth", {"base_frequencies": [0.5, "1e400"]},
      "base_frequencies[1]: expected a finite number, got inf"),
     ("synth", {"base_frequencies": ["a", "b"]}, "base_frequencies[0]: expected float, got 'a'"),
+    ("synth", {"anomalies": [{"kind": "spike", "intervals": [[700, 715]]}]},
+     "anomalies[0].target_channels: required field is missing"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]]},
+                             {"kind": "spike", "target_channels": "ab", "intervals": [[900, 915]]}]},
+     "anomalies[1].target_channels: expected list, got 'ab'"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [700]}]},
+     "anomalies[0]: 'int' object is not iterable"),
 ]
 
 
@@ -423,3 +448,30 @@ def test_out_of_range_field_exits_2(
     assert run(command, "--config", path, "--out", out) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+MALFORMED_CHECKPOINTS = {
+    "top_level_list": lambda doc: [doc],
+    "missing_spec": lambda doc: {k: v for k, v in doc.items() if k != "spec"},
+    "unknown_spec_key": lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")),
+    "missing_params": lambda doc: {k: v for k, v in doc.items() if k != "params"},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_exits_1_with_one_line(pipeline, tmp_path, case):
+    doc = json.loads((pipeline / "model.json").read_text())
+    checkpoint = write_config(tmp_path / "model.json", MALFORMED_CHECKPOINTS[case](doc))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "series_csv": str(pipeline / "series.csv"), "checkpoint": checkpoint, "stride": 50,
+    })
+    # a separate process, so an escaping exception shows as a traceback on stderr
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "chinf.cli", "influence", "--config", cfg, "--out", tmp_path / "out"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith(f"error: {checkpoint}: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chinf import core
+from chinf import anomaly, core, data, influence, models, pruning
 
 
 def series(t=20, n=3, labels=None, seed=0):
@@ -79,6 +79,75 @@ class TestMakeWindows:
         for k, win in enumerate(wins):
             assert win.origin_t == k * stride + w - 1
             assert np.array_equal(win.values, s.values[k * stride : k * stride + w])
+
+
+class TestWindowStack:
+    def test_values_are_one_read_only_contiguous_stack(self):
+        s = series(t=30)
+        wins = core.make_windows(s, 5, stride=2)
+        assert isinstance(wins, core.WindowStack)
+        assert wins.values.shape == (13, 5, 3)
+        assert wins.values.dtype == np.float64 and wins.values.flags.c_contiguous
+        assert wins.origins.dtype == np.int64
+        assert np.array_equal(wins.origins, np.arange(13) * 2 + 4)
+        with pytest.raises(ValueError):
+            wins.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            wins.origins[0] = 0
+        # the stack owns a copy: it does not alias the series
+        assert not np.shares_memory(wins.values, s.values)
+
+    def test_int_index_gives_a_window_and_slice_a_stack(self):
+        s = series(t=30)
+        wins = core.make_windows(s, 5, stride=2)
+        win = wins[-1]
+        assert isinstance(win, core.MtsWindow)
+        assert win.origin_t == 28 and isinstance(win.origin_t, int)
+        assert np.array_equal(win.values, s.values[24:29])
+        part = wins[3:7]
+        assert isinstance(part, core.WindowStack) and len(part) == 4
+        assert np.array_equal(part.values, wins.values[3:7])
+        assert np.array_equal(part.origins, wins.origins[3:7])
+        assert [w.origin_t for w in wins] == list(wins.origins)
+        with pytest.raises(IndexError):
+            wins[13]
+
+    def test_as_window_stack_passes_a_stack_and_stacks_a_list(self):
+        wins = core.make_windows(series(t=12), 4)
+        assert core.as_window_stack(wins) is wins
+        listed = core.as_window_stack([wins[2], wins[0]])
+        assert np.array_equal(listed.values, wins.values[[2, 0]])
+        assert listed.origins.tolist() == [5, 3]
+        with pytest.raises(ValueError, match="nonempty"):
+            core.as_window_stack([])
+        with pytest.raises(ValueError, match="nonempty"):
+            wins[4:4]
+
+    def test_rejects_bad_shapes_and_values(self):
+        with pytest.raises(ValueError, match="nonempty and 3-D"):
+            core.WindowStack(np.zeros((4, 3)), np.arange(4))
+        with pytest.raises(ValueError, match="finite"):
+            core.WindowStack(np.full((1, 2, 2), np.nan), [1])
+        with pytest.raises(ValueError, match="2 origins for 3 windows"):
+            core.WindowStack(np.zeros((3, 2, 2)), [1, 2])
+
+    def test_batch_paths_build_no_window_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a batch path built an MtsWindow")
+
+        cfg = data.SyntheticConfig(clusters=2, channels_per_cluster=2, length=240, seed=5)
+        spike = data.AnomalySpec("spike", (1,), ((150, 156), (205, 211)), 2.0)
+        labeled = data.inject_anomalies(data.gen_synthetic(cfg), spike)
+        split = core.chronological_split(labeled, 0.5, 0.25)
+        spec = models.ModelSpec("mlp_ci", window=6, channels=4, hidden=3, horizon=2)
+        config = models.TrainConfig(epochs=2, learning_rate=0.01, batch_size=8, seed=0)
+        monkeypatch.setattr(core.MtsWindow, "__post_init__", refuse)
+        windows = core.make_windows(split.train, spec.total_rows)
+        state = models.train(models.init_params(spec, 0), windows, config)
+        influence.self_influence_rows(state, windows)
+        for method in ("cif_self_influence", "reconstruction_error"):
+            anomaly.detect(state, split.test, anomaly.DetectConfig(method=method), split.val)
+        pruning.prune_and_eval(split, spec, config, 2, "influence_equidistant")
 
 
 class TestWindowLabel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chinf import influence, models
+from chinf import core, influence, models
 from chinf import autodiff as ad
 from chinf import (
     ModelSpec,
@@ -532,7 +532,7 @@ def tape_train(state, windows, config, trainable=None):
     autodiff.backward): the oracle for train's closed-form step."""
     spec = state.spec
     selector = trainable if trainable is not None else all_params_selector(spec)
-    inputs, targets = models._stack_xy(spec, windows, "training windows")
+    inputs, targets = models._split_xy(spec, core.as_window_stack(windows))
     params = {name: np.array(v) for name, v in state.params.items()}
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
