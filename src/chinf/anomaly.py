@@ -313,14 +313,15 @@ def detect(
 def save_report_csv(report: AnomalyReport, path: str) -> None:
     """Per-window rows: origin_t, raw_score, normalized_score, prediction, label."""
     lines = ["origin_t,raw_score,normalized_score,prediction,label"]
+    # Python floats from .tolist() format faster than numpy scalars, to the same text
     for t, raw, norm, pred, label in zip(
         report.raw_scores.origins,
-        report.raw_scores.scores,
-        report.normalized_scores.scores,
-        report.predictions,
-        report.labels,
+        report.raw_scores.scores.tolist(),
+        report.normalized_scores.scores.tolist(),
+        report.predictions.tolist(),
+        report.labels.tolist(),
     ):
-        lines.append(f"{t},{float(raw)!r},{float(norm)!r},{pred},{label}")
+        lines.append(f"{t},{raw!r},{norm!r},{pred},{label}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

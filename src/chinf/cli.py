@@ -186,8 +186,14 @@ def cmd_synth(config, out_dir):
         try:
             spec = data.AnomalySpec(
                 kind=_field(entry, "kind", str, required=True),
-                target_channels=tuple(_field(entry, "target_channels", list, required=True)),
-                intervals=tuple(tuple(p) for p in _field(entry, "intervals", list, required=True)),
+                target_channels=tuple(
+                    _typed(f"target_channels[{j}]", c, int)
+                    for j, c in enumerate(_field(entry, "target_channels", list, required=True))
+                ),
+                intervals=tuple(
+                    tuple(_typed(f"intervals[{j}][{k}]", b, int) for k, b in enumerate(pair))
+                    for j, pair in enumerate(_field(entry, "intervals", list, required=True))
+                ),
                 magnitude=_field(entry, "magnitude", float, 3.0),
             )
             seed = _in_range("seed", _field(entry, "seed", int, 0), 0)

@@ -67,6 +67,17 @@ class SyntheticConfig:
         return _BASE_FREQUENCIES + extra
 
 
+def _integral(value, what: str) -> int:
+    """value as an int, or a ValueError when it is not integral (1.5, "3", True)."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    # int() of a NaN, an infinity or a non-numeric string
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"anomaly {what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnomalySpec:
     """Anomalies of one kind: target channels and half-open intervals."""
@@ -81,12 +92,15 @@ class AnomalySpec:
             raise ValueError(
                 f"unknown anomaly kind {self.kind!r}, expected one of {ANOMALY_KINDS}"
             )
-        channels = tuple(int(c) for c in self.target_channels)
+        channels = tuple(_integral(c, "target channel") for c in self.target_channels)
         if len(channels) == 0:
             raise ValueError("anomaly must target at least one channel")
         if len(set(channels)) != len(channels):
             raise ValueError("anomaly target channels must be unique")
-        intervals = tuple((int(a), int(b)) for a, b in self.intervals)
+        intervals = tuple(
+            (_integral(a, "interval bound"), _integral(b, "interval bound"))
+            for a, b in self.intervals
+        )
         if len(intervals) == 0:
             raise ValueError("anomaly must cover at least one interval")
         for start, end in intervals:
@@ -192,16 +206,56 @@ def _parse_row(cells: list[str], n: int, lineno: int) -> list[float]:
     return out
 
 
+def _parse_block(rows: list[tuple[int, str]], n: int) -> np.ndarray:
+    """The numbered, nonblank data lines as a (T, n) float64 array.
+
+    One ``np.loadtxt`` call parses the block. Where it refuses (a bad
+    cell, a ragged row, a cell only ``float()`` accepts such as ``1_0``)
+    or returns a width other than n, the rows are parsed one by one, which
+    gives the same values or the line-numbered error. Every cell numpy
+    accepts, ``float()`` reads as the same double.
+    """
+    try:
+        values = np.loadtxt(
+            [line for _, line in rows], delimiter=",", comments=None,
+            dtype=np.float64, ndmin=2,
+        )
+        if values.shape[1] == n:
+            return values
+    except ValueError:
+        pass
+    return np.array(
+        [_parse_row([c.strip() for c in line.split(",")], n, lineno) for lineno, line in rows]
+    )
+
+
+def _read_lines(path: str) -> list[str]:
+    # universal newlines: \r\n and \r end a line as \n does
+    with open(path, encoding="utf-8") as f:
+        return f.read().split("\n")
+
+
+def _load_labels(path: str, n_timesteps: int) -> np.ndarray:
+    entries = [line.strip() for line in _read_lines(path)]
+    tokens = [text for text in entries if text]
+    if not set(tokens) <= {"0", "1"}:
+        lineno, text = next(
+            (i + 1, text) for i, text in enumerate(entries) if text not in ("", "0", "1")
+        )
+        raise ValueError(f"line {lineno}: label must be 0 or 1, got {text!r}")
+    if len(tokens) != n_timesteps:
+        raise ValueError(f"label count {len(tokens)} does not match {n_timesteps} timesteps")
+    return (np.array(tokens) == "1").astype(np.int64)
+
+
 def load_csv(path: str, labels_path: str | None = None) -> MtsSeries:
     """Load a series written by :func:`save_csv` or any compatible CSV.
 
     A header row is detected by failing to parse as floats; headerless files
     get channel names ``c0..c{N-1}``. If ``labels_path`` is omitted, a file
-    at ``path + ".labels"`` is picked up when it exists.
+    at ``path + ".labels"`` is picked up when it is a file.
     """
-    with open(path, encoding="utf-8") as f:
-        raw = [line.rstrip("\n").rstrip("\r") for line in f]
-    rows = [(i + 1, line) for i, line in enumerate(raw) if line.strip() != ""]
+    rows = [(i + 1, line) for i, line in enumerate(_read_lines(path)) if line.strip() != ""]
     if not rows:
         raise ValueError(f"{path}: file has no data rows")
 
@@ -221,31 +275,9 @@ def load_csv(path: str, labels_path: str | None = None) -> MtsSeries:
         data_rows = rows
     if not data_rows:
         raise ValueError(f"{path}: file has no data rows")
+    values = _parse_block(data_rows, len(names))
 
-    n = len(names)
-    values = np.array(
-        [
-            _parse_row([c.strip() for c in line.split(",")], n, lineno)
-            for lineno, line in data_rows
-        ]
-    )
-
-    labels = None
-    if labels_path is None and os.path.exists(path + ".labels"):
+    if labels_path is None and os.path.isfile(path + ".labels"):
         labels_path = path + ".labels"
-    if labels_path is not None:
-        with open(labels_path, encoding="utf-8") as f:
-            entries = [
-                (i + 1, line.strip()) for i, line in enumerate(f) if line.strip() != ""
-            ]
-        parsed = []
-        for lineno, text in entries:
-            if text not in ("0", "1"):
-                raise ValueError(f"line {lineno}: label must be 0 or 1, got {text!r}")
-            parsed.append(int(text))
-        if len(parsed) != values.shape[0]:
-            raise ValueError(
-                f"label count {len(parsed)} does not match {values.shape[0]} timesteps"
-            )
-        labels = np.array(parsed, dtype=np.int64)
+    labels = None if labels_path is None else _load_labels(labels_path, values.shape[0])
     return MtsSeries(values, names, labels)

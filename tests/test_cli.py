@@ -335,6 +335,15 @@ class TestErrors:
         assert run("influence", "--config", path, "--out", tmp_path / "out") == 1
         assert f"error: input file not found: {tmp_path}" in capsys.readouterr().err
 
+    def test_labels_directory_is_not_read_as_labels(self, pipeline, tmp_path, capsys):
+        (tmp_path / "series.csv").write_bytes((pipeline / "series.csv").read_bytes())
+        (tmp_path / "series.csv.labels").mkdir()
+        cfg = json.loads((DATA / "detect.json").read_text())
+        cfg.update(series_csv=str(tmp_path / "series.csv"), checkpoint=str(pipeline / "model.json"))
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run("detect", "--config", path, "--out", tmp_path / "out") == 1
+        assert "error: test series has no timestep labels" in capsys.readouterr().err
+
     def test_non_finite_learning_rate_rejected(self, pipeline, tmp_path, capsys):
         cfg = json.loads((DATA / "train.json").read_text())
         cfg["series_csv"] = str(pipeline / "series.csv")
@@ -428,6 +437,16 @@ FIELD_BOUND_CASES = [
      "anomalies[1].target_channels: expected list, got 'ab'"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [700]}]},
      "anomalies[0]: 'int' object is not iterable"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[1.5, 9]]}]},
+     "anomalies[0].intervals[0][0]: expected int, got 1.5"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1],
+                              "intervals": [[700, 715], [900, "915"]]}]},
+     "anomalies[0].intervals[1][1]: expected int, got '915'"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1.5], "intervals": [[700, 715]]}]},
+     "anomalies[0].target_channels[0]: expected int, got 1.5"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]]},
+                             {"kind": "drift", "target_channels": [0, True], "intervals": [[9, 19]]}]},
+     "anomalies[1].target_channels[1]: expected int, got True"),
 ]
 
 

@@ -1,5 +1,11 @@
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chinf import (
     AnomalySpec,
@@ -89,6 +95,28 @@ class TestAnomalySpec:
     def test_rejects_overlapping_intervals(self):
         with pytest.raises(ValueError, match="overlap"):
             AnomalySpec("spike", (0,), ((2, 8), (5, 9)))
+
+    @pytest.mark.parametrize(
+        "channels, intervals, message",
+        [
+            ((1.5,), ((0, 2),), "target channel must be an integer, got 1.5"),
+            ((True,), ((0, 2),), "target channel must be an integer, got True"),
+            (("1",), ((0, 2),), "target channel must be an integer, got '1'"),
+            ((0,), ((1.5, 9),), "interval bound must be an integer, got 1.5"),
+            ((0,), ((1, float("inf")),), "interval bound must be an integer, got inf"),
+            ((0,), ((1, float("nan")),), "interval bound must be an integer, got nan"),
+        ],
+        ids=["channel_half", "channel_bool", "channel_str", "bound_half", "bound_inf", "bound_nan"],
+    )
+    def test_rejects_non_integral_channel_or_bound(self, channels, intervals, message):
+        with pytest.raises(ValueError, match=message):
+            AnomalySpec("spike", channels, intervals)
+
+    def test_integral_floats_and_numpy_ints_become_ints(self):
+        spec = AnomalySpec("spike", (np.int64(1), 2.0), ((np.int32(3), 9.0),))
+        assert spec.target_channels == (1, 2)
+        assert spec.intervals == ((3, 9),)
+        assert all(type(v) is int for v in spec.target_channels + spec.intervals[0])
 
     def test_rejects_duplicate_channels(self):
         with pytest.raises(ValueError, match="unique"):
@@ -213,6 +241,12 @@ class TestCsv:
         assert not (tmp_path / "plain.csv.labels").exists()
         assert load_csv(str(path)).timestep_labels is None
 
+    def test_labels_directory_is_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n3,4\n")
+        (tmp_path / "d.csv.labels").mkdir()
+        assert load_csv(str(path)).timestep_labels is None
+
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1,2\n3\n")
@@ -250,3 +284,138 @@ class TestCsv:
         (tmp_path / "m.csv.labels").write_text("0\n")
         with pytest.raises(ValueError, match="label count 1 does not match 2"):
             load_csv(str(path))
+
+    def test_blank_and_whitespace_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n \na,b\n1,2\n\n   \n\t\n3,4\n \n\n")
+        series = load_csv(str(path))
+        assert series.channel_names == ("a", "b")
+        assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "dos.csv"
+        path.write_bytes(b"a,b\r\n1,2\r\n3,4\r\n")
+        series = load_csv(str(path))
+        assert series.channel_names == ("a", "b")
+        assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_cells_float_accepts_are_parsed(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text("a,b\n 1_0 , 2\n-0.5,+3e2 \n")
+        assert np.array_equal(load_csv(str(path)).values, [[10.0, 2.0], [-0.5, 300.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("v\n1\n# x\n2\n", "line 3: '# x' is not a number"),
+            ("a,b\n1,2\n# x\n3,4\n", "line 3: expected 2 values, got 1"),
+        ],
+        ids=["one_column", "two_columns"],
+    )
+    def test_comment_line_rejected_with_its_line_number(self, tmp_path, text, message):
+        path = tmp_path / "hash.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2,3\n4,5,6\n", "line 2: expected 2 values, got 3"),
+            ("a,b,c\n1,2\n3,4\n", "line 2: expected 3 values, got 2"),
+        ],
+        ids=["wider", "narrower"],
+    )
+    def test_every_row_off_width_names_the_first(self, tmp_path, text, message):
+        path = tmp_path / "width.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n3,\n", "line 3: '' is not a number"),
+            ("a,b,c\n1,,3\n", "line 2: '' is not a number"),
+            ("a,b\n1,2,\n3,4,\n", "line 2: expected 2 values, got 3"),
+        ],
+        ids=["empty_last_cell", "empty_middle_cell", "trailing_comma"],
+    )
+    def test_empty_cell_and_trailing_comma_rejected(self, tmp_path, text, message):
+        path = tmp_path / "holes.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path))
+
+    def test_labels_with_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("1,2\n3,4\n5,6\n")
+        (tmp_path / "l.csv.labels").write_bytes(b"0\r\n\r\n1\r\n  \r\n0\r\n")
+        assert load_csv(str(path)).timestep_labels.tolist() == [0, 1, 0]
+
+    def test_bad_label_names_its_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("1,2\n3,4\n")
+        (tmp_path / "l.csv.labels").write_text("0\n\n1 0\n")
+        with pytest.raises(ValueError, match="line 3: label must be 0 or 1, got '1 0'"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n", "a,b\n\n  \n"])
+    def test_no_data_rows_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "nothing.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(str(path))
+        assert caught == []
+
+    def test_extreme_floats_round_trip_bitwise(self, tmp_path):
+        cells = [
+            -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+            1.2345678901234567, -9.8765432109876543e-300, 123456789012345.67,
+        ]
+        series = MtsSeries(np.array(cells).reshape(6, 2), ("a", "b"))
+        path = tmp_path / "extreme.csv"
+        save_csv(series, str(path))
+        back = load_csv(str(path))
+        assert np.array_equal(back.values.view(np.int64), series.values.view(np.int64))
+
+
+def float_reference(text):
+    """A saved CSV's data block parsed cell by cell with float()."""
+    rows = [line for line in text.split("\n")[1:] if line]
+    return np.array([[float(cell) for cell in row.split(",")] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 6)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+            st.floats(min_value=-1e-307, max_value=1e-307, allow_subnormal=True),
+        ),
+    ),
+    with_labels=st.booleans(),
+)
+def test_save_then_load_matches_float_reference_bitwise(values, with_labels):
+    t, n = values.shape
+    labels = (np.arange(t) % 3 == 0).astype(np.int64) if with_labels else None
+    series = MtsSeries(values, tuple(f"ch{j}" for j in range(n)), labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        save_csv(series, path)
+        with open(path, encoding="utf-8") as f:
+            reference = float_reference(f.read())
+        back = load_csv(path)
+    assert back.channel_names == series.channel_names
+    assert np.array_equal(back.values.view(np.int64), reference.view(np.int64))
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+    if with_labels:
+        assert np.array_equal(back.timestep_labels, labels)
+    else:
+        assert back.timestep_labels is None
