@@ -18,7 +18,8 @@ import numpy as np
 from .core import MtsSeries, Windows, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
-from .influence import self_influence_per_channel, self_influence_rows, tracin  # noqa: F401
+from .influence import self_influence_per_channel  # noqa: F401
+from .influence import self_influence_rows, tracin_self_scores
 from .models import ModelState, channel_losses
 from .autodiff import ParamSelector
 
@@ -120,7 +121,7 @@ def _score_columns(state, windows, method, eta, selector) -> np.ndarray:
     if method == "cif_self_influence":
         return self_influence_rows(state, windows, eta, selector)
     if method == "tracin_self_influence":
-        return np.array([[tracin(state, w, w, eta, selector)] for w in windows])
+        return tracin_self_scores(state, windows, eta, selector)[:, None]
     if method == "reconstruction_error":
         return channel_losses(state, windows)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -145,6 +146,8 @@ def score_windows(
 
 
 def _normalize_raw(scores: np.ndarray, mode: str) -> np.ndarray:
+    if scores.size < 2:
+        raise ValueError(f"need at least 2 scores to normalize, got {scores.size}")
     if mode == "mean_std":
         center = scores.mean()
         scale = scores.std()
@@ -164,8 +167,6 @@ def normalize_scores(series: ScoreSeries, mode: str) -> ScoreSeries:
     """
     if mode not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {mode!r}, expected one of {NORMALIZATIONS}")
-    if len(series) < 2:
-        raise ValueError(f"need at least 2 scores to normalize, got {len(series)}")
     return ScoreSeries(_normalize_raw(series.scores, mode), series.method, series.origins)
 
 
@@ -243,19 +244,17 @@ def auroc(scores, labels) -> float:
 
 
 def _scored_streams(state, series, config):
-    """Raw and normalized per-mode score vectors for one labeled series."""
+    """Raw and normalized per-mode score vectors for one labeled series: the
+    max over the normalized channel columns, or the normalized raw score."""
     windows = make_windows(series, state.spec.total_rows, config.stride)
     labels = series.timestep_labels[windows.origins]
-    if config.normalize_per_channel:
-        columns = _score_columns(state, windows, config.method, config.eta, config.selector)
-        raw = ScoreSeries(columns.max(axis=1), config.method, windows.origins)
-        normalized = {
-            mode: replace(raw, scores=np.max([_normalize_raw(c, mode) for c in columns.T], axis=0))
-            for mode in NORMALIZATIONS
-        }
-    else:
-        raw = score_windows(state, windows, config.method, config.eta, config.selector)
-        normalized = {mode: normalize_scores(raw, mode) for mode in NORMALIZATIONS}
+    columns = _score_columns(state, windows, config.method, config.eta, config.selector)
+    raw = ScoreSeries(columns.max(axis=1), config.method, windows.origins)
+    streams = columns.T if config.normalize_per_channel else [raw.scores]
+    normalized = {
+        mode: replace(raw, scores=np.max([_normalize_raw(s, mode) for s in streams], axis=0))
+        for mode in NORMALIZATIONS
+    }
     return raw, normalized, labels
 
 
@@ -275,23 +274,21 @@ def detect(
     """
     if test_series.timestep_labels is None:
         raise ValueError("test series has no timestep labels")
-    raw, normalized, labels = _scored_streams(state, test_series, config)
-
     if config.threshold_on == "val":
         if val_series is None:
             raise ValueError("threshold_on='val' requires a validation series")
         if val_series.timestep_labels is None:
             raise ValueError("validation series has no timestep labels")
-        _, val_normalized, val_labels = _scored_streams(state, val_series, config)
-        threshold_source = {mode: (val_normalized[mode], val_labels) for mode in NORMALIZATIONS}
+    raw, normalized, labels = _scored_streams(state, test_series, config)
+    if config.threshold_on == "val":
+        _, source, source_labels = _scored_streams(state, val_series, config)
     else:
-        threshold_source = {mode: (normalized[mode], labels) for mode in NORMALIZATIONS}
+        source, source_labels = normalized, labels
 
     modes = NORMALIZATIONS if config.normalization == "best_of_both" else (config.normalization,)
     best = None
     for mode in modes:
-        sel_scores, sel_labels = threshold_source[mode]
-        h = select_threshold(sel_scores, sel_labels)
+        h = select_threshold(source[mode], source_labels)
         predictions = (normalized[mode].scores > h).astype(np.int64)
         precision, recall, f1 = prf1(predictions, labels)
         if best is None or f1 > best[0]:

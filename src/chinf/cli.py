@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import anomaly, data, influence, models, pruning
 from .core import chronological_split, make_windows
 from .models import all_params_selector, last_layer_selector
@@ -47,9 +49,26 @@ def _load_config(path):
         raise ConfigError(f"config: file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: {path} is not valid JSON ({e})") from None
+    # a directory, no permission, or bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config: cannot read {path} ({e})") from None
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
     return doc
+
+
+def _check_finite(name, value):
+    """A config error naming the first NaN or infinity in value (JSON's NaN
+    and Infinity, or a number beyond the float range). main checks every
+    field, read by the command or not, so none reaches the manifest."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{name}.{key}", item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(f"{name}[{i}]", item)
 
 
 def _field(config, name, kind, default=None, required=False):
@@ -60,6 +79,12 @@ def _field(config, name, kind, default=None, required=False):
     return _typed(name, config[name], kind)
 
 
+def _set_fields(config, **kinds):
+    """Typed keyword arguments for the fields of kinds that config sets."""
+    set_names = [name for name in kinds if config.get(name) is not None]
+    return {name: _field(config, name, kinds[name]) for name in set_names}
+
+
 def _typed(name, value, kind):
     """value as a `kind`, or a config error naming the field."""
     try:
@@ -68,24 +93,13 @@ def _typed(name, value, kind):
                 raise ValueError
             return int(value)
         if kind is float:
-            # JSON numbers only: float() would also take "0.01" and true
+            # JSON numbers only: float() would also take "0.01" and true;
+            # main has already rejected NaN and infinities
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError
-            number = float(value)
-            if not math.isfinite(number):
-                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-            return number
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ValueError
+            return float(value)
+        # bool, str or list
+        if isinstance(value, kind):
             return value
     # OverflowError: int() of an infinite JSON number, float() of an integer
     # beyond the float range
@@ -104,13 +118,8 @@ def _in_range(name, value, low, high=math.inf, *, low_open=False):
     raise ConfigError(f"{name}: expected a value in {interval}, got {value!r}")
 
 
-def _out_path(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
-def _write_manifest(out_dir, command, resolved):
-    doc = {"command": command, "config": resolved}
-    with open(_out_path(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as f:
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
 
@@ -128,9 +137,7 @@ def _model_spec_from(config):
             architecture=_field(config, "architecture", str, required=True),
             window=_field(config, "window", int, required=True),
             channels=_field(config, "channels", int, required=True),
-            hidden=_field(config, "hidden", int, 0),
-            activation=_field(config, "activation", str, "tanh"),
-            horizon=_field(config, "horizon", int, 0),
+            **_set_fields(config, hidden=int, activation=str, horizon=int),
         )
     except ValueError as e:
         raise ConfigError(f"model spec: {e}") from None
@@ -139,10 +146,7 @@ def _model_spec_from(config):
 def _train_config_from(config):
     try:
         return models.TrainConfig(
-            epochs=_field(config, "epochs", int, 50),
-            learning_rate=_field(config, "learning_rate", float, 1e-2),
-            batch_size=_field(config, "batch_size", int, 32),
-            seed=_field(config, "seed", int, 0),
+            **_set_fields(config, epochs=int, learning_rate=float, batch_size=int, seed=int)
         )
     except ValueError as e:
         raise ConfigError(f"train config: {e}") from None
@@ -169,13 +173,9 @@ def _frequencies(config):
 def cmd_synth(config, out_dir):
     try:
         syn = data.SyntheticConfig(
-            clusters=_field(config, "clusters", int, 2),
-            channels_per_cluster=_field(config, "channels_per_cluster", int, 2),
-            length=_field(config, "length", int, 512),
+            **_set_fields(config, clusters=int, channels_per_cluster=int, length=int),
             base_frequencies=_frequencies(config),
-            phase_jitter=_field(config, "phase_jitter", float, 0.1),
-            noise_std=_field(config, "noise_std", float, 0.05),
-            seed=_field(config, "seed", int, 0),
+            **_set_fields(config, phase_jitter=float, noise_std=float, seed=int),
         )
     except ValueError as e:
         raise ConfigError(f"synth config: {e}") from None
@@ -194,7 +194,7 @@ def cmd_synth(config, out_dir):
                     tuple(_typed(f"intervals[{j}][{k}]", b, int) for k, b in enumerate(pair))
                     for j, pair in enumerate(_field(entry, "intervals", list, required=True))
                 ),
-                magnitude=_field(entry, "magnitude", float, 3.0),
+                **_set_fields(entry, magnitude=float),
             )
             seed = _in_range("seed", _field(entry, "seed", int, 0), 0)
         except ConfigError as e:
@@ -203,7 +203,7 @@ def cmd_synth(config, out_dir):
             raise ConfigError(f"anomalies[{i}]: {e}") from None
         series = data.inject_anomalies(series, spec, seed=seed)
     name = _field(config, "out_csv", str, "series.csv")
-    data.save_csv(series, _out_path(out_dir, name))
+    data.save_csv(series, os.path.join(out_dir, name))
     return {"series": name}
 
 
@@ -217,7 +217,7 @@ def cmd_train(config, out_dir):
     state = models.init_params(spec, train_config.seed)
     state = models.train(state, windows, train_config)
     name = _field(config, "checkpoint", str, "model.json")
-    models.save_checkpoint(state, _out_path(out_dir, name))
+    models.save_checkpoint(state, os.path.join(out_dir, name))
     return {"checkpoint": name}
 
 
@@ -237,7 +237,7 @@ def cmd_influence(config, out_dir):
                 raise ConfigError(f"{label}: window index {idx} out of range 0..{len(windows) - 1}")
         m = influence.influence_matrix(state, windows[src], windows[dst], eta, selector)
         name = _field(config, "out_csv", str, "influence_matrix.csv")
-        influence.save_influence_csv(m, _out_path(out_dir, name), series.channel_names)
+        influence.save_influence_csv(m, os.path.join(out_dir, name), series.channel_names)
         return {"matrix": name}
     if mode != "self":
         raise ConfigError(f"mode: unknown value {mode!r}, expected 'matrix' or 'self'")
@@ -245,7 +245,7 @@ def cmd_influence(config, out_dir):
     for t, vec in zip(windows.origins, influence.self_influence_rows(state, windows, eta, selector)):
         lines.append(str(t) + "," + ",".join(repr(float(v)) for v in vec))
     name = _field(config, "out_csv", str, "self_influence.csv")
-    with open(_out_path(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
     return {"self_influence": name}
 
@@ -255,25 +255,19 @@ def cmd_detect(config, out_dir):
     state = models.load_checkpoint(_input_path(config, "checkpoint"))
     try:
         detect_config = anomaly.DetectConfig(
-            method=_field(config, "method", str, "cif_self_influence"),
-            stride=_field(config, "stride", int, 1),
+            **_set_fields(config, method=str, stride=int),
             eta=_in_range("eta", _field(config, "eta", float), 0, low_open=True),
             selector=_resolve_selector(_field(config, "selector", str), state.spec),
-            normalization=_field(config, "normalization", str, "best_of_both"),
-            threshold_on=_field(config, "threshold_on", str, "val"),
-            normalize_per_channel=_field(config, "normalize_per_channel", bool, False),
+            **_set_fields(config, normalization=str, threshold_on=str, normalize_per_channel=bool),
         )
     except ValueError as e:
         raise ConfigError(f"detect config: {e}") from None
     split = _split_from(config, series)
-    val = split.val if detect_config.threshold_on == "val" else None
-    report = anomaly.detect(state, split.test, detect_config, val_series=val)
+    report = anomaly.detect(state, split.test, detect_config, val_series=split.val)
     csv_name = _field(config, "out_csv", str, "report.csv")
     json_name = _field(config, "out_json", str, "summary.json")
-    anomaly.save_report_csv(report, _out_path(out_dir, csv_name))
-    with open(_out_path(out_dir, json_name), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(anomaly.report_summary(report), f, indent=1, sort_keys=True)
-        f.write("\n")
+    anomaly.save_report_csv(report, os.path.join(out_dir, csv_name))
+    _write_json(os.path.join(out_dir, json_name), anomaly.report_summary(report))
     return {"report": csv_name, "summary": json_name}
 
 
@@ -291,11 +285,10 @@ def cmd_prune(config, out_dir):
             raise ConfigError(
                 f"strategies: unknown value {s!r}, expected from {pruning.STRATEGIES}"
             )
-    seeds = _field(config, "seeds", list, [train_config.seed])
-    for s in seeds:
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ConfigError(f"seeds: expected integers, got {s!r}")
-        _in_range("seeds", s, 0)
+    seeds = [
+        _in_range("seeds", _typed("seeds", s, int), 0)
+        for s in _field(config, "seeds", list, [train_config.seed])
+    ]
     for label, items in (("strategies", strategies), ("seeds", seeds)):
         if not items:
             raise ConfigError(f"{label}: expected a nonempty list")
@@ -312,7 +305,7 @@ def cmd_prune(config, out_dir):
         for strategy in strategies
     ]
     name = _field(config, "out_csv", str, "pruning.csv")
-    pruning.save_pruning_csv(results, _out_path(out_dir, name))
+    pruning.save_pruning_csv(results, os.path.join(out_dir, name))
     return {"results": name}
 
 
@@ -347,16 +340,22 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
-        outputs = COMMANDS[args.command](config, args.out)
-        _write_manifest(args.out, args.command, config)
+        for name, value in config.items():
+            _check_finite(name, value)
+        # every result is checked for finiteness and a failure reported in
+        # one line; numpy's floating-point warnings would only add lines
+        with np.errstate(all="ignore"):
+            outputs = COMMANDS[args.command](config, args.out)
+        manifest = {"command": args.command, "config": config}
+        _write_json(os.path.join(args.out, "manifest.json"), manifest)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     for label, name in outputs.items():
-        print(f"{label}: {_out_path(args.out, name)}")
+        print(f"{label}: {os.path.join(args.out, name)}")
     return 0
 
 

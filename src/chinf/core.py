@@ -164,6 +164,9 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if w > series.n_timesteps:
         raise ValueError(f"window exceeds series length ({w} > {series.n_timesteps})")
+    # any stride past the series gives the first window alone; capping it
+    # keeps a huge one from overflowing the int64 origins
+    stride = min(stride, series.n_timesteps)
     # (count, N, w) read-only view of the series, one row per window start
     view = np.lib.stride_tricks.sliding_window_view(series.values, w, axis=0)[::stride]
     return WindowStack(view.transpose(0, 2, 1), np.arange(len(view)) * stride + w - 1)

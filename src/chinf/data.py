@@ -230,9 +230,13 @@ def _parse_block(rows: list[tuple[int, str]], n: int) -> np.ndarray:
 
 
 def _read_lines(path: str) -> list[str]:
-    # universal newlines: \r\n and \r end a line as \n does
-    with open(path, encoding="utf-8") as f:
-        return f.read().split("\n")
+    # universal newlines: \r\n and \r end a line as \n does; utf-8-sig
+    # drops a leading byte-order mark, which would join the first cell
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _load_labels(path: str, n_timesteps: int) -> np.ndarray:

@@ -25,9 +25,10 @@ from .models import (
     last_layer_selector,
     param_shapes,
     whole_gradient,
+    whole_gradient_rows,
 )
 
-# Gradient-row entries held at once by self_influence_rows (8 MB of float64)
+# Gradient-row entries held at once by _chunked_scores (8 MB of float64)
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -158,27 +159,44 @@ def self_influence_rows(
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> np.ndarray:
-    """(windows, channels) self-influence diagonals of a stack or window list.
+    """(windows, channels) self-influence diagonals of a stack or window list."""
+    return _chunked_scores(state, windows, eta, selector, per_channel=True)
 
-    Gradient rows are built a chunk of windows at a time, so memory stays
-    bounded however long the list is; each row's squared norm is reduced
-    the same way whatever the chunk size, so the result equals the
-    window-by-window values exactly.
-    """
+
+def tracin_self_scores(
+    state: ModelState,
+    windows: Windows,
+    eta: float | None = None,
+    selector: ParamSelector | None = None,
+) -> np.ndarray:
+    """(windows,) whole-window self-influence: tracin(state, w, w) for each w."""
+    return _chunked_scores(state, windows, eta, selector, per_channel=False)
+
+
+def _chunked_scores(state, windows, eta, selector, per_channel):
+    """eta * squared norm of each window's N channel gradient rows (with
+    per_channel) or its whole-window row, in the same chunks of windows
+    either way, so memory stays bounded. Each row is reduced the same way
+    whatever the chunk size, a whole-window row as a (1, P) @ (P, 1) product
+    that rounds like tracin's dot, so the result equals per-window values."""
     eta = _resolve_eta(state, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
     windows = as_window_stack(windows)
     shapes = param_shapes(state.spec)
-    # channel_gradient_rows rejects unknown names; here they count as size 1
+    # the gradient functions reject unknown names; here they count as size 1
     per_window = windows.values.shape[2] * sum(
         int(np.prod(shapes.get(name, ()))) for name in selector.names
     )
     step = max(1, _CHUNK_ELEMENTS // max(1, per_window))
     parts = []
-    for start in range(0, len(windows), step):
-        rows = channel_gradient_rows(state, windows[start : start + step], selector)
-        parts.append(np.einsum("bnp,bnp->bn", rows, rows))
+    for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
+        if per_channel:
+            rows = channel_gradient_rows(state, chunk, selector)
+            parts.append(np.einsum("bnp,bnp->bn", rows, rows))
+        else:
+            rows = whole_gradient_rows(state, chunk, selector)
+            parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     scores = eta * np.concatenate(parts)
     if not np.isfinite(scores).all():
         raise NonFiniteError("self-influence overflowed")

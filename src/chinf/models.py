@@ -16,7 +16,7 @@ relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -379,22 +379,34 @@ def channel_gradient(
 def whole_gradient(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> GradientVector:
-    """Gradient of the whole-window loss over the selected parameters.
+    """Gradient of the whole-window loss (the sum of squared errors, not
+    their mean) over the selected parameters: train's closed-form step
+    (_batch_gradients) on one window. It is derived separately from
+    channel_gradient_rows, so the per-channel gradients summing to this is
+    a check, not an identity of the code."""
+    if selector is None:
+        selector = last_layer_selector(state.spec)
+    return GradientVector(_whole_gradients(state, window, selector), selector.selector_id)
 
-    This is train's closed-form batch step (_batch_gradients) on one window
-    with adjoint scale 1, so it is the gradient of the sum of squared errors,
-    not of their mean. It is derived separately from channel_gradient_rows,
-    so the per-channel gradients summing to this is a check, not an
-    identity of the code.
-    """
+
+def whole_gradient_rows(
+    state: ModelState, windows: Windows, selector: ParamSelector | None = None
+) -> np.ndarray:
+    """(B, P) rows, row b bit-identical to whole_gradient of window b: one
+    call takes the stack as B one-window batches (the per-example layout)."""
+    return _whole_gradients(state, as_window_stack(windows), selector)
+
+
+def _whole_gradients(state: ModelState, win: MtsWindow | WindowStack, selector) -> np.ndarray:
+    """Selector-ordered gradient of one window (P,) or of each in a stack (B, P)."""
     spec = state.spec
     if selector is None:
         selector = last_layer_selector(spec)
     _selected_shapes(spec, selector.names)
-    x, target = _split_xy(spec, window)
+    x, target = _split_xy(spec, win)
     grads = _batch_gradients(spec, state.params, x, target, selector.names, 1.0)
-    flat = np.concatenate([grads[name].ravel() for name in selector.names])
-    return GradientVector(flat, selector.selector_id)
+    shape = x.shape[:-2] + (-1,)
+    return np.concatenate([grads[name].reshape(shape) for name in selector.names], -1)
 
 
 def _batch_gradients(
@@ -407,52 +419,52 @@ def _batch_gradients(
 ) -> dict[str, np.ndarray]:
     """Gradients of scale times one batch's sum of squared errors.
 
-    train passes scale = 1 / t_cols.size (the batch mean) and whole_gradient
-    passes 1 (one window's sum). The arithmetic and the operand layouts are
-    those of the tape route that tests/test_models.py keeps as the oracle
-    (the squared-error matrix recorded on an autodiff tape, then
-    autodiff.backward), so the gradients are bit-identical to it: the
-    (b*window, N) row-stacked inputs are mixed, then rearranged into one
-    column-stacked (window, b*N) matrix for the shared map. With residual d
-    and G = 2 d * scale, the output layer gets G H^T and the row sums of G;
-    one more step gives da = (W2^T G) * act'(a) for the hidden layer, and
-    the mixing matrix gets x_rows^T times the input adjoint put back into
-    row blocks.
+    One batch is x_rows (b*window, N) and t_cols (out_rows, b*N); a leading
+    axis on both stacks batches, and the gradients carry it too. train
+    passes scale = 1 / t_cols.size (the batch mean), whole_gradient and
+    whole_gradient_rows 1 (one window's sum). The arithmetic and operand
+    layouts are those of the tape route that tests/test_models.py keeps as
+    the oracle, so the gradients are bit-identical to it: the row-stacked
+    inputs are mixed, then rearranged into one column-stacked (window, b*N)
+    matrix for the shared map. With residual d and G = 2 d * scale, the
+    output layer gets G H^T and the row sums of G; da = (W2^T G) * act'(a)
+    feeds the hidden layer, and the mixing matrix gets x_rows^T times the
+    input adjoint put back into row blocks.
 
     Raises NonFiniteError for any non-finite parameter or forward value the
     tape would have recorded, and ValueError for a non-finite gradient.
     """
-    b_times_n = t_cols.shape[1]
-    n = x_rows.shape[1]
+    *lead, _, b_times_n = t_cols.shape
+    n = x_rows.shape[-1]
     b, w = b_times_n // n, spec.window
     _check_finite("parameters", *(params[name] for name in names))
     mixed = spec.architecture == "mlp_mix"
     xm = x_rows @ params["mix"] if mixed else x_rows
-    x = xm.reshape(b, w, n).transpose(1, 0, 2).reshape(w, b_times_n)
+    x = xm.reshape(*lead, b, w, n).swapaxes(-3, -2).reshape(*lead, w, b_times_n)
     y, a, h = _shared_map(spec, params, x)
     d = y - t_cols
-    # a non-finite prediction, residual or square makes the squared-error
-    # total non-finite; the activation can hide a non-finite pre-activation,
-    # and the hidden layer a non-finite mixed input
-    total = np.asarray((d * d).sum())
+    # a non-finite prediction, residual or square makes a batch's
+    # squared-error total non-finite; the activation can hide a non-finite
+    # pre-activation, and the hidden layer a non-finite mixed input
+    total = (d * d).sum(axis=(-2, -1))
     _check_finite("forward pass", xm if mixed else None, a, total)
     g = 2.0 * d * scale
 
     grads = {}
     weight, bias = ("weight", "bias") if spec.architecture == "linear_ci" else ("w2", "b2")
     if weight in names:
-        grads[weight] = g @ (x if h is None else h).T
+        grads[weight] = g @ (x if h is None else h).mT
     if bias in names:
-        grads[bias] = g.sum(axis=1)
+        grads[bias] = g.sum(axis=-1)
     if {"w1", "b1", "mix"} & set(names):
         da = (params["w2"].T @ g) * _act_grad_np(spec, a, h)
         if "w1" in names:
-            grads["w1"] = da @ x.T
+            grads["w1"] = da @ x.mT
         if "b1" in names:
-            grads["b1"] = da.sum(axis=1)
+            grads["b1"] = da.sum(axis=-1)
         if "mix" in names:
-            dx = (params["w1"].T @ da).reshape(w, b, n).transpose(1, 0, 2)
-            grads["mix"] = x_rows.T @ dx.reshape(b * w, n)
+            dx = (params["w1"].T @ da).reshape(*lead, w, b, n).swapaxes(-3, -2)
+            grads["mix"] = x_rows.mT @ dx.reshape(*lead, b * w, n)
     for grad in grads.values():
         if not np.isfinite(grad).all():
             raise ValueError("gradient has non-finite entries")
@@ -519,14 +531,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "spec": {
-            "architecture": state.spec.architecture,
-            "window": state.spec.window,
-            "channels": state.spec.channels,
-            "hidden": state.spec.hidden,
-            "activation": state.spec.activation,
-            "horizon": state.spec.horizon,
-        },
+        "spec": asdict(state.spec),
         "trained_lr": state.trained_lr,
         "params": {
             name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
@@ -539,8 +544,12 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    # a UnicodeDecodeError or a JSONDecodeError
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -146,7 +146,6 @@ def prune_and_eval(
     *,
     stride: int = 1,
     eta: float | None = None,
-    selector: ParamSelector | None = None,
     seed: int | None = None,
     refit_epochs: int = 5,
 ) -> PruningResult:
@@ -174,7 +173,7 @@ def prune_and_eval(
 
     if strategy in ("influence_equidistant", "most_influence"):
         val_windows = make_windows(split.val, rows, stride)
-        table = accumulate_channel_scores(full_state, val_windows, eta, selector)
+        table = accumulate_channel_scores(full_state, val_windows, eta)
         if strategy == "influence_equidistant":
             selected = equidistant_select(table, m)
         else:

@@ -20,8 +20,9 @@ from chinf import (
     self_influence_per_channel,
     tracin,
 )
-from chinf import autodiff
+from chinf import anomaly, autodiff
 from chinf.anomaly import report_summary
+from chinf.models import all_params_selector, last_layer_selector
 
 import bench_suite
 
@@ -337,6 +338,39 @@ class TestDetect:
         monkeypatch.setattr(autodiff, "backward", refuse)
         state, val, test = trained_scenario
         detect(state, test, DetectConfig(method="tracin_self_influence"), val_series=val)
+
+    @pytest.mark.parametrize("selector", ["last_layer", "all"])
+    def test_tracin_scores_equal_per_window_tracin(self, trained_scenario, selector):
+        state, val, test = trained_scenario
+        chosen = (all_params_selector if selector == "all" else last_layer_selector)(state.spec)
+        config = self.config(method="tracin_self_influence", selector=chosen)
+        report = detect(state, test, config, val_series=val)
+        windows = make_windows(test, state.spec.total_rows)
+        want = [tracin(state, w, w, None, chosen) for w in windows]
+        assert np.array_equal(report.raw_scores.scores, want)
+
+    @pytest.mark.parametrize("case", ["no_val", "unlabeled_val"])
+    def test_val_checked_before_scoring(self, trained_scenario, monkeypatch, case):
+        state, val, test = trained_scenario
+        calls = []
+        monkeypatch.setattr(anomaly, "_score_columns", lambda *args: calls.append(args))
+        bare = None if case == "no_val" else bench_suite.core.MtsSeries(
+            val.values, val.channel_names
+        )
+        with pytest.raises(ValueError, match="validation series"):
+            detect(state, test, self.config(), val_series=bare)
+        assert calls == []
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_one_window_split_cannot_be_normalized(self, trained_scenario, per_channel):
+        state, _, test = trained_scenario
+        rows = state.spec.total_rows
+        one = bench_suite.core.MtsSeries(
+            test.values[:rows], test.channel_names, test.timestep_labels[:rows]
+        )
+        config = self.config(threshold_on="test", normalize_per_channel=per_channel)
+        with pytest.raises(ValueError, match="need at least 2 scores to normalize, got 1"):
+            detect(state, one, config)
 
     def test_finds_injected_anomalies(self, trained_scenario):
         state, val, test = trained_scenario

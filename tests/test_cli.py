@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chinf import anomaly, cli, data, models
 from chinf.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -14,6 +20,17 @@ DATA = Path(__file__).parent / "data"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """The CLI in a separate process, so an escaping exception shows as a
+    traceback on stderr."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "chinf.cli", *(str(a) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def write_config(path, doc):
@@ -113,6 +130,18 @@ class TestDetect:
         cfg = self.detect_config(pipeline, tmp_path, stride="ten")
         assert run("detect", "--config", cfg, "--out", tmp_path) == 2
         assert "stride: expected int, got 'ten'" in capsys.readouterr().err
+
+    def test_per_channel_normalization_runs(self, pipeline, tmp_path):
+        cfg = self.detect_config(pipeline, tmp_path, normalize_per_channel=True)
+        assert run("detect", "--config", cfg, "--out", tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["method"] == "cif_self_influence"
+
+    def test_per_channel_flag_must_be_a_json_bool(self, pipeline, tmp_path, capsys):
+        cfg = self.detect_config(pipeline, tmp_path, normalize_per_channel="yes")
+        assert run("detect", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "normalize_per_channel: expected bool, got 'yes'" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestInfluence:
@@ -235,6 +264,52 @@ def test_every_command_accepts_every_architecture_and_horizon(
     assert_all_finite(model_dir)
 
 
+class Built(Exception):
+    """Carries the object a command built out of the command."""
+
+
+def test_unset_fields_keep_the_dataclass_defaults(pipeline, tmp_path, monkeypatch):
+    # the CLI passes only the fields a config sets, so the dataclass default
+    # is the one a command uses
+    for cls, defaults in [
+        (models.ModelSpec, (5, "relu", 1)),
+        (models.TrainConfig, (3, 0.5, 7, 9)),
+        (data.SyntheticConfig, (3, 1, 40, None, 0.2, 0.01, 4)),
+        (data.AnomalySpec, (1.25,)),
+        (anomaly.DetectConfig, ("reconstruction_error", 2, None, None, "median_iqr", "test", True)),
+    ]:
+        monkeypatch.setattr(cls.__init__, "__defaults__", defaults)
+    spec = cli._model_spec_from({"architecture": "mlp_ci", "window": 3, "channels": 2})
+    assert (spec.hidden, spec.activation, spec.horizon) == (5, "relu", 1)
+    assert cli._train_config_from({}) == models.TrainConfig(3, 0.5, 7, 9)
+
+    built = {}
+    generate = data.gen_synthetic
+    monkeypatch.setattr(data, "gen_synthetic", lambda syn: generate(built.setdefault("syn", syn)))
+
+    def stop(*args, **kwargs):
+        raise Built(args + tuple(kwargs.values()))
+
+    monkeypatch.setattr(data, "inject_anomalies", stop)
+    anomaly_cfg = {"kind": "spike", "target_channels": [0], "intervals": [[1, 3]]}
+    with pytest.raises(Built) as info:
+        cli.cmd_synth({"anomalies": [anomaly_cfg]}, str(tmp_path))
+    assert built["syn"] == data.SyntheticConfig(3, 1, 40, None, 0.2, 0.01, 4)
+    assert info.value.args[0][1].magnitude == 1.25
+
+    monkeypatch.setattr(anomaly, "detect", stop)
+    with pytest.raises(Built) as info:
+        cli.cmd_detect(
+            {"series_csv": str(pipeline / "series.csv"), "checkpoint": str(pipeline / "model.json")},
+            str(tmp_path),
+        )
+    config = info.value.args[0][2]
+    assert (config.method, config.stride, config.normalization) == (
+        "reconstruction_error", 2, "median_iqr"
+    )
+    assert (config.threshold_on, config.normalize_per_channel) == ("test", True)
+
+
 @pytest.fixture(scope="module")
 def prune_series(tmp_path_factory):
     root = tmp_path_factory.mktemp("prune")
@@ -285,6 +360,20 @@ class TestPrune:
         cfg = self.prune_config(prune_series, tmp_path, horizon=0)
         assert run("prune", "--config", cfg, "--out", tmp_path) == 2
         assert "horizon: pruning needs a forecasting model" in capsys.readouterr().err
+
+    def test_integral_float_seeds_accepted(self, prune_series, tmp_path):
+        cfg = self.prune_config(
+            prune_series, tmp_path, seeds=[1.0], strategies=["continuous"]
+        )
+        assert run("prune", "--config", cfg, "--out", tmp_path) == 0
+        rows = (tmp_path / "pruning.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == ["1"]
+
+    @pytest.mark.parametrize("seed", [1.5, "1", True])
+    def test_non_integer_seed_rejected(self, prune_series, tmp_path, capsys, seed):
+        cfg = self.prune_config(prune_series, tmp_path, seeds=[0, seed])
+        assert run("prune", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert f"config error: seeds: expected int, got {seed!r}" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected(self, prune_series, tmp_path, capsys):
         cfg = self.prune_config(prune_series, tmp_path, strategies=["pca"])
@@ -380,6 +469,57 @@ class TestErrors:
         assert f"config error: {field}: expected " in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_undecodable_config_names_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 1, "out_csv": "s\xe9ries.csv"}')
+        assert run("synth", "--config", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: cannot read {path} (") and err.count("\n") == 1
+
+    def test_checkpoint_that_is_not_json_names_its_path(self, pipeline, tmp_path, capsys):
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text("not json\n")
+        cfg = write_config(tmp_path / "cfg.json", {
+            "series_csv": str(pipeline / "series.csv"), "checkpoint": str(checkpoint),
+        })
+        assert run("influence", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {checkpoint}: Expecting value: line 1 column 1 (char 0)\n"
+
+    def test_undecodable_series_names_its_path(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        cfg = write_config(tmp_path / "cfg.json", {
+            "series_csv": str(csv), "architecture": "linear_ci", "window": 1, "channels": 2,
+        })
+        assert run("train", "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "out_is_a_file"])
+    def test_unusable_path_exits_with_one_line(self, tmp_path, case):
+        config, out = str(DATA / "synth.json"), tmp_path / "out"
+        if case == "config_is_a_directory":
+            config = str(tmp_path)
+        else:
+            out.write_text("")
+        proc = run_process("synth", "--config", config, "--out", out)
+        assert proc.returncode == (2 if case == "config_is_a_directory" else 1), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        if case == "config_is_a_directory":
+            assert proc.stderr.startswith(f"config error: config: cannot read {config} (")
+        else:
+            assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+
+    def test_training_blowup_prints_one_line(self, pipeline, tmp_path):
+        # numpy's overflow warnings would add lines ahead of the error
+        cfg = json.loads((DATA / "train.json").read_text())
+        cfg.update(series_csv=str(pipeline / "series.csv"), learning_rate=1e300)
+        proc = run_process("train", "--config", write_config(tmp_path / "t.json", cfg),
+                           "--out", tmp_path / "out")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: training loss is not finite at epoch 0, batch 1\n"
+
     def test_anomalous_train_slice_rejected(self, tmp_path, capsys):
         # pushing train_frac past the first anomaly breaks the clean-train rule
         assert run("synth", "--config", DATA / "synth.json", "--out", tmp_path) == 0
@@ -447,6 +587,10 @@ FIELD_BOUND_CASES = [
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]]},
                              {"kind": "drift", "target_channels": [0, True], "intervals": [[9, 19]]}]},
      "anomalies[1].target_channels[1]: expected int, got True"),
+    # checked in every field, used or not, so none reaches manifest.json
+    ("influence", {"src_index": float("nan")}, "src_index: expected a finite number, got nan"),
+    ("detect", {"extra": {"a": [1.0, float("-inf")]}},
+     "extra.a[1]: expected a finite number, got -inf"),
 ]
 
 
@@ -484,13 +628,110 @@ def test_malformed_checkpoint_exits_1_with_one_line(pipeline, tmp_path, case):
     cfg = write_config(tmp_path / "cfg.json", {
         "series_csv": str(pipeline / "series.csv"), "checkpoint": checkpoint, "stride": 50,
     })
-    # a separate process, so an escaping exception shows as a traceback on stderr
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-m", "chinf.cli", "influence", "--config", cfg, "--out", tmp_path / "out"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    out = run_process("influence", "--config", cfg, "--out", tmp_path / "out")
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith(f"error: {checkpoint}: ") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
+
+
+# Config mutations for the fuzz test: wrong types, non-finite and huge
+# numbers, small or negative integers, and per-field values that are out of
+# range or switch to another path. Sizes are only ever mutated downward.
+WRONG_TYPES = ["x", "", [1], {"a": 1}, True, None, 1.5]
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 1e300]
+SMALL_INTS = [-1, 0, 3]
+FIELD_VALUES = {
+    "mode": ["self", "bogus"],
+    "selector": ["all", "bogus"],
+    "method": ["tracin_self_influence", "reconstruction_error", "bogus"],
+    "normalization": ["mean_std", "median_iqr", "bogus"],
+    "threshold_on": ["test", "bogus"],
+    "normalize_per_channel": [True, False, "yes"],
+    "architecture": ["linear_ci", "mlp_mix", "bogus"],
+    "activation": ["relu", "bogus"],
+    "src_index": [10**6, 10**30],
+    "dst_index": [10**6, -(10**6)],
+    # 0.05 leaves a validation split with no anomaly: a single class
+    "val_frac": [0.05, 0.9],
+    "train_frac": [0.05, 0.9],
+    "base_frequencies": [[float("nan"), 1.0], [1.0], [2.0, 3.0, 5.0, 7.0]],
+    "anomalies[0].kind": ["drift", "correlation_break", "bogus"],
+    "anomalies[0].target_channels": [[99], [-1], [0, 0], []],
+    "anomalies[0].intervals": [[[5000, 5010]], [[10, 5]], [[-3, 2]], [[0, 1e300]]],
+}
+FUZZ_FIELDS = {
+    "synth": ["clusters", "channels_per_cluster", "length", "base_frequencies", "phase_jitter",
+              "noise_std", "seed", "anomalies", "out_csv", "anomalies[0].kind",
+              "anomalies[0].target_channels", "anomalies[0].intervals",
+              "anomalies[0].magnitude", "anomalies[0].seed"],
+    "train": ["series_csv", "architecture", "window", "channels", "hidden", "activation",
+              "horizon", "epochs", "learning_rate", "batch_size", "seed", "train_frac",
+              "val_frac", "stride", "checkpoint"],
+    "influence": ["checkpoint", "mode", "src_index", "dst_index", "eta", "selector", "stride",
+                  "out_csv"],
+    "detect": ["method", "stride", "eta", "selector", "normalization", "threshold_on",
+               "normalize_per_channel", "train_frac", "val_frac", "out_csv", "out_json"],
+}
+
+
+def mutation_values(command, field):
+    base = fuzz_base_config(command, Path("."))
+    values = WRONG_TYPES + NON_FINITE + SMALL_INTS + FIELD_VALUES.get(field, [])
+    if field in ("epochs", "length"):
+        # never upward: a bigger value only makes the run slower
+        values = [v for v in values if not (type(v) in (int, float) and not v < base[field])]
+    return values
+
+
+def fuzz_base_config(command, root):
+    series, checkpoint = str(root / "series.csv"), str(root / "model.json")
+    if command == "synth":
+        return json.loads((DATA / "synth.json").read_text())
+    if command == "influence":
+        return {"series_csv": series, "checkpoint": checkpoint, "stride": 50,
+                "mode": "matrix", "src_index": 0, "dst_index": 3}
+    return dict(json.loads((DATA / f"{command}.json").read_text()),
+                series_csv=series, checkpoint=checkpoint)
+
+
+def mutations(command):
+    field_and_value = st.sampled_from(FUZZ_FIELDS[command]).flatmap(
+        lambda field: st.tuples(st.just(field), st.sampled_from(mutation_values(command, field)))
+    )
+    return st.lists(field_and_value, min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("command", list(FUZZ_FIELDS))
+def test_mutated_configs_exit_cleanly(pipeline, command):
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(mutations(command))
+    def check(changes):
+        cfg = fuzz_base_config(command, pipeline)
+        if command == "train":
+            # the outputs go to a fresh directory, the series stays shared
+            cfg["checkpoint"] = "model.json"
+        # entry fields first, so a mutation of the whole list still applies
+        for field, value in sorted(changes, key=lambda c: not c[0].startswith("anomalies[")):
+            if field.startswith("anomalies[0]."):
+                cfg["anomalies"][0][field.split(".", 1)[1]] = value
+            else:
+                cfg[field] = value
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "cfg.json")
+            # json.dump writes NaN and Infinity, which the loader accepts
+            Path(path).write_text(json.dumps(cfg))
+            out = Path(root) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main([command, "--config", path, "--out", str(out)])
+            assert code in (0, 1, 2), (changes, code)
+            if code:
+                assert err.getvalue().count("\n") == 1, (changes, err.getvalue())
+            # a warning would reach stderr as more lines
+            assert [str(w.message) for w in caught] == [], changes
+            if out.is_dir():
+                assert_all_finite(out)
+
+    check()

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import warnings
 
@@ -221,6 +222,29 @@ class TestCsv:
         series = load_csv(str(path))
         assert series.channel_names == ("c0", "c1")
         assert series.values.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [("1,2\n3,4\n5,6\n", ("c0", "c1")), ("a,b\n1,2\n3,4\n5,6\n", ("a", "b"))],
+        ids=["headerless", "header"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text, names):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (tmp_path / "bom.csv.labels").write_bytes(b"\xef\xbb\xbf0\n1\n0\n")
+        series = load_csv(str(path))
+        assert series.channel_names == names
+        assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.array_equal(series.timestep_labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("bad", ["csv", "labels"])
+    def test_undecodable_file_named_in_the_error(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"a,b\n1,2\n" + (b"3,\xff\n" if bad == "csv" else b"3,4\n"))
+        (tmp_path / "s.csv.labels").write_bytes(b"0\n1\n" if bad == "csv" else b"0\n\xff\n")
+        culprit = str(path) + (".labels" if bad == "labels" else "")
+        with pytest.raises(ValueError, match=f"^{re.escape(culprit)}: 'utf-8' codec can't decode"):
+            load_csv(str(path))
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         series = gen_synthetic(SyntheticConfig(clusters=2, channels_per_cluster=2, length=50, seed=2))

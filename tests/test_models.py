@@ -23,6 +23,7 @@ from chinf import (
     save_checkpoint,
     train,
     whole_gradient,
+    whole_gradient_rows,
     window_loss,
 )
 from chinf.autodiff import ParamSelector, finite_difference_gradient
@@ -710,6 +711,75 @@ class TestWholeGradientMatchesTape:
         win = random_window(np.random.default_rng(0), 3, 2)
         with pytest.raises(ValueError, match="unknown parameter 'w1'"):
             whole_gradient(state, win, ParamSelector("x", ("w1",)))
+
+
+class TestWholeGradientRows:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_rows_bit_identical_to_tape(self, architecture, activation, horizon):
+        rng = np.random.default_rng(83)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = core.as_window_stack(
+            [random_window(rng, spec.total_rows, 3) for _ in range(5)]
+        )
+        for _, selector in kernel_selectors(spec):
+            rows = whole_gradient_rows(state, windows, selector)
+            assert rows.shape[0] == len(windows)
+            for b in range(len(windows)):
+                want = tape_whole_gradient(state, windows[b], selector).values
+                assert np.array_equal(rows[b], want), selector.selector_id
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_chunked_tracin_scores_equal_per_window_tracin(
+        self, monkeypatch, architecture, horizon
+    ):
+        rng = np.random.default_rng(84)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(11)]
+        for _, selector in kernel_selectors(spec):
+            per_window = 3 * sum(int(np.prod(param_shapes(spec)[n])) for n in selector.names)
+            # chunks of 4 windows, the last one short
+            monkeypatch.setattr(influence, "_CHUNK_ELEMENTS", 4 * per_window + 1)
+            chunked = influence.tracin_self_scores(state, windows, 0.1, selector)
+            want = [0.1 * float(g @ g) for g in
+                    (tape_whole_gradient(state, w, selector).values for w in windows)]
+            assert np.array_equal(chunked, want), selector.selector_id
+            assert np.array_equal(
+                chunked, [influence.tracin(state, w, w, 0.1, selector) for w in windows]
+            )
+
+    def test_default_selector_is_last_layer(self):
+        state = perturbed_state(ModelSpec("mlp_ci", 4, 2, hidden=3), np.random.default_rng(5))
+        wins = [random_window(np.random.default_rng(6), 4, 2) for _ in range(3)]
+        assert np.array_equal(
+            whole_gradient_rows(state, wins),
+            whole_gradient_rows(state, wins, last_layer_selector(state.spec)),
+        )
+
+    def test_unknown_parameter_rejected(self):
+        win = random_window(np.random.default_rng(0), 3, 2)
+        with pytest.raises(ValueError, match="unknown parameter 'w1'"):
+            whole_gradient_rows(identity_linear(3, 2), [win], ParamSelector("x", ("w1",)))
+
+    def test_empty_window_list_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            whole_gradient_rows(identity_linear(3, 2), [])
+
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci"])
+    def test_tracin_across_channel_counts_matches_tape(self, architecture):
+        # channel-shared models take a pair of windows of different widths
+        rng = np.random.default_rng(85)
+        state = perturbed_state(ModelSpec(architecture, 5, 3, hidden=4, horizon=2), rng)
+        src, dst = random_window(rng, 7, 2), random_window(rng, 7, 4)
+        for _, selector in kernel_selectors(state.spec):
+            g_src = tape_whole_gradient(state, src, selector).values
+            g_dst = tape_whole_gradient(state, dst, selector).values
+            got = influence.tracin(state, src, dst, 0.1, selector)
+            assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
 
 
 class TestCheckpoint:
