@@ -45,7 +45,13 @@ class ScoreSeries:
             raise ValueError(f"scores must be a vector, got shape {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        origins = tuple(int(t) for t in self.origins)
+        raw = np.asarray(self.origins)
+        with np.errstate(invalid="ignore"):
+            ints = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
+        # astype truncates 1.7 to 1 (and NaN to an arbitrary integer)
+        if ints is None or raw.ndim != 1 or not np.array_equal(ints, raw):
+            raise ValueError("origins must be a vector of integers")
+        origins = tuple(ints.tolist())
         if len(origins) != scores.size:
             raise ValueError(
                 f"{len(origins)} origins for {scores.size} scores"

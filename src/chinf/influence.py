@@ -13,6 +13,7 @@ It defaults to the learning rate the model was trained with.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,13 @@ def _check_eta(eta: float) -> float:
     return float(eta)
 
 
-def _resolve_eta(state: ModelState, eta: float | None) -> float:
+def _resolve_eta(trained_lr: float, eta: float | None) -> float:
     if eta is None:
-        if not state.trained_lr > 0:
+        if not trained_lr > 0:
             raise ValueError(
                 "model has no recorded training learning rate; pass eta explicitly"
             )
-        eta = state.trained_lr
+        eta = trained_lr
     return _check_eta(eta)
 
 
@@ -108,7 +109,7 @@ def influence_matrix(
         raise ValueError(
             f"windows disagree on channel count: {z_src.n_channels} vs {z_dst.n_channels}"
         )
-    eta = _resolve_eta(state, eta)
+    eta = _resolve_eta(state.trained_lr, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
     # equal windows have equal rows: one pass, and an exactly symmetric matrix
@@ -130,14 +131,20 @@ def tracin(
 
     Computed directly, not by summing the per-channel matrix; the agreement
     of the two routes is a property the tests check, not an implementation
-    shortcut.
+    shortcut. Windows of one shape get both rows from one whole_gradient_rows
+    call (each bit-identical to whole_gradient). Channel-shared models also
+    take windows with different channel counts, which cannot share a stack:
+    those pairs take one whole_gradient call per window.
     """
-    eta = _resolve_eta(state, eta)
+    eta = _resolve_eta(state.trained_lr, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
-    a = whole_gradient(state, z_src, selector)
-    b = a if z_dst is z_src else whole_gradient(state, z_dst, selector)
-    return eta * float(a.values @ b.values)
+    if z_dst is not z_src and z_src.values.shape == z_dst.values.shape:
+        a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
+    else:
+        a = whole_gradient(state, z_src, selector).values
+        b = a if z_dst is z_src else whole_gradient(state, z_dst, selector).values
+    return eta * float(a @ b)
 
 
 def self_influence_per_channel(
@@ -179,14 +186,14 @@ def _chunked_scores(state, windows, eta, selector, per_channel):
     either way, so memory stays bounded. Each row is reduced the same way
     whatever the chunk size, a whole-window row as a (1, P) @ (P, 1) product
     that rounds like tracin's dot, so the result equals per-window values."""
-    eta = _resolve_eta(state, eta)
+    eta = _resolve_eta(state.trained_lr, eta)
     if selector is None:
         selector = last_layer_selector(state.spec)
     windows = as_window_stack(windows)
     shapes = param_shapes(state.spec)
     # the gradient functions reject unknown names; here they count as size 1
     per_window = windows.values.shape[2] * sum(
-        int(np.prod(shapes.get(name, ()))) for name in selector.names
+        math.prod(shapes.get(name, ())) for name in selector.names
     )
     step = max(1, _CHUNK_ELEMENTS // max(1, per_window))
     parts = []

@@ -16,6 +16,7 @@ relies on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -313,7 +314,7 @@ def channel_gradient_rows(
     r = 2.0 * (y - target)
     b, _, n = r.shape
 
-    sizes = [int(np.prod(shapes[name])) for name in selector.names]
+    sizes = [math.prod(shapes[name]) for name in selector.names]
     rows = np.empty((b, n, sum(sizes)))
     # (B, N, *shape) views of rows, one per selected parameter; splitting the
     # contiguous last axis never copies, so writing a block fills the rows

@@ -21,7 +21,11 @@ from .autodiff import ParamSelector
 from .core import DatasetSplit, Windows, WindowStack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
-from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
+from .influence import (  # noqa: F401
+    _resolve_eta,
+    self_influence_per_channel,
+    self_influence_rows,
+)
 from .models import (
     ModelSpec,
     ModelState,
@@ -154,7 +158,8 @@ def prune_and_eval(
     The score table always comes from the full-channel model, so selection
     itself never retrains. ``seed`` (default: train_config.seed) only feeds
     the random strategy. Both MSEs are per-element forecasting error on the
-    full-channel test windows.
+    full-channel test windows. m, and eta for the strategies that use
+    scores, are checked before anything trains.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -163,6 +168,12 @@ def prune_and_eval(
     n = split.train.n_channels
     if spec.architecture == "mlp_mix" and spec.channels != n:
         raise ValueError(f"spec expects {spec.channels} channels, data has {n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"subset size {m} out of range for {n} channels")
+    uses_scores = strategy in ("influence_equidistant", "most_influence")
+    if uses_scores:
+        # train records train_config.learning_rate as the model's trained_lr
+        eta = _resolve_eta(train_config.learning_rate, eta)
     if seed is None:
         seed = train_config.seed
 
@@ -171,7 +182,7 @@ def prune_and_eval(
     test_windows = make_windows(split.test, rows, stride)
     full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
 
-    if strategy in ("influence_equidistant", "most_influence"):
+    if uses_scores:
         val_windows = make_windows(split.val, rows, stride)
         table = accumulate_channel_scores(full_state, val_windows, eta)
         if strategy == "influence_equidistant":

@@ -45,6 +45,29 @@ class TestScoreSeries:
         with pytest.raises(ValueError, match="unknown method"):
             ScoreSeries(np.zeros(2), "zscore", (0, 1))
 
+    @pytest.mark.parametrize(
+        "origins",
+        [(4, 7, 9), [4, 7, 9], np.array([4, 7, 9], dtype=np.int64)],
+        ids=["tuple", "list", "int64_array"],
+    )
+    def test_origins_become_a_tuple_of_int(self, origins):
+        series = ScoreSeries(np.zeros(3), "cif_self_influence", origins)
+        assert series.origins == (4, 7, 9)
+        assert all(type(t) is int for t in series.origins)
+
+    @pytest.mark.parametrize(
+        "origins",
+        [(1.7, 2.2), (1, np.nan), (1, 2**63), ("1", "2"), ((1, 2), (3, 4))],
+        ids=["fractional", "nan", "past_int64", "strings", "nested"],
+    )
+    def test_rejects_non_integral_origins(self, origins):
+        with pytest.raises(ValueError, match="origins must be a vector of integers"):
+            ScoreSeries(np.zeros(2), "cif_self_influence", origins)
+
+    def test_origin_array_count_checked(self):
+        with pytest.raises(ValueError, match="3 origins for 2 scores"):
+            ScoreSeries(np.zeros(2), "cif_self_influence", np.arange(3))
+
 
 class TestNormalize:
     def test_mean_std_worked_example(self):

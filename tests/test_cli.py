@@ -658,6 +658,12 @@ FIELD_VALUES = {
     "anomalies[0].kind": ["drift", "correlation_break", "bogus"],
     "anomalies[0].target_channels": [[99], [-1], [0, 0], []],
     "anomalies[0].intervals": [[[5000, 5010]], [[10, 5]], [[-3, 2]], [[0, 1e300]]],
+    # the prune series has 6 channels
+    "m": [1, 2, 5, 6, 7],
+    "strategies": [["random"], ["most_influence", "continuous"], ["random", "bogus"], []],
+    "seeds": [[2], [5, 0], [-1], [1.5], []],
+    "refit_epochs": [1, 2],
+    "horizon": [1, 2],
 }
 FUZZ_FIELDS = {
     "synth": ["clusters", "channels_per_cluster", "length", "base_frequencies", "phase_jitter",
@@ -671,15 +677,20 @@ FUZZ_FIELDS = {
                   "out_csv"],
     "detect": ["method", "stride", "eta", "selector", "normalization", "threshold_on",
                "normalize_per_channel", "train_frac", "val_frac", "out_csv", "out_json"],
+    "prune": ["m", "strategies", "seeds", "eta", "stride", "refit_epochs", "horizon",
+              "train_frac", "val_frac"],
 }
 
 
 def mutation_values(command, field):
     base = fuzz_base_config(command, Path("."))
     values = WRONG_TYPES + NON_FINITE + SMALL_INTS + FIELD_VALUES.get(field, [])
-    if field in ("epochs", "length"):
+    if field in ("epochs", "length", "refit_epochs"):
         # never upward: a bigger value only makes the run slower
         values = [v for v in values if not (type(v) in (int, float) and not v < base[field])]
+    if field in ("seeds", "strategies"):
+        # never longer: each seed and strategy is one more pair of trainings
+        values = [v for v in values if not (type(v) is list and len(v) > len(base[field]))]
     return values
 
 
@@ -687,6 +698,10 @@ def fuzz_base_config(command, root):
     series, checkpoint = str(root / "series.csv"), str(root / "model.json")
     if command == "synth":
         return json.loads((DATA / "synth.json").read_text())
+    if command == "prune":
+        # refit_epochs at its default, so that mutations can stay below it
+        return dict(json.loads((DATA / "prune.json").read_text()),
+                    series_csv=str(root / "prune_series.csv"), refit_epochs=5)
     if command == "influence":
         return {"series_csv": series, "checkpoint": checkpoint, "stride": 50,
                 "mode": "matrix", "src_index": 0, "dst_index": 3}
@@ -702,11 +717,11 @@ def mutations(command):
 
 
 @pytest.mark.parametrize("command", list(FUZZ_FIELDS))
-def test_mutated_configs_exit_cleanly(pipeline, command):
+def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(mutations(command))
     def check(changes):
-        cfg = fuzz_base_config(command, pipeline)
+        cfg = fuzz_base_config(command, prune_series if command == "prune" else pipeline)
         if command == "train":
             # the outputs go to a fresh directory, the series stays shared
             cfg["checkpoint"] = "model.json"

@@ -782,6 +782,78 @@ class TestWholeGradientRows:
             assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
 
 
+def count_kernel_calls(monkeypatch):
+    """A list that grows by one per closed-form gradient call."""
+    calls = []
+    kernel = models._batch_gradients
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(models, "_batch_gradients", counted)
+    return calls
+
+
+class TestTracinPairs:
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_one_stacked_call_equals_two_calls(
+        self, monkeypatch, architecture, activation, horizon
+    ):
+        rng = np.random.default_rng(86)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        src, dst = (random_window(rng, spec.total_rows, 3) for _ in range(2))
+        calls = count_kernel_calls(monkeypatch)
+        for _, selector in kernel_selectors(spec):
+            g_src = whole_gradient(state, src, selector).values
+            g_dst = whole_gradient(state, dst, selector).values
+            calls.clear()
+            got = influence.tracin(state, src, dst, 0.1, selector)
+            assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
+            assert calls == [(2, 5, 3)]
+
+    def test_same_object_takes_one_window_call(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        state = perturbed_state(ModelSpec("mlp_mix", 5, 3, hidden=4, horizon=2), rng)
+        z = random_window(rng, 7, 3)
+        g = whole_gradient(state, z, all_params_selector(state.spec)).values
+        calls = count_kernel_calls(monkeypatch)
+        assert influence.tracin(state, z, z, 0.1, all_params_selector(state.spec)) == (
+            0.1 * float(g @ g)
+        )
+        # one window: inputs of (window, N), no stack axis
+        assert calls == [(5, 3)]
+
+    def test_equal_values_in_distinct_objects(self, monkeypatch):
+        rng = np.random.default_rng(88)
+        state = perturbed_state(ModelSpec("mlp_ci", 5, 3, hidden=4, horizon=2), rng)
+        z = random_window(rng, 7, 3)
+        twin = MtsWindow(z.values.copy(), z.origin_t)
+        selector = all_params_selector(state.spec)
+        calls = count_kernel_calls(monkeypatch)
+        assert influence.tracin(state, z, twin, 0.1, selector) == influence.tracin(
+            state, z, z, 0.1, selector
+        )
+        assert calls == [(2, 5, 3), (5, 3)]
+
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci"])
+    def test_different_channel_counts_take_two_calls(self, monkeypatch, architecture):
+        rng = np.random.default_rng(89)
+        state = perturbed_state(ModelSpec(architecture, 5, 3, hidden=4, horizon=2), rng)
+        src, dst = random_window(rng, 7, 2), random_window(rng, 7, 4)
+        calls = count_kernel_calls(monkeypatch)
+        for _, selector in kernel_selectors(state.spec):
+            g_src = whole_gradient(state, src, selector).values
+            g_dst = whole_gradient(state, dst, selector).values
+            calls.clear()
+            got = influence.tracin(state, src, dst, 0.1, selector)
+            assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
+            assert calls == [(5, 2), (5, 4)]
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         spec = ModelSpec("mlp_mix", 5, 3, hidden=4, activation="relu", horizon=2)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chinf import autodiff, influence
+from chinf import autodiff, influence, pruning
 from chinf import (
     ChannelScoreTable,
     ModelSpec,
@@ -260,6 +262,34 @@ class TestPruneAndEval:
         spec = ModelSpec("mlp_mix", window=8, channels=6, hidden=4, horizon=2)
         with pytest.raises(ValueError, match="spec expects 6 channels, data has 4"):
             prune_and_eval(split, spec, SMALL_CONFIG, 2, "continuous")
+
+    @pytest.mark.parametrize(
+        "m, strategy, eta, learning_rate, message",
+        [
+            (0, "continuous", None, 1e-2, "subset size 0 out of range for 4"),
+            (5, "influence_equidistant", None, 1e-2, "subset size 5 out of range for 4"),
+            (2, "influence_equidistant", -1.0, 1e-2, "eta must be positive, got -1.0"),
+            (2, "most_influence", float("nan"), 1e-2, "eta must be positive, got nan"),
+            (2, "most_influence", float("inf"), 1e-2, "eta must be finite, got inf"),
+            (2, "influence_equidistant", None, 0.0, "no recorded training learning rate"),
+        ],
+        ids=["m_zero", "m_above_n", "negative_eta", "nan_eta", "inf_eta", "zero_learning_rate"],
+    )
+    def test_bad_inputs_fail_before_training(
+        self, monkeypatch, m, strategy, eta, learning_rate, message
+    ):
+        calls = []
+        monkeypatch.setattr(pruning, "train", lambda *args, **kwargs: calls.append(args))
+        config = replace(SMALL_CONFIG, learning_rate=learning_rate)
+        with pytest.raises(ValueError, match=message):
+            prune_and_eval(small_split(), SMALL_SPEC, config, m, strategy, eta=eta)
+        assert calls == []
+
+    def test_strategies_without_scores_ignore_eta(self):
+        # random and continuous never read the score table, so eta is unused
+        split = small_split()
+        result = prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, 2, "continuous", eta=-1.0)
+        assert result.selected == (0, 1)
 
 
 class TestCsv:

@@ -1,0 +1,68 @@
+"""Write every CLI output of the tests/data fixtures into one directory.
+
+Usage, from the root of a chinf checkout:
+
+    python3 tools/contract_outputs.py OUT_DIR
+
+Runs synth, train, influence (self and matrix), detect (each method with the
+last_layer and the all selector) and prune, one subdirectory per run. Paths
+inside the configs are relative to OUT_DIR, so the manifests do not name it
+and the trees of two checkouts compare with ``diff -r``.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from chinf.cli import main  # noqa: E402
+
+DATA = os.path.join(ROOT, "tests", "data")
+METHODS = ("cif_self_influence", "tracin_self_influence", "reconstruction_error")
+
+
+def fixture(name, **overrides):
+    with open(os.path.join(DATA, name), encoding="utf-8") as f:
+        return dict(json.load(f), **overrides)
+
+
+def runs():
+    series, model = "synth/series.csv", "train/model.json"
+    yield "synth", "synth", fixture("synth.json")
+    yield "train", "train", fixture("train.json", series_csv=series)
+    influence = {"series_csv": series, "checkpoint": model, "stride": 25}
+    yield "influence", "influence_self", dict(influence, mode="self")
+    yield "influence", "influence_matrix", dict(
+        influence, mode="matrix", src_index=2, dst_index=7, selector="all"
+    )
+    for method in METHODS:
+        for selector in ("last_layer", "all"):
+            cfg = fixture("detect.json", series_csv=series, checkpoint=model,
+                          method=method, selector=selector)
+            yield "detect", f"detect_{method}_{selector}", cfg
+    yield "synth", "synth_prune", fixture("synth_prune.json")
+    yield "prune", "prune", fixture("prune.json", series_csv="synth_prune/prune_series.csv")
+
+
+def write_all(out_dir):
+    os.makedirs(out_dir, exist_ok=True)
+    os.chdir(out_dir)
+    for command, name, config in runs():
+        path = f"{name}.json"
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f, indent=1)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", name])
+        if code != 0:
+            raise SystemExit(f"{command} ({name}) exited {code}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: contract_outputs.py OUT_DIR")
+    write_all(sys.argv[1])
