@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MtsSeries, Windows, as_window_stack, make_windows
+from .core import MtsSeries, Windows, _origin_vector, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel  # noqa: F401
@@ -45,13 +45,7 @@ class ScoreSeries:
             raise ValueError(f"scores must be a vector, got shape {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        raw = np.asarray(self.origins)
-        with np.errstate(invalid="ignore"):
-            ints = raw.astype(np.int64) if raw.dtype.kind in "biuf" else None
-        # astype truncates 1.7 to 1 (and NaN to an arbitrary integer)
-        if ints is None or raw.ndim != 1 or not np.array_equal(ints, raw):
-            raise ValueError("origins must be a vector of integers")
-        origins = tuple(ints.tolist())
+        origins = tuple(_origin_vector(self.origins).tolist())
         if len(origins) != scores.size:
             raise ValueError(
                 f"{len(origins)} origins for {scores.size} scores"

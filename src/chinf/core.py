@@ -12,10 +12,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+def _origin_vector(origins) -> np.ndarray:
+    """Read-only int64 copy of a vector of window origins. Integer and bool
+    input is cast as it is; other numbers must survive the cast unchanged."""
+    raw = np.asarray(origins)
+    if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+        raise ValueError("origins must be a vector of integers")
+    if raw.dtype.kind in "bi":
+        ints = raw.astype(np.int64)
+    else:
+        # astype truncates 1.7 to 1, wraps 2**63 and maps NaN to an arbitrary integer
+        with np.errstate(invalid="ignore"):
+            ints = raw.astype(np.int64)
+        if not np.array_equal(ints, raw):
+            raise ValueError("origins must be a vector of integers")
+    ints.setflags(write=False)
+    return ints
 
 
 def _window_values(values, ndim: int) -> np.ndarray:
@@ -126,7 +144,7 @@ class WindowStack:
 
     def __post_init__(self):
         values = _window_values(self.values, 3)
-        origins = _readonly(self.origins, np.int64)
+        origins = _origin_vector(self.origins)
         if origins.shape != values.shape[:1]:
             raise ValueError(f"{origins.size} origins for {len(values)} windows")
         object.__setattr__(self, "values", values)

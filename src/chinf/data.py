@@ -252,12 +252,12 @@ def _load_labels(path: str, n_timesteps: int) -> np.ndarray:
     return (np.array(tokens) == "1").astype(np.int64)
 
 
-def load_csv(path: str, labels_path: str | None = None) -> MtsSeries:
+def load_csv(path: str) -> MtsSeries:
     """Load a series written by :func:`save_csv` or any compatible CSV.
 
     A header row is detected by failing to parse as floats; headerless files
-    get channel names ``c0..c{N-1}``. If ``labels_path`` is omitted, a file
-    at ``path + ".labels"`` is picked up when it is a file.
+    get channel names ``c0..c{N-1}``. Timestep labels come from
+    ``path + ".labels"`` when that is a file.
     """
     rows = [(i + 1, line) for i, line in enumerate(_read_lines(path)) if line.strip() != ""]
     if not rows:
@@ -281,7 +281,6 @@ def load_csv(path: str, labels_path: str | None = None) -> MtsSeries:
         raise ValueError(f"{path}: file has no data rows")
     values = _parse_block(data_rows, len(names))
 
-    if labels_path is None and os.path.isfile(path + ".labels"):
-        labels_path = path + ".labels"
-    labels = None if labels_path is None else _load_labels(labels_path, values.shape[0])
+    labels_path = path + ".labels"
+    labels = _load_labels(labels_path, values.shape[0]) if os.path.isfile(labels_path) else None
     return MtsSeries(values, names, labels)

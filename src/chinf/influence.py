@@ -20,14 +20,7 @@ import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
 from .core import MtsWindow, Windows, as_window_stack
-from .models import (
-    ModelState,
-    channel_gradient_rows,
-    last_layer_selector,
-    param_shapes,
-    whole_gradient,
-    whole_gradient_rows,
-)
+from .models import ModelState, _selection, channel_gradient_rows, whole_gradient_rows
 
 # Gradient-row entries held at once by _chunked_scores (8 MB of float64)
 _CHUNK_ELEMENTS = 1 << 20
@@ -110,8 +103,7 @@ def influence_matrix(
             f"windows disagree on channel count: {z_src.n_channels} vs {z_dst.n_channels}"
         )
     eta = _resolve_eta(state.trained_lr, eta)
-    if selector is None:
-        selector = last_layer_selector(state.spec)
+    selector = _selection(state.spec, selector)[0]
     # equal windows have equal rows: one pass, and an exactly symmetric matrix
     if np.array_equal(z_src.values, z_dst.values):
         g_src = g_dst = channel_gradient_rows(state, [z_src], selector)[0]
@@ -131,19 +123,19 @@ def tracin(
 
     Computed directly, not by summing the per-channel matrix; the agreement
     of the two routes is a property the tests check, not an implementation
-    shortcut. Windows of one shape get both rows from one whole_gradient_rows
-    call (each bit-identical to whole_gradient). Channel-shared models also
-    take windows with different channel counts, which cannot share a stack:
-    those pairs take one whole_gradient call per window.
+    shortcut. Every row comes from whole_gradient_rows, which makes row b
+    independent of the stack: windows of one shape share a two-window stack,
+    one window paired with itself takes a one-window stack, and windows with
+    different channel counts (which channel-shared models accept) take one
+    one-window stack each.
     """
     eta = _resolve_eta(state.trained_lr, eta)
-    if selector is None:
-        selector = last_layer_selector(state.spec)
-    if z_dst is not z_src and z_src.values.shape == z_dst.values.shape:
+    if z_dst is z_src:
+        a = b = whole_gradient_rows(state, [z_src], selector)[0]
+    elif z_src.values.shape == z_dst.values.shape:
         a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
     else:
-        a = whole_gradient(state, z_src, selector).values
-        b = a if z_dst is z_src else whole_gradient(state, z_dst, selector).values
+        a, b = (whole_gradient_rows(state, [z], selector)[0] for z in (z_src, z_dst))
     return eta * float(a @ b)
 
 
@@ -187,15 +179,10 @@ def _chunked_scores(state, windows, eta, selector, per_channel):
     whatever the chunk size, a whole-window row as a (1, P) @ (P, 1) product
     that rounds like tracin's dot, so the result equals per-window values."""
     eta = _resolve_eta(state.trained_lr, eta)
-    if selector is None:
-        selector = last_layer_selector(state.spec)
+    selector, shapes = _selection(state.spec, selector)
     windows = as_window_stack(windows)
-    shapes = param_shapes(state.spec)
-    # the gradient functions reject unknown names; here they count as size 1
-    per_window = windows.values.shape[2] * sum(
-        math.prod(shapes.get(name, ())) for name in selector.names
-    )
-    step = max(1, _CHUNK_ELEMENTS // max(1, per_window))
+    per_window = windows.values.shape[2] * sum(math.prod(shapes[name]) for name in selector.names)
+    step = max(1, _CHUNK_ELEMENTS // per_window)
     parts = []
     for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
         if per_channel:

@@ -275,13 +275,18 @@ def _check_finite(what: str, *arrays) -> None:
             raise ad.NonFiniteError(f"{what} produced non-finite values")
 
 
-def _selected_shapes(spec: ModelSpec, names: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
-    """param_shapes(spec), after checking that every name is a parameter."""
+def _selection(
+    spec: ModelSpec, selector: ParamSelector | None
+) -> tuple[ParamSelector, dict[str, tuple[int, ...]]]:
+    """The one place a selector is resolved: None means the last layer, and
+    a name the spec lacks is rejected. Returns it with param_shapes(spec)."""
+    if selector is None:
+        selector = last_layer_selector(spec)
     shapes = param_shapes(spec)
-    for name in names:
+    for name in selector.names:
         if name not in shapes:
             raise ValueError(f"selector references unknown parameter {name!r}")
-    return shapes
+    return selector, shapes
 
 
 def channel_gradient_rows(
@@ -303,9 +308,7 @@ def channel_gradient_rows(
     chunk a window list.
     """
     spec = state.spec
-    if selector is None:
-        selector = last_layer_selector(spec)
-    shapes = _selected_shapes(spec, selector.names)
+    selector, shapes = _selection(spec, selector)
     params = state.params
     x, target = _split_xy(spec, as_window_stack(windows))
     y, xm, a, h = _forward_parts(spec, params, x)
@@ -359,8 +362,7 @@ def channel_gradients(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> list[GradientVector]:
     """Gradient of every channel's loss for one window."""
-    if selector is None:
-        selector = last_layer_selector(state.spec)
+    selector = _selection(state.spec, selector)[0]
     rows = channel_gradient_rows(state, [window], selector)[0]
     return [GradientVector(row, selector.selector_id) for row in rows]
 
@@ -380,34 +382,24 @@ def channel_gradient(
 def whole_gradient(
     state: ModelState, window: MtsWindow, selector: ParamSelector | None = None
 ) -> GradientVector:
-    """Gradient of the whole-window loss (the sum of squared errors, not
-    their mean) over the selected parameters: train's closed-form step
-    (_batch_gradients) on one window. It is derived separately from
-    channel_gradient_rows, so the per-channel gradients summing to this is
-    a check, not an identity of the code."""
-    if selector is None:
-        selector = last_layer_selector(state.spec)
-    return GradientVector(_whole_gradients(state, window, selector), selector.selector_id)
+    """Row 0 of whole_gradient_rows for the one-window stack [window]."""
+    selector = _selection(state.spec, selector)[0]
+    return GradientVector(whole_gradient_rows(state, [window], selector)[0], selector.selector_id)
 
 
 def whole_gradient_rows(
     state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
-    """(B, P) rows, row b bit-identical to whole_gradient of window b: one
-    call takes the stack as B one-window batches (the per-example layout)."""
-    return _whole_gradients(state, as_window_stack(windows), selector)
-
-
-def _whole_gradients(state: ModelState, win: MtsWindow | WindowStack, selector) -> np.ndarray:
-    """Selector-ordered gradient of one window (P,) or of each in a stack (B, P)."""
+    """(B, P) gradients of each window's loss (the sum of squared errors, not
+    their mean): train's closed-form step on B one-window batches stacked
+    along a leading axis (the per-example layout), so row b does not depend
+    on B. Derived apart from channel_gradient_rows, so the per-channel
+    gradients summing to a row is a check, not an identity of the code."""
     spec = state.spec
-    if selector is None:
-        selector = last_layer_selector(spec)
-    _selected_shapes(spec, selector.names)
-    x, target = _split_xy(spec, win)
+    selector = _selection(spec, selector)[0]
+    x, target = _split_xy(spec, as_window_stack(windows))
     grads = _batch_gradients(spec, state.params, x, target, selector.names, 1.0)
-    shape = x.shape[:-2] + (-1,)
-    return np.concatenate([grads[name].reshape(shape) for name in selector.names], -1)
+    return np.concatenate([grads[name].reshape(len(x), -1) for name in selector.names], -1)
 
 
 def _batch_gradients(
@@ -422,23 +414,23 @@ def _batch_gradients(
 
     One batch is x_rows (b*window, N) and t_cols (out_rows, b*N); a leading
     axis on both stacks batches, and the gradients carry it too. train
-    passes scale = 1 / t_cols.size (the batch mean), whole_gradient and
-    whole_gradient_rows 1 (one window's sum). The arithmetic and operand
-    layouts are those of the tape route that tests/test_models.py keeps as
-    the oracle, so the gradients are bit-identical to it: the row-stacked
-    inputs are mixed, then rearranged into one column-stacked (window, b*N)
-    matrix for the shared map. With residual d and G = 2 d * scale, the
-    output layer gets G H^T and the row sums of G; da = (W2^T G) * act'(a)
-    feeds the hidden layer, and the mixing matrix gets x_rows^T times the
-    input adjoint put back into row blocks.
+    passes scale = 1 / t_cols.size (the batch mean), whole_gradient_rows 1
+    (one window's sum). The arithmetic and operand layouts are those of the
+    tape route that tests/test_models.py keeps as the oracle, so the
+    gradients are bit-identical to it: the row-stacked inputs are mixed,
+    then rearranged into one column-stacked (window, b*N) matrix for the
+    shared map. With residual d and G = 2 d * scale, the output layer gets
+    G H^T and the row sums of G; da = (W2^T G) * act'(a) feeds the hidden
+    layer, and the mixing matrix gets x_rows^T times the input adjoint put
+    back into row blocks.
 
-    Raises NonFiniteError for any non-finite parameter or forward value the
-    tape would have recorded, and ValueError for a non-finite gradient.
+    Raises NonFiniteError for any non-finite forward value the tape would
+    have recorded, and ValueError for a non-finite gradient. Parameters are
+    not checked here: a ModelState's are finite, and train checks its own.
     """
     *lead, _, b_times_n = t_cols.shape
     n = x_rows.shape[-1]
     b, w = b_times_n // n, spec.window
-    _check_finite("parameters", *(params[name] for name in names))
     mixed = spec.architecture == "mlp_mix"
     xm = x_rows @ params["mix"] if mixed else x_rows
     x = xm.reshape(*lead, b, w, n).swapaxes(-3, -2).reshape(*lead, w, b_times_n)
@@ -489,8 +481,7 @@ def train(
     inputs, targets = _split_xy(spec, as_window_stack(train_windows))
     n = inputs.shape[2]
 
-    names = (trainable if trainable is not None else all_params_selector(spec)).names
-    _selected_shapes(spec, names)
+    names = _selection(spec, trainable or all_params_selector(spec))[0].names
     params = {name: np.array(v) for name, v in state.params.items()}
     rng = np.random.default_rng(config.seed)
     count = len(inputs)
@@ -502,6 +493,8 @@ def train(
             x_rows = inputs[batch].reshape(b * spec.window, n)
             t_cols = targets[batch].transpose(1, 0, 2).reshape(spec.out_rows, b * n)
             try:
+                # the only parameters that change, and an update can overflow
+                _check_finite("parameters", *(params[name] for name in names))
                 grads = _batch_gradients(
                     spec, params, x_rows, t_cols, names, 1.0 / t_cols.size
                 )

@@ -8,6 +8,7 @@ from chinf import (
     ModelSpec,
     ModelState,
     ScoreSeries,
+    WindowStack,
     auroc,
     channel_loss,
     detect,
@@ -25,6 +26,13 @@ from chinf.anomaly import report_summary
 from chinf.models import all_params_selector, last_layer_selector
 
 import bench_suite
+
+
+NON_INTEGRAL_ORIGINS = pytest.mark.parametrize(
+    "origins",
+    [(1.7, 2.2), (1, np.nan), (1, 2**63), ("1", "2"), ((1, 2), (3, 4))],
+    ids=["fractional", "nan", "past_int64", "strings", "nested"],
+)
 
 
 def series_of(values, method="cif_self_influence"):
@@ -55,14 +63,15 @@ class TestScoreSeries:
         assert series.origins == (4, 7, 9)
         assert all(type(t) is int for t in series.origins)
 
-    @pytest.mark.parametrize(
-        "origins",
-        [(1.7, 2.2), (1, np.nan), (1, 2**63), ("1", "2"), ((1, 2), (3, 4))],
-        ids=["fractional", "nan", "past_int64", "strings", "nested"],
-    )
+    @NON_INTEGRAL_ORIGINS
     def test_rejects_non_integral_origins(self, origins):
         with pytest.raises(ValueError, match="origins must be a vector of integers"):
             ScoreSeries(np.zeros(2), "cif_self_influence", origins)
+
+    @NON_INTEGRAL_ORIGINS
+    def test_window_stack_shares_the_origins_rule(self, origins):
+        with pytest.raises(ValueError, match="origins must be a vector of integers"):
+            WindowStack(np.zeros((2, 3, 2)), origins)
 
     def test_origin_array_count_checked(self):
         with pytest.raises(ValueError, match="3 origins for 2 scores"):

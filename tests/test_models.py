@@ -824,8 +824,7 @@ class TestTracinPairs:
         assert influence.tracin(state, z, z, 0.1, all_params_selector(state.spec)) == (
             0.1 * float(g @ g)
         )
-        # one window: inputs of (window, N), no stack axis
-        assert calls == [(5, 3)]
+        assert calls == [(1, 5, 3)]
 
     def test_equal_values_in_distinct_objects(self, monkeypatch):
         rng = np.random.default_rng(88)
@@ -837,7 +836,7 @@ class TestTracinPairs:
         assert influence.tracin(state, z, twin, 0.1, selector) == influence.tracin(
             state, z, z, 0.1, selector
         )
-        assert calls == [(2, 5, 3), (5, 3)]
+        assert calls == [(2, 5, 3), (1, 5, 3)]
 
     @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci"])
     def test_different_channel_counts_take_two_calls(self, monkeypatch, architecture):
@@ -851,7 +850,39 @@ class TestTracinPairs:
             calls.clear()
             got = influence.tracin(state, src, dst, 0.1, selector)
             assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
-            assert calls == [(5, 2), (5, 4)]
+            assert calls == [(1, 5, 2), (1, 5, 4)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state, z, sel: channel_gradients(state, z, sel),
+        lambda state, z, sel: channel_gradient(state, z, 0, sel),
+        lambda state, z, sel: influence.influence_matrix(state, z, z, 0.1, sel),
+        lambda state, z, sel: influence.tracin(state, z, z, 0.1, sel),
+        lambda state, z, sel: influence.self_influence_per_channel(state, z, 0.1, sel),
+        lambda state, z, sel: influence.self_influence_rows(state, [z], 0.1, sel),
+        lambda state, z, sel: influence.tracin_self_scores(state, [z], 0.1, sel),
+        lambda state, z, sel: train(state, [z], TrainConfig(1, 0.01, 1, 0), sel),
+    ],
+    ids=[
+        "channel_gradients",
+        "channel_gradient",
+        "influence_matrix",
+        "tracin",
+        "self_influence_per_channel",
+        "self_influence_rows",
+        "tracin_self_scores",
+        "train",
+    ],
+)
+def test_unknown_selector_name_rejected_before_any_kernel_call(monkeypatch, call):
+    state = identity_linear(3, 2)
+    z = random_window(np.random.default_rng(0), 3, 2)
+    calls = count_kernel_calls(monkeypatch)
+    with pytest.raises(ValueError, match="^selector references unknown parameter 'w1'$"):
+        call(state, z, ParamSelector("x", ("w1",)))
+    assert calls == []
 
 
 class TestCheckpoint:

@@ -5,9 +5,13 @@ Usage, from the root of a chinf checkout:
     python3 tools/contract_outputs.py OUT_DIR
 
 Runs synth, train, influence (self and matrix), detect (each method with the
-last_layer and the all selector) and prune, one subdirectory per run. Paths
-inside the configs are relative to OUT_DIR, so the manifests do not name it
-and the trees of two checkouts compare with ``diff -r``.
+last_layer and the all selector) and prune, one subdirectory per run. A second
+pass trains an mlp_mix forecaster (horizon 2) and runs influence (self and
+matrix), cif and tracin detect with the all selector, and an mlp_mix prune
+with m < N, which covers the mixing-matrix gradients, the forecasting
+whole-window gradients and the mixing refit. Paths inside the configs are
+relative to OUT_DIR, so the manifests do not name it and the trees of two
+checkouts compare with ``diff -r``.
 """
 from __future__ import annotations
 
@@ -46,7 +50,26 @@ def runs():
                           method=method, selector=selector)
             yield "detect", f"detect_{method}_{selector}", cfg
     yield "synth", "synth_prune", fixture("synth_prune.json")
-    yield "prune", "prune", fixture("prune.json", series_csv="synth_prune/prune_series.csv")
+    prune_series = "synth_prune/prune_series.csv"
+    yield "prune", "prune", fixture("prune.json", series_csv=prune_series)
+
+    mix = "train_mix/model.json"
+    yield "train", "train_mix", fixture(
+        "train.json", series_csv=series, architecture="mlp_mix", horizon=2
+    )
+    influence = {"series_csv": series, "checkpoint": mix, "stride": 25, "selector": "all"}
+    yield "influence", "influence_mix_self", dict(influence, mode="self")
+    yield "influence", "influence_mix_matrix", dict(
+        influence, mode="matrix", src_index=2, dst_index=7
+    )
+    for method in ("cif_self_influence", "tracin_self_influence"):
+        cfg = fixture("detect.json", series_csv=series, checkpoint=mix, method=method,
+                      selector="all")
+        yield "detect", f"detect_mix_{method}_all", cfg
+    yield "prune", "prune_mix", fixture(
+        "prune.json", series_csv=prune_series, architecture="mlp_mix", hidden=4,
+        strategies=["influence_equidistant"], seeds=[0],
+    )
 
 
 def write_all(out_dir):
