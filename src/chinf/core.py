@@ -18,6 +18,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral(value, what: str) -> int:
+    """value as an int, or a ValueError when it is not integral (1.5, "3", True)."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    # int() of a NaN, an infinity or a non-numeric string
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _origin_vector(origins) -> np.ndarray:
     """Read-only int64 copy of a vector of window origins. Integer and bool
     input is cast as it is; other numbers must survive the cast unchanged."""

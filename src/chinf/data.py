@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MtsSeries
+from .core import MtsSeries, _integral
 
 # Non-harmonic defaults so clusters stay spectrally distinct.
 _BASE_FREQUENCIES = (3.0, 7.0, 13.0, 23.0, 41.0, 71.0, 113.0, 197.0)
@@ -67,17 +67,6 @@ class SyntheticConfig:
         return _BASE_FREQUENCIES + extra
 
 
-def _integral(value, what: str) -> int:
-    """value as an int, or a ValueError when it is not integral (1.5, "3", True)."""
-    try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
-    # int() of a NaN, an infinity or a non-numeric string
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"anomaly {what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AnomalySpec:
     """Anomalies of one kind: target channels and half-open intervals."""
@@ -92,13 +81,13 @@ class AnomalySpec:
             raise ValueError(
                 f"unknown anomaly kind {self.kind!r}, expected one of {ANOMALY_KINDS}"
             )
-        channels = tuple(_integral(c, "target channel") for c in self.target_channels)
+        channels = tuple(_integral(c, "anomaly target channel") for c in self.target_channels)
         if len(channels) == 0:
             raise ValueError("anomaly must target at least one channel")
         if len(set(channels)) != len(channels):
             raise ValueError("anomaly target channels must be unique")
         intervals = tuple(
-            (_integral(a, "interval bound"), _integral(b, "interval bound"))
+            (_integral(a, "anomaly interval bound"), _integral(b, "anomaly interval bound"))
             for a, b in self.intervals
         )
         if len(intervals) == 0:

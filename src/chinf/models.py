@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, Windows, WindowStack, _readonly, as_window_stack
+from .core import MtsWindow, Windows, WindowStack, _integral, _readonly, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -131,6 +132,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real):
+            raise ValueError(f"learning_rate must be a number, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         # 0 is allowed so a no-op training step stays expressible
@@ -198,10 +203,15 @@ def _shared_map(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
     for linear_ci) that the closed-form backward steps reuse.
     """
     if spec.architecture == "linear_ci":
-        return params["weight"] @ x + params["bias"][:, None], None, None
-    a = params["w1"] @ x + params["b1"][:, None]
+        y = params["weight"] @ x
+        y += params["bias"][:, None]
+        return y, None, None
+    a = params["w1"] @ x
+    a += params["b1"][:, None]
     h = _act_np(spec, a)
-    return params["w2"] @ h + params["b2"][:, None], a, h
+    y = params["w2"] @ h
+    y += params["b2"][:, None]
+    return y, a, h
 
 
 def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
@@ -405,43 +415,46 @@ def whole_gradient_rows(
 def _batch_gradients(
     spec: ModelSpec,
     params: dict[str, np.ndarray],
-    x_rows: np.ndarray,
-    t_cols: np.ndarray,
+    x: np.ndarray,
+    t: np.ndarray,
     names: tuple[str, ...],
     scale: float,
 ) -> dict[str, np.ndarray]:
     """Gradients of scale times one batch's sum of squared errors.
 
-    One batch is x_rows (b*window, N) and t_cols (out_rows, b*N); a leading
-    axis on both stacks batches, and the gradients carry it too. train
-    passes scale = 1 / t_cols.size (the batch mean), whole_gradient_rows 1
-    (one window's sum). The arithmetic and operand layouts are those of the
-    tape route that tests/test_models.py keeps as the oracle, so the
-    gradients are bit-identical to it: the row-stacked inputs are mixed,
-    then rearranged into one column-stacked (window, b*N) matrix for the
-    shared map. With residual d and G = 2 d * scale, the output layer gets
-    G H^T and the row sums of G; da = (W2^T G) * act'(a) feeds the hidden
-    layer, and the mixing matrix gets x_rows^T times the input adjoint put
-    back into row blocks.
+    A batch of b windows comes column-stacked, x (window, b*N) and t
+    (out_rows, b*N) with window k in columns kN to (k+1)N; a leading axis on
+    both stacks batches, and the gradients carry it too (with b = 1 a window
+    stack is already in this layout). train passes scale = 1 / t.size (the
+    batch mean), whole_gradient_rows 1 (one window's sum). The arithmetic
+    and operand layouts are those of the tape oracle in tests/test_models.py,
+    so the gradients are bit-identical to it. With residual d and G = 2 d *
+    scale, the output layer gets G H^T and the row sums of G; da = (W2^T G)
+    * act'(a) feeds the hidden layer. mlp_mix mixes the row-stacked
+    (b*window, N) inputs, since a gemm on reordered rows can round
+    differently, and its mixing matrix gets their transpose times the input
+    adjoint put back into row blocks.
 
     Raises NonFiniteError for any non-finite forward value the tape would
     have recorded, and ValueError for a non-finite gradient. Parameters are
     not checked here: a ModelState's are finite, and train checks its own.
     """
-    *lead, _, b_times_n = t_cols.shape
-    n = x_rows.shape[-1]
-    b, w = b_times_n // n, spec.window
+    *lead, w, b_times_n = x.shape
     mixed = spec.architecture == "mlp_mix"
-    xm = x_rows @ params["mix"] if mixed else x_rows
-    x = xm.reshape(*lead, b, w, n).swapaxes(-3, -2).reshape(*lead, w, b_times_n)
+    if mixed:
+        b, n = b_times_n // spec.channels, spec.channels
+        x_rows = x.reshape(*lead, w, b, n).swapaxes(-3, -2).reshape(*lead, b * w, n)
+        xm = x_rows @ params["mix"]
+        x = xm.reshape(*lead, b, w, n).swapaxes(-3, -2).reshape(*lead, w, b_times_n)
     y, a, h = _shared_map(spec, params, x)
-    d = y - t_cols
+    d = np.subtract(y, t, out=y)
     # a non-finite prediction, residual or square makes a batch's
     # squared-error total non-finite; the activation can hide a non-finite
     # pre-activation, and the hidden layer a non-finite mixed input
     total = (d * d).sum(axis=(-2, -1))
     _check_finite("forward pass", xm if mixed else None, a, total)
-    g = 2.0 * d * scale
+    g = np.multiply(d, 2.0, out=d)
+    g *= scale
 
     grads = {}
     weight, bias = ("weight", "bias") if spec.architecture == "linear_ci" else ("w2", "b2")
@@ -450,7 +463,8 @@ def _batch_gradients(
     if bias in names:
         grads[bias] = g.sum(axis=-1)
     if {"w1", "b1", "mix"} & set(names):
-        da = (params["w2"].T @ g) * _act_grad_np(spec, a, h)
+        da = params["w2"].T @ g
+        da *= _act_grad_np(spec, a, h)
         if "w1" in names:
             grads["w1"] = da @ x.mT
         if "b1" in names:
@@ -472,32 +486,31 @@ def train(
 ) -> ModelState:
     """Plain minibatch gradient descent on mean squared error.
 
-    Deterministic: shuffling comes only from config.seed. Windows in a batch
-    are row-stacked and each step takes its gradient in closed form
-    (_batch_gradients), with no tape. ``trainable`` restricts updates to a
-    parameter subset; the default is every parameter.
+    Deterministic: shuffling comes only from config.seed. The stack is laid
+    out once as (rows, B, N), so each step's one take is a column-stacked
+    batch whose row views are its inputs and targets; the step's gradient is
+    closed-form (_batch_gradients), with no tape. ``trainable`` restricts
+    updates to a parameter subset; the default is every parameter.
     """
     spec = state.spec
-    inputs, targets = _split_xy(spec, as_window_stack(train_windows))
-    n = inputs.shape[2]
+    stack = as_window_stack(train_windows)
+    _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
+    cols = np.ascontiguousarray(stack.values.transpose(1, 0, 2))
+    w = spec.window
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
     params = {name: np.array(v) for name, v in state.params.items()}
     rng = np.random.default_rng(config.seed)
-    count = len(inputs)
     for epoch in range(config.epochs):
-        perm = rng.permutation(count)
-        for batch_idx, start in enumerate(range(0, count, config.batch_size)):
+        perm = rng.permutation(len(stack))
+        for batch_idx, start in enumerate(range(0, len(perm), config.batch_size)):
             batch = perm[start : start + config.batch_size]
-            b = len(batch)
-            x_rows = inputs[batch].reshape(b * spec.window, n)
-            t_cols = targets[batch].transpose(1, 0, 2).reshape(spec.out_rows, b * n)
+            block = np.take(cols, batch, axis=1).reshape(spec.total_rows, -1)
+            x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
             try:
                 # the only parameters that change, and an update can overflow
                 _check_finite("parameters", *(params[name] for name in names))
-                grads = _batch_gradients(
-                    spec, params, x_rows, t_cols, names, 1.0 / t_cols.size
-                )
+                grads = _batch_gradients(spec, params, x, t, names, 1.0 / t.size)
             except ad.NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"

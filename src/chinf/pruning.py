@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, Windows, WindowStack, make_windows
+from .core import DatasetSplit, Windows, WindowStack, _integral, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import (  # noqa: F401
@@ -158,8 +158,8 @@ def prune_and_eval(
     The score table always comes from the full-channel model, so selection
     itself never retrains. ``seed`` (default: train_config.seed) only feeds
     the random strategy. Both MSEs are per-element forecasting error on the
-    full-channel test windows. m, and eta for the strategies that use
-    scores, are checked before anything trains.
+    full-channel test windows. m, refit_epochs, and eta for the strategies
+    that use scores, are checked before anything trains.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -170,6 +170,8 @@ def prune_and_eval(
         raise ValueError(f"spec expects {spec.channels} channels, data has {n}")
     if not 1 <= m <= n:
         raise ValueError(f"subset size {m} out of range for {n} channels")
+    if _integral(refit_epochs, "refit_epochs") < 1:
+        raise ValueError(f"refit_epochs must be at least 1, got {refit_epochs}")
     uses_scores = strategy in ("influence_equidistant", "most_influence")
     if uses_scores:
         # train records train_config.learning_rate as the model's trained_lr

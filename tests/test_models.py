@@ -28,7 +28,7 @@ from chinf import (
 )
 from chinf.autodiff import ParamSelector, finite_difference_gradient
 
-from bench_suite import random_model_case, random_window
+from bench_suite import PRUNING_SPEC, pruning_split, random_model_case, random_window
 
 
 def identity_linear(window, channels):
@@ -500,6 +500,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate must be finite and non-negative"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", True, "epochs must be an integer, got True"),
+            ("epochs", 1.5, "epochs must be an integer, got 1.5"),
+            ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+            ("batch_size", float("nan"), "batch_size must be an integer, got nan"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("learning_rate", True, "learning_rate must be a number, got True"),
+            ("learning_rate", "0.01", "learning_rate must be a number, got '0.01'"),
+        ],
+        ids=["epochs_bool", "epochs_half", "batch_half", "batch_nan", "seed_half", "seed_bool",
+             "learning_rate_bool", "learning_rate_str"],
+    )
+    def test_rejects_bool_or_non_integral_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_integral_floats_and_numpy_ints_become_ints(self):
+        config = TrainConfig(2.0, np.float64(0.5), np.int32(4), np.int64(3))
+        assert config == TrainConfig(2, 0.5, 4, 3)
+        assert all(type(v) is int for v in (config.epochs, config.batch_size, config.seed))
+
     def test_records_learning_rate(self):
         spec = ModelSpec("linear_ci", 3, 2)
         wins = training_windows(np.random.default_rng(4), spec, 6)
@@ -581,6 +605,35 @@ class TestTrainMatchesTape:
             want = tape_train(state, wins, config, trainable)
             for name in state.params:
                 assert np.array_equal(got.params[name], want.params[name]), (trainable, name)
+
+
+class TestTrainMatchesTapeAtBenchmarkScale:
+    """The oracle cases above are 5x3 windows; these run the batch widths
+    of the benchmark, where BLAS takes its blocked paths."""
+
+    @staticmethod
+    def assert_same(state, wins, config):
+        got = train(state, wins, config)
+        want = tape_train(state, wins, config)
+        for name in state.params:
+            assert np.array_equal(got.params[name], want.params[name]), name
+
+    @pytest.mark.parametrize("channels", [None, [0, 5, 9, 30]], ids=["all", "subset"])
+    def test_pruning_scenario(self, channels):
+        spec = PRUNING_SPEC
+        wins = core.make_windows(pruning_split(0).train, spec.total_rows)
+        if channels is not None:
+            wins = core.WindowStack(wins.values[..., channels], wins.origins)
+        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=32, seed=0)
+        self.assert_same(init_params(spec, 0), wins, config)
+
+    def test_mixing_model(self):
+        # b*N = 16 * 16 = 256 columns per full batch
+        rng = np.random.default_rng(91)
+        spec = ModelSpec("mlp_mix", 12, 16, hidden=8, horizon=3)
+        wins = training_windows(rng, spec, 40)
+        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=16, seed=1)
+        self.assert_same(perturbed_state(spec, rng), wins, config)
 
 
 def window_of(rows):

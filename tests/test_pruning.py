@@ -285,6 +285,25 @@ class TestPruneAndEval:
             prune_and_eval(small_split(), SMALL_SPEC, config, m, strategy, eta=eta)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "refit_epochs, message",
+        [
+            (0, "refit_epochs must be at least 1, got 0"),
+            (2.5, "refit_epochs must be an integer, got 2.5"),
+            (True, "refit_epochs must be an integer, got True"),
+        ],
+        ids=["zero", "fractional", "bool"],
+    )
+    def test_bad_refit_epochs_fail_before_training(self, monkeypatch, refit_epochs, message):
+        calls = []
+        monkeypatch.setattr(pruning, "train", lambda *args, **kwargs: calls.append(args))
+        spec = ModelSpec("mlp_mix", window=8, channels=4, hidden=4, horizon=2)
+        with pytest.raises(ValueError, match=message):
+            prune_and_eval(
+                small_split(), spec, SMALL_CONFIG, 2, "continuous", refit_epochs=refit_epochs
+            )
+        assert calls == []
+
     def test_strategies_without_scores_ignore_eta(self):
         # random and continuous never read the score table, so eta is unused
         split = small_split()

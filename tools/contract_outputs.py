@@ -9,9 +9,12 @@ last_layer and the all selector) and prune, one subdirectory per run. A second
 pass trains an mlp_mix forecaster (horizon 2) and runs influence (self and
 matrix), cif and tracin detect with the all selector, and an mlp_mix prune
 with m < N, which covers the mixing-matrix gradients, the forecasting
-whole-window gradients and the mixing refit. Paths inside the configs are
-relative to OUT_DIR, so the manifests do not name it and the trees of two
-checkouts compare with ``diff -r``.
+whole-window gradients and the mixing refit. A last pass runs prune on a
+32-channel series at the batch width of the benchmark's pruning scenario
+(linear_ci, window 48, horizon 12, batch 32, all four strategies, m = 8),
+so that training at BLAS widths is compared bit for bit too. Paths inside
+the configs are relative to OUT_DIR, so the manifests do not name it and
+the trees of two checkouts compare with ``diff -r``.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from chinf.cli import main  # noqa: E402
+from chinf.pruning import STRATEGIES  # noqa: E402
 
 DATA = os.path.join(ROOT, "tests", "data")
 METHODS = ("cif_self_influence", "tracin_self_influence", "reconstruction_error")
@@ -69,6 +73,14 @@ def runs():
     yield "prune", "prune_mix", fixture(
         "prune.json", series_csv=prune_series, architecture="mlp_mix", hidden=4,
         strategies=["influence_equidistant"], seeds=[0],
+    )
+
+    yield "synth", "synth_prune32", fixture(
+        "synth_prune.json", clusters=4, channels_per_cluster=8, length=600, seed=7
+    )
+    yield "prune", "prune32", fixture(
+        "prune.json", series_csv="synth_prune32/prune_series.csv", window=48, channels=32,
+        horizon=12, epochs=16, m=8, strategies=list(STRATEGIES), seeds=[7],
     )
 
 
