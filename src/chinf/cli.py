@@ -2,8 +2,12 @@
 
 Each command reads a flat JSON config (--config), applies any flag
 overrides, runs, and writes its outputs plus a manifest.json echoing the
-resolved config into the output directory. Outputs carry no timestamps, so
-a rerun with the same config and inputs is byte-identical.
+config as given, with any --seed override, into the output directory.
+Outputs carry no timestamps, so a rerun with the same config and inputs is
+byte-identical.
+
+main types the config against the command's schema in SCHEMAS before the
+command runs; an unknown key, a bad value, a NaN or infinity exits 2.
 
 Exit codes: 0 success, 1 runtime failure (missing files, training blowups),
 2 config or usage errors (always naming the offending field).
@@ -28,15 +32,41 @@ class ConfigError(Exception):
     """Raised for a bad or missing config field; maps to exit code 2."""
 
 
-SELECTORS = ("last_layer", "all")
+# A field's kind is a type, a (type, low, low_open) range, a [kind] list
+# whose items are named name[i], or a dict schema whose fields are named
+# name.field. MODEL, SGD, SPLIT and INPUTS are shared between commands;
+# SYNTH and DETECT are the dataclass fields a command passes on as set.
+MODEL = {"architecture": str, "window": int, "channels": int, "hidden": int,
+         "activation": str, "horizon": int}
+SGD = {"epochs": int, "learning_rate": float, "batch_size": int, "seed": int}
+SPLIT = {"train_frac": float, "val_frac": float}
+INPUTS = {"series_csv": str, "checkpoint": str}
+STRIDE = (int, 1, False)
+ETA = (float, 0, True)
+SYNTH = {"clusters": int, "channels_per_cluster": int, "length": int, "phase_jitter": float,
+         "noise_std": float, "seed": int}
+ANOMALY = {"kind": str, "target_channels": [int], "intervals": [[int]], "magnitude": float,
+           "seed": (int, 0, False)}
+DETECT = {"method": str, "stride": int, "eta": ETA, "normalization": str, "threshold_on": str,
+          "normalize_per_channel": bool}
+SCHEMAS = {
+    "synth": {**SYNTH, "base_frequencies": [float], "anomalies": [ANOMALY], "out_csv": str},
+    "train": {"series_csv": str, **MODEL, **SGD, **SPLIT, "stride": STRIDE, "checkpoint": str},
+    "influence": {**INPUTS, "mode": str, "src_index": int, "dst_index": int, "eta": ETA,
+                  "selector": str, "stride": STRIDE, "out_csv": str},
+    "detect": {**INPUTS, **DETECT, "selector": str, **SPLIT, "out_csv": str, "out_json": str},
+    "prune": {"series_csv": str, **MODEL, **SGD, **SPLIT, "m": int, "strategies": [str],
+              "seeds": [(int, 0, False)], "eta": ETA, "stride": STRIDE,
+              "refit_epochs": (int, 1, False), "out_csv": str},
+}
+SELECTORS = {"last_layer": last_layer_selector, "all": all_params_selector}
 
 
-def _resolve_selector(name, spec):
-    if name is None or name == "last_layer":
-        return last_layer_selector(spec)
-    if name == "all":
-        return all_params_selector(spec)
-    raise ConfigError(f"selector: unknown value {name!r}, expected one of {SELECTORS}")
+def _resolve_selector(config, spec):
+    name = config.get("selector", "last_layer")
+    if name not in SELECTORS:
+        raise ConfigError(f"selector: unknown value {name!r}, expected one of {tuple(SELECTORS)}")
+    return SELECTORS[name](spec)
 
 
 def _load_config(path):
@@ -57,52 +87,56 @@ def _load_config(path):
     return doc
 
 
-def _check_finite(name, value):
-    """A config error naming the first NaN or infinity in value (JSON's NaN
-    and Infinity, or a number beyond the float range). main checks every
-    field, read by the command or not, so none reaches the manifest."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(f"{name}.{key}", item)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(f"{name}[{i}]", item)
+class _Fields(dict):
+    """The fields a config sets, typed; indexing one it lacks is a config
+    error for a missing required field."""
+
+    path = ""
+
+    def __missing__(self, name):
+        raise ConfigError(f"{self.path}{name}: required field is missing")
 
 
-def _field(config, name, kind, default=None, required=False):
-    if name not in config or config[name] is None:
-        if required:
-            raise ConfigError(f"{name}: required field is missing")
-        return default
-    return _typed(name, config[name], kind)
-
-
-def _set_fields(config, **kinds):
-    """Typed keyword arguments for the fields of kinds that config sets."""
-    set_names = [name for name in kinds if config.get(name) is not None]
-    return {name: _field(config, name, kinds[name]) for name in set_names}
+def _read(config, schema, path=""):
+    """config's fields typed by their kinds in schema, or a config error naming
+    the first bad one or a key that schema lacks; a null leaves a field unset."""
+    fields = _Fields()
+    fields.path = path
+    for name, value in config.items():
+        if name not in schema:
+            raise ConfigError(f"{path}{name}: unknown field")
+        if value is not None:
+            fields[name] = _typed(path + name, value, schema[name])
+    return fields
 
 
 def _typed(name, value, kind):
-    """value as a `kind`, or a config error naming the field."""
+    """value as a `kind` (lists come back as tuples), or a config error
+    naming the field. A NaN or infinity is an error whatever the kind."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    if isinstance(kind, tuple):
+        kind, low, low_open = kind
+        return _in_range(name, _typed(name, value, kind), low, low_open=low_open)
+    if isinstance(kind, list):
+        items = enumerate(_typed(name, value, list))
+        return tuple(_typed(f"{name}[{i}]", item, kind[0]) for i, item in items)
+    if isinstance(kind, dict):
+        return _read(_typed(name, value, dict), kind, f"{name}.")
     try:
         if kind is int:
             if isinstance(value, bool) or int(value) != value:
                 raise ValueError
             return int(value)
         if kind is float:
-            # JSON numbers only: float() would also take "0.01" and true;
-            # main has already rejected NaN and infinities
+            # JSON numbers only: float() would also take "0.01" and true
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError
             return float(value)
-        # bool, str or list
+        # bool, str, list or dict
         if isinstance(value, kind):
             return value
-    # OverflowError: int() of an infinite JSON number, float() of an integer
-    # beyond the float range
+    # OverflowError: float() of an integer beyond the float range
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
@@ -110,12 +144,16 @@ def _typed(name, value, kind):
 
 def _in_range(name, value, low, high=math.inf, *, low_open=False):
     """value, or a config error naming the field when it lies outside
-    [low, high] ((low, high] with low_open). None, an unset optional
-    field, passes."""
-    if value is None or ((low < value if low_open else low <= value) and value <= high):
+    [low, high] ((low, high] with low_open)."""
+    if (low < value if low_open else low <= value) and value <= high:
         return value
     interval = f"{'(' if low_open else '['}{low}, {high}{')' if high == math.inf else ']'}"
     raise ConfigError(f"{name}: expected a value in {interval}, got {value!r}")
+
+
+def _given(config, names):
+    """The fields among names that config sets; defaults stand for the rest."""
+    return {name: config[name] for name in names if name in config}
 
 
 def _write_json(path, doc):
@@ -125,7 +163,7 @@ def _write_json(path, doc):
 
 
 def _input_path(config, name):
-    path = _field(config, name, str, required=True)
+    path = config[name]
     if not os.path.isfile(path):
         raise FileNotFoundError(f"input file not found: {path}")
     return path
@@ -134,10 +172,8 @@ def _input_path(config, name):
 def _model_spec_from(config):
     try:
         return models.ModelSpec(
-            architecture=_field(config, "architecture", str, required=True),
-            window=_field(config, "window", int, required=True),
-            channels=_field(config, "channels", int, required=True),
-            **_set_fields(config, hidden=int, activation=str, horizon=int),
+            architecture=config["architecture"], window=config["window"],
+            channels=config["channels"], **_given(config, ("hidden", "activation", "horizon")),
         )
     except ValueError as e:
         raise ConfigError(f"model spec: {e}") from None
@@ -145,64 +181,37 @@ def _model_spec_from(config):
 
 def _train_config_from(config):
     try:
-        return models.TrainConfig(
-            **_set_fields(config, epochs=int, learning_rate=float, batch_size=int, seed=int)
-        )
+        return models.TrainConfig(**_given(config, SGD))
     except ValueError as e:
         raise ConfigError(f"train config: {e}") from None
 
 
 def _split_from(config, series):
-    train_frac = _field(config, "train_frac", float, 0.5)
-    val_frac = _field(config, "val_frac", float, 0.25)
     try:
-        return chronological_split(series, train_frac, val_frac)
+        return chronological_split(
+            series, config.get("train_frac", 0.5), config.get("val_frac", 0.25)
+        )
     except ValueError as e:
         raise ConfigError(f"train_frac/val_frac: {e}") from None
-
-
-def _frequencies(config):
-    entries = _field(config, "base_frequencies", list)
-    if not entries:
-        return None
-    return tuple(
-        _typed(f"base_frequencies[{i}]", value, float) for i, value in enumerate(entries)
-    )
 
 
 def cmd_synth(config, out_dir):
     try:
         syn = data.SyntheticConfig(
-            **_set_fields(config, clusters=int, channels_per_cluster=int, length=int),
-            base_frequencies=_frequencies(config),
-            **_set_fields(config, phase_jitter=float, noise_std=float, seed=int),
+            # an empty list leaves the frequencies at their default
+            **_given(config, SYNTH), base_frequencies=config.get("base_frequencies") or None
         )
     except ValueError as e:
         raise ConfigError(f"synth config: {e}") from None
     series = data.gen_synthetic(syn)
-    for i, entry in enumerate(_field(config, "anomalies", list, [])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"anomalies[{i}]: expected an object")
+    for i, entry in enumerate(config.get("anomalies", ())):
         try:
-            spec = data.AnomalySpec(
-                kind=_field(entry, "kind", str, required=True),
-                target_channels=tuple(
-                    _typed(f"target_channels[{j}]", c, int)
-                    for j, c in enumerate(_field(entry, "target_channels", list, required=True))
-                ),
-                intervals=tuple(
-                    tuple(_typed(f"intervals[{j}][{k}]", b, int) for k, b in enumerate(pair))
-                    for j, pair in enumerate(_field(entry, "intervals", list, required=True))
-                ),
-                **_set_fields(entry, magnitude=float),
-            )
-            seed = _in_range("seed", _field(entry, "seed", int, 0), 0)
-        except ConfigError as e:
-            raise ConfigError(f"anomalies[{i}].{e}") from None
+            spec = data.AnomalySpec(entry["kind"], entry["target_channels"], entry["intervals"],
+                                    **_given(entry, ("magnitude",)))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"anomalies[{i}]: {e}") from None
-        series = data.inject_anomalies(series, spec, seed=seed)
-    name = _field(config, "out_csv", str, "series.csv")
+        series = data.inject_anomalies(series, spec, seed=entry.get("seed", 0))
+    name = config.get("out_csv", "series.csv")
     data.save_csv(series, os.path.join(out_dir, name))
     return {"series": name}
 
@@ -212,11 +221,10 @@ def cmd_train(config, out_dir):
     spec = _model_spec_from(config)
     train_config = _train_config_from(config)
     split = _split_from(config, series)
-    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
-    windows = make_windows(split.train, spec.total_rows, stride)
+    windows = make_windows(split.train, spec.total_rows, config.get("stride", 1))
     state = models.init_params(spec, train_config.seed)
     state = models.train(state, windows, train_config)
-    name = _field(config, "checkpoint", str, "model.json")
+    name = config.get("checkpoint", "model.json")
     models.save_checkpoint(state, os.path.join(out_dir, name))
     return {"checkpoint": name}
 
@@ -224,19 +232,17 @@ def cmd_train(config, out_dir):
 def cmd_influence(config, out_dir):
     series = data.load_csv(_input_path(config, "series_csv"))
     state = models.load_checkpoint(_input_path(config, "checkpoint"))
-    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
-    windows = make_windows(series, state.spec.total_rows, stride)
-    eta = _in_range("eta", _field(config, "eta", float), 0, low_open=True)
-    selector = _resolve_selector(_field(config, "selector", str), state.spec)
-    mode = _field(config, "mode", str, "self")
+    windows = make_windows(series, state.spec.total_rows, config.get("stride", 1))
+    eta = config.get("eta")
+    selector = _resolve_selector(config, state.spec)
+    mode = config.get("mode", "self")
     if mode == "matrix":
-        src = _field(config, "src_index", int, required=True)
-        dst = _field(config, "dst_index", int, required=True)
+        src, dst = config["src_index"], config["dst_index"]
         for label, idx in (("src_index", src), ("dst_index", dst)):
             if not 0 <= idx < len(windows):
                 raise ConfigError(f"{label}: window index {idx} out of range 0..{len(windows) - 1}")
         m = influence.influence_matrix(state, windows[src], windows[dst], eta, selector)
-        name = _field(config, "out_csv", str, "influence_matrix.csv")
+        name = config.get("out_csv", "influence_matrix.csv")
         influence.save_influence_csv(m, os.path.join(out_dir, name), series.channel_names)
         return {"matrix": name}
     if mode != "self":
@@ -244,7 +250,7 @@ def cmd_influence(config, out_dir):
     lines = ["origin_t," + ",".join(series.channel_names)]
     for t, vec in zip(windows.origins, influence.self_influence_rows(state, windows, eta, selector)):
         lines.append(str(t) + "," + ",".join(repr(float(v)) for v in vec))
-    name = _field(config, "out_csv", str, "self_influence.csv")
+    name = config.get("out_csv", "self_influence.csv")
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
     return {"self_influence": name}
@@ -255,17 +261,15 @@ def cmd_detect(config, out_dir):
     state = models.load_checkpoint(_input_path(config, "checkpoint"))
     try:
         detect_config = anomaly.DetectConfig(
-            **_set_fields(config, method=str, stride=int),
-            eta=_in_range("eta", _field(config, "eta", float), 0, low_open=True),
-            selector=_resolve_selector(_field(config, "selector", str), state.spec),
-            **_set_fields(config, normalization=str, threshold_on=str, normalize_per_channel=bool),
+            **_given(config, DETECT),
+            selector=_resolve_selector(config, state.spec),
         )
     except ValueError as e:
         raise ConfigError(f"detect config: {e}") from None
     split = _split_from(config, series)
     report = anomaly.detect(state, split.test, detect_config, val_series=split.val)
-    csv_name = _field(config, "out_csv", str, "report.csv")
-    json_name = _field(config, "out_json", str, "summary.json")
+    csv_name = config.get("out_csv", "report.csv")
+    json_name = config.get("out_json", "summary.json")
     anomaly.save_report_csv(report, os.path.join(out_dir, csv_name))
     _write_json(os.path.join(out_dir, json_name), anomaly.report_summary(report))
     return {"report": csv_name, "summary": json_name}
@@ -278,33 +282,26 @@ def cmd_prune(config, out_dir):
         raise ConfigError("horizon: pruning needs a forecasting model (horizon > 0)")
     train_config = _train_config_from(config)
     split = _split_from(config, series)
-    m = _in_range("m", _field(config, "m", int, required=True), 1, series.n_channels)
-    strategies = _field(config, "strategies", list, list(pruning.STRATEGIES))
+    m = _in_range("m", config["m"], 1, series.n_channels)
+    strategies = config.get("strategies", pruning.STRATEGIES)
     for s in strategies:
         if s not in pruning.STRATEGIES:
             raise ConfigError(
                 f"strategies: unknown value {s!r}, expected from {pruning.STRATEGIES}"
             )
-    seeds = [
-        _in_range("seeds", _typed("seeds", s, int), 0)
-        for s in _field(config, "seeds", list, [train_config.seed])
-    ]
+    seeds = config.get("seeds", (train_config.seed,))
     for label, items in (("strategies", strategies), ("seeds", seeds)):
         if not items:
             raise ConfigError(f"{label}: expected a nonempty list")
-    stride = _in_range("stride", _field(config, "stride", int, 1), 1)
-    eta = _in_range("eta", _field(config, "eta", float), 0, low_open=True)
-    refit_epochs = _in_range("refit_epochs", _field(config, "refit_epochs", int, 5), 1)
-
     results = [
         pruning.prune_and_eval(
-            split, spec, replace(train_config, seed=seed), m, strategy,
-            stride=stride, eta=eta, seed=seed, refit_epochs=refit_epochs,
+            split, spec, replace(train_config, seed=seed), m, strategy, seed=seed,
+            **_given(config, ("stride", "eta", "refit_epochs")),
         )
         for seed in seeds
         for strategy in strategies
     ]
-    name = _field(config, "out_csv", str, "pruning.csv")
+    name = config.get("out_csv", "pruning.csv")
     pruning.save_pruning_csv(results, os.path.join(out_dir, name))
     return {"results": name}
 
@@ -327,25 +324,26 @@ def _build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=int, help="override the config seed (and prune's seeds)")
         p.add_argument("--out", default=".", help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
+            # prune runs its seeds list, so the flag replaces the list
+            if args.command == "prune" and "seeds" in config:
+                config["seeds"] = [args.seed]
         os.makedirs(args.out, exist_ok=True)
-        for name, value in config.items():
-            _check_finite(name, value)
+        fields = _read(config, SCHEMAS[args.command])
         # every result is checked for finiteness and a failure reported in
         # one line; numpy's floating-point warnings would only add lines
         with np.errstate(all="ignore"):
-            outputs = COMMANDS[args.command](config, args.out)
+            outputs = COMMANDS[args.command](fields, args.out)
         manifest = {"command": args.command, "config": config}
         _write_json(os.path.join(args.out, "manifest.json"), manifest)
     except ConfigError as e:

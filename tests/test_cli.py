@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -256,7 +257,8 @@ def test_every_command_accepts_every_architecture_and_horizon(
         del prune_cfg["checkpoint"]
         runs.append(("prune", prune_cfg))
     for i, (command, cfg) in enumerate(runs):
-        cfg = dict({"series_csv": series, "checkpoint": checkpoint}, **cfg)
+        if command != "prune":
+            cfg = dict({"series_csv": series, "checkpoint": checkpoint}, **cfg)
         out = tmp_path / f"{command}{i}"
         assert run(command, "--config", write_config(tmp_path / f"{i}.json", cfg),
                    "--out", out) == 0, (command, cfg)
@@ -373,12 +375,24 @@ class TestPrune:
     def test_non_integer_seed_rejected(self, prune_series, tmp_path, capsys, seed):
         cfg = self.prune_config(prune_series, tmp_path, seeds=[0, seed])
         assert run("prune", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert f"config error: seeds: expected int, got {seed!r}" in capsys.readouterr().err
+        assert f"config error: seeds[1]: expected int, got {seed!r}" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected(self, prune_series, tmp_path, capsys):
         cfg = self.prune_config(prune_series, tmp_path, strategies=["pca"])
         assert run("prune", "--config", cfg, "--out", tmp_path) == 2
         assert "strategies: unknown value 'pca'" in capsys.readouterr().err
+
+    def test_seed_flag_replaces_the_seeds_list(self, prune_series, tmp_path):
+        flagged, listed = tmp_path / "flagged", tmp_path / "listed"
+        cfg = self.prune_config(prune_series, tmp_path)
+        assert run("prune", "--config", cfg, "--seed", 5, "--out", flagged) == 0
+        cfg = self.prune_config(prune_series, tmp_path, seeds=[5])
+        assert run("prune", "--config", cfg, "--out", listed) == 0
+        assert (flagged / "pruning.csv").read_bytes() == (listed / "pruning.csv").read_bytes()
+        rows = (flagged / "pruning.csv").read_text().strip().split("\n")[1:]
+        assert {row.split(",")[2] for row in rows} == {"5"}
+        config = json.loads((flagged / "manifest.json").read_text())["config"]
+        assert (config["seed"], config["seeds"]) == (5, [5])
 
 
 class TestErrors:
@@ -550,7 +564,7 @@ def base_config(command, pipeline, prune_series):
 FIELD_BOUND_CASES = [
     ("train", {"seed": -3}, "train config: seed must be non-negative, got -3"),
     ("prune", {"seed": -3}, "train config: seed must be non-negative, got -3"),
-    ("prune", {"seeds": [0, -1]}, "seeds: expected a value in [0, inf), got -1"),
+    ("prune", {"seeds": [0, -1]}, "seeds[1]: expected a value in [0, inf), got -1"),
     ("synth", {"seed": -1}, "synth config: seed must be non-negative, got -1"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]],
                               "seed": -2}]},
@@ -576,7 +590,7 @@ FIELD_BOUND_CASES = [
                              {"kind": "spike", "target_channels": "ab", "intervals": [[900, 915]]}]},
      "anomalies[1].target_channels: expected list, got 'ab'"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [700]}]},
-     "anomalies[0]: 'int' object is not iterable"),
+     "anomalies[0].intervals[0]: expected list, got 700"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[1.5, 9]]}]},
      "anomalies[0].intervals[0][0]: expected int, got 1.5"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1],
@@ -589,8 +603,7 @@ FIELD_BOUND_CASES = [
      "anomalies[1].target_channels[1]: expected int, got True"),
     # checked in every field, used or not, so none reaches manifest.json
     ("influence", {"src_index": float("nan")}, "src_index: expected a finite number, got nan"),
-    ("detect", {"extra": {"a": [1.0, float("-inf")]}},
-     "extra.a[1]: expected a finite number, got -inf"),
+    ("detect", {"extra": {"a": [1.0, float("-inf")]}}, "extra: unknown field"),
 ]
 
 
@@ -611,6 +624,59 @@ def test_out_of_range_field_exits_2(
     assert run(command, "--config", path, "--out", out) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+UNKNOWN_KEY_CASES = [
+    # each a field of another command
+    ("synth", {"window": 10}, (), "window"),
+    ("train", {"mode": "self"}, (), "mode"),
+    ("influence", {"method": "reconstruction_error"}, (), "method"),
+    ("detect", {"seeds": [0]}, (), "seeds"),
+    ("prune", {"checkpoint": "model.json"}, (), "checkpoint"),
+    # a misspelt field would otherwise run with its default
+    ("detect", {"selctor": "bogus"}, (), "selctor"),
+    ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]],
+                              "colour": "red"}]}, (), "anomalies[0].colour"),
+    # the flag sets seed, which commands that draw nothing at random lack
+    ("influence", {}, ("--seed", 3), "seed"),
+    ("detect", {}, ("--seed", 3), "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags, path",
+    UNKNOWN_KEY_CASES,
+    ids=[f"{c[0]}-{c[3]}" for c in UNKNOWN_KEY_CASES],
+)
+def test_unknown_key_exits_2_naming_its_path(
+    pipeline, prune_series, tmp_path, capsys, command, overrides, flags, path
+):
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(base_config(command, pipeline, prune_series), **overrides))
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
+    assert list(out.iterdir()) == []
+
+
+def readme_fields(command):
+    """The backticked names in the first column of command's README table;
+    prune's "model and SGD fields" row stands for train's two groups."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split(f"### `chinf {command}`", 1)[1].split("\n#", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| ") and not line.startswith("| field "):
+            first = line.split("|")[1]
+            if first.strip() == "model and SGD fields":
+                names |= set(cli.MODEL) | set(cli.SGD)
+            names |= set(re.findall(r"`(\w+)`", first))
+    return names
+
+
+@pytest.mark.parametrize("command", list(cli.SCHEMAS))
+def test_readme_table_lists_the_schema_fields(command):
+    assert readme_fields(command) == set(cli.SCHEMAS[command])
 
 
 MALFORMED_CHECKPOINTS = {
@@ -640,6 +706,13 @@ def test_malformed_checkpoint_exits_1_with_one_line(pipeline, tmp_path, case):
 WRONG_TYPES = ["x", "", [1], {"a": 1}, True, None, 1.5]
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 1e300]
 SMALL_INTS = [-1, 0, 3]
+
+
+class MISSPELT:
+    """A mutation that renames its field, doubling the first letter as a
+    typo might."""
+
+
 FIELD_VALUES = {
     "mode": ["self", "bogus"],
     "selector": ["all", "bogus"],
@@ -684,7 +757,7 @@ FUZZ_FIELDS = {
 
 def mutation_values(command, field):
     base = fuzz_base_config(command, Path("."))
-    values = WRONG_TYPES + NON_FINITE + SMALL_INTS + FIELD_VALUES.get(field, [])
+    values = WRONG_TYPES + NON_FINITE + SMALL_INTS + FIELD_VALUES.get(field, []) + [MISSPELT]
     if field in ("epochs", "length", "refit_epochs"):
         # never upward: a bigger value only makes the run slower
         values = [v for v in values if not (type(v) in (int, float) and not v < base[field])]
@@ -727,10 +800,13 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
             cfg["checkpoint"] = "model.json"
         # entry fields first, so a mutation of the whole list still applies
         for field, value in sorted(changes, key=lambda c: not c[0].startswith("anomalies[")):
+            target, key = cfg, field
             if field.startswith("anomalies[0]."):
-                cfg["anomalies"][0][field.split(".", 1)[1]] = value
+                target, key = cfg["anomalies"][0], field.split(".", 1)[1]
+            if value is MISSPELT:
+                target[key[0] + key] = target.pop(key, 1)
             else:
-                cfg[field] = value
+                target[key] = value
         with tempfile.TemporaryDirectory() as root:
             path = os.path.join(root, "cfg.json")
             # json.dump writes NaN and Infinity, which the loader accepts
@@ -742,6 +818,8 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
                 warnings.simplefilter("always")
                 code = main([command, "--config", path, "--out", str(out)])
             assert code in (0, 1, 2), (changes, code)
+            if set(cfg) - set(cli.SCHEMAS[command]):
+                assert code == 2, changes
             if code:
                 assert err.getvalue().count("\n") == 1, (changes, err.getvalue())
             # a warning would reach stderr as more lines

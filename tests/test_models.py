@@ -679,6 +679,15 @@ def mixing_overflow_case():
     return ModelState(spec, params), wins, TrainConfig(2, 1e-3, 2, 1), None
 
 
+def sum_overflow_case():
+    """A reconstruction whose residuals (1e154) and their squares (1e308) are
+    all finite, while the batch's sum of squares overflows."""
+    spec = ModelSpec("linear_ci", 2, 1)
+    params = {"weight": [[0.0, 0.0], [0.0, 0.0]], "bias": [0.0, 0.0]}
+    wins = [window_of([[1e154], [1e154]])]
+    return ModelState(spec, params), wins, TrainConfig(1, 1e-3, 1, 0), None
+
+
 NOT_FINITE_AT_0_0 = (RuntimeError, "training loss is not finite at epoch 0, batch 0")
 GRADIENT_NOT_FINITE = (ValueError, "gradient has non-finite entries")
 
@@ -699,6 +708,7 @@ class TestTrainFailuresMatchTape:
             (lambda: gradient_overflow_case(False), GRADIENT_NOT_FINITE),
             (lambda: gradient_overflow_case(True), GRADIENT_NOT_FINITE),
             (mixing_overflow_case, NOT_FINITE_AT_0_0),
+            (sum_overflow_case, NOT_FINITE_AT_0_0),
         ],
         ids=[
             "relu_hides_nan",
@@ -707,6 +717,7 @@ class TestTrainFailuresMatchTape:
             "output_gradient",
             "mixing_gradient",
             "mixing_forward",
+            "squares_sum_overflows",
         ],
     )
     def test_same_exception_as_tape(self, case, expected):

@@ -12,9 +12,10 @@ with m < N, which covers the mixing-matrix gradients, the forecasting
 whole-window gradients and the mixing refit. A last pass runs prune on a
 32-channel series at the batch width of the benchmark's pruning scenario
 (linear_ci, window 48, horizon 12, batch 32, all four strategies, m = 8),
-so that training at BLAS widths is compared bit for bit too. Paths inside
-the configs are relative to OUT_DIR, so the manifests do not name it and
-the trees of two checkouts compare with ``diff -r``.
+so that training at BLAS widths is compared bit for bit too. Two runs take
+the --seed flag: synth, and prune from a config without a seeds list. Paths
+inside the configs are relative to OUT_DIR, so the manifests do not name it
+and the trees of two checkouts compare with ``diff -r``.
 """
 from __future__ import annotations
 
@@ -40,8 +41,10 @@ def fixture(name, **overrides):
 
 
 def runs():
+    """(command, run name, config, extra flags...) for every run, in order."""
     series, model = "synth/series.csv", "train/model.json"
     yield "synth", "synth", fixture("synth.json")
+    yield "synth", "synth_seed3", fixture("synth.json"), "--seed", "3"
     yield "train", "train", fixture("train.json", series_csv=series)
     influence = {"series_csv": series, "checkpoint": model, "stride": 25}
     yield "influence", "influence_self", dict(influence, mode="self")
@@ -56,6 +59,9 @@ def runs():
     yield "synth", "synth_prune", fixture("synth_prune.json")
     prune_series = "synth_prune/prune_series.csv"
     yield "prune", "prune", fixture("prune.json", series_csv=prune_series)
+    unseeded = fixture("prune.json", series_csv=prune_series)
+    del unseeded["seeds"]
+    yield "prune", "prune_seed1", unseeded, "--seed", "1"
 
     mix = "train_mix/model.json"
     yield "train", "train_mix", fixture(
@@ -87,12 +93,12 @@ def runs():
 def write_all(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
-    for command, name, config in runs():
+    for command, name, config, *flags in runs():
         path = f"{name}.json"
         with open(path, "w", encoding="utf-8") as f:
             json.dump(config, f, indent=1)
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", path, "--out", name])
+            code = main([command, "--config", path, *flags, "--out", name])
         if code != 0:
             raise SystemExit(f"{command} ({name}) exited {code}")
 
