@@ -56,7 +56,7 @@ SCHEMAS = {
                   "selector": str, "stride": STRIDE, "out_csv": str},
     "detect": {**INPUTS, **DETECT, "selector": str, **SPLIT, "out_csv": str, "out_json": str},
     "prune": {"series_csv": str, **MODEL, **SGD, **SPLIT, "m": int, "strategies": [str],
-              "seeds": [(int, 0, False)], "eta": ETA, "stride": STRIDE,
+              "seeds": [(int, 0, False)], "stride": STRIDE,
               "refit_epochs": (int, 1, False), "out_csv": str},
 }
 SELECTORS = {"last_layer": last_layer_selector, "all": all_params_selector}
@@ -296,7 +296,7 @@ def cmd_prune(config, out_dir):
     results = [
         pruning.prune_and_eval(
             split, spec, replace(train_config, seed=seed), m, strategy, seed=seed,
-            **_given(config, ("stride", "eta", "refit_epochs")),
+            **_given(config, ("stride", "refit_epochs")),
         )
         for seed in seeds
         for strategy in strategies

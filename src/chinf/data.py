@@ -33,6 +33,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("clusters", "channels_per_cluster", "length", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.clusters < 1:
             raise ValueError(f"clusters must be positive, got {self.clusters}")
         if self.channels_per_cluster < 1:

@@ -46,6 +46,8 @@ class ModelSpec:
     horizon: int = 0
 
     def __post_init__(self):
+        for name in ("window", "channels", "hidden", "horizon"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.architecture not in ARCHITECTURES:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
@@ -550,6 +552,13 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         f.write("\n")
 
 
+def _json_number(value, what: str) -> float:
+    # float() would also take "0.01" and true
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def load_checkpoint(path: str) -> ModelState:
     try:
         with open(path, encoding="utf-8") as f:
@@ -563,10 +572,11 @@ def load_checkpoint(path: str) -> ModelState:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     try:
         spec = ModelSpec(**doc["spec"])
-        params = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-        return ModelState(spec, params, trained_lr=float(doc["trained_lr"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        params = {}
+        for name, entry in doc["params"].items():
+            data = [_json_number(v, f"parameter {name!r} entry") for v in entry["data"]]
+            params[name] = np.array(data, dtype=np.float64).reshape(entry["shape"])
+        return ModelState(spec, params, trained_lr=_json_number(doc["trained_lr"], "trained_lr"))
+    # OverflowError: float() of an integer beyond the float range
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None

@@ -2,9 +2,10 @@
 
 Channels are ranked by their self-influence accumulated over a validation
 set (computed once, on a model trained with all channels), then a subset is
-picked by equidistant sampling over the ascending ranking. A model retrained
-from scratch on the subset alone is evaluated against the full-channel model
-on the complete test channel set.
+picked by equidistant sampling over the ascending ranking. The ranking does
+not depend on eta, so the scores are accumulated in units of it. A model
+retrained from scratch on the subset alone is evaluated against the
+full-channel model on the complete test channel set.
 
 Channel-shared models make that evaluation well-defined on channels never
 seen in subset training. The channel-mixing variant has no such out-of-the-
@@ -13,7 +14,7 @@ training and the result is flagged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,11 +22,7 @@ from .autodiff import ParamSelector
 from .core import DatasetSplit, Windows, WindowStack, _integral, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
-from .influence import (  # noqa: F401
-    _resolve_eta,
-    self_influence_per_channel,
-    self_influence_rows,
-)
+from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
 from .models import (
     ModelSpec,
     ModelState,
@@ -40,23 +37,18 @@ STRATEGIES = ("influence_equidistant", "random", "continuous", "most_influence")
 
 @dataclass(frozen=True)
 class ChannelScoreTable:
-    """Accumulated self-influence per channel with its ascending ranking."""
+    """Accumulated self-influence per channel; its ranking ascends, ties by index."""
 
     scores: np.ndarray
-    ranking: tuple[int, ...]
+    ranking: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError(f"scores must be a nonempty vector, got shape {scores.shape}")
-        ranking = tuple(int(i) for i in self.ranking)
-        if sorted(ranking) != list(range(scores.size)):
-            raise ValueError("ranking must be a permutation of the channel indices")
-        for a, b in zip(ranking, ranking[1:]):
-            if scores[a] > scores[b] or (scores[a] == scores[b] and a > b):
-                raise ValueError("ranking must sort scores ascending, ties by index")
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
+        ranking = tuple(int(i) for i in np.argsort(scores, kind="stable"))
         object.__setattr__(self, "ranking", ranking)
 
     @property
@@ -88,9 +80,7 @@ def accumulate_channel_scores(
     per_window = self_influence_rows(state, val_windows, eta, selector)
     # accumulate adds the rows one by one in window order; a pairwise sum
     # would move the last digits of the totals, and with them pruning.csv
-    total = np.add.accumulate(per_window, axis=0)[-1]
-    ranking = tuple(int(i) for i in np.argsort(total, kind="stable"))
-    return ChannelScoreTable(total, ranking)
+    return ChannelScoreTable(np.add.accumulate(per_window, axis=0)[-1])
 
 
 def equidistant_select(table: ChannelScoreTable, m: int) -> tuple[int, ...]:
@@ -149,17 +139,17 @@ def prune_and_eval(
     strategy: str,
     *,
     stride: int = 1,
-    eta: float | None = None,
     seed: int | None = None,
     refit_epochs: int = 5,
 ) -> PruningResult:
     """Train full, select m channels, retrain on them, evaluate both on all.
 
     The score table always comes from the full-channel model, so selection
-    itself never retrains. ``seed`` (default: train_config.seed) only feeds
-    the random strategy. Both MSEs are per-element forecasting error on the
-    full-channel test windows. m, refit_epochs, and eta for the strategies
-    that use scores, are checked before anything trains.
+    itself never retrains; it is accumulated at eta = 1, since the ranking
+    is all that selection reads. ``seed`` (default: train_config.seed) only
+    feeds the random strategy. Both MSEs are per-element forecasting error
+    on the full-channel test windows. m and refit_epochs are checked before
+    anything trains.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -172,10 +162,6 @@ def prune_and_eval(
         raise ValueError(f"subset size {m} out of range for {n} channels")
     if _integral(refit_epochs, "refit_epochs") < 1:
         raise ValueError(f"refit_epochs must be at least 1, got {refit_epochs}")
-    uses_scores = strategy in ("influence_equidistant", "most_influence")
-    if uses_scores:
-        # train records train_config.learning_rate as the model's trained_lr
-        eta = _resolve_eta(train_config.learning_rate, eta)
     if seed is None:
         seed = train_config.seed
 
@@ -184,17 +170,16 @@ def prune_and_eval(
     test_windows = make_windows(split.test, rows, stride)
     full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
 
-    if uses_scores:
+    if strategy in ("influence_equidistant", "most_influence"):
         val_windows = make_windows(split.val, rows, stride)
-        table = accumulate_channel_scores(full_state, val_windows, eta)
-        if strategy == "influence_equidistant":
-            selected = equidistant_select(table, m)
-        else:
-            selected = baseline_select(table, m, strategy, seed)
+        table = accumulate_channel_scores(full_state, val_windows, 1.0)
     else:
         # random and continuous ignore the scores; a zero table carries N
-        placeholder = ChannelScoreTable(np.zeros(n), tuple(range(n)))
-        selected = baseline_select(placeholder, m, strategy, seed)
+        table = ChannelScoreTable(np.zeros(n))
+    if strategy == "influence_equidistant":
+        selected = equidistant_select(table, m)
+    else:
+        selected = baseline_select(table, m, strategy, seed)
 
     subset_spec = replace(spec, channels=m) if spec.architecture == "mlp_mix" else spec
     subset_windows = WindowStack(train_windows.values[..., list(selected)], train_windows.origins)

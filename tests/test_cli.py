@@ -574,7 +574,8 @@ FIELD_BOUND_CASES = [
     ("prune", {"stride": -2}, "stride: expected a value in [1, inf), got -2"),
     ("influence", {"eta": 0}, "eta: expected a value in (0, inf), got 0.0"),
     ("detect", {"eta": -0.5}, "eta: expected a value in (0, inf), got -0.5"),
-    ("prune", {"eta": 0}, "eta: expected a value in (0, inf), got 0.0"),
+    # prune ranks without eta; the case keeps its place so later ids stay put
+    ("prune", {"eta": 0}, "eta: unknown field"),
     ("prune", {"m": 99}, "m: expected a value in [1, 6], got 99"),
     ("prune", {"m": 0}, "m: expected a value in [1, 6], got 0"),
     ("prune", {"architecture": "mlp_mix", "hidden": 4, "refit_epochs": 0},
@@ -633,6 +634,8 @@ UNKNOWN_KEY_CASES = [
     ("influence", {"method": "reconstruction_error"}, (), "method"),
     ("detect", {"seeds": [0]}, (), "seeds"),
     ("prune", {"checkpoint": "model.json"}, (), "checkpoint"),
+    # the pruning ranking does not depend on eta, so prune has no such field
+    ("prune", {"eta": 0.01}, (), "eta"),
     # a misspelt field would otherwise run with its default
     ("detect", {"selctor": "bogus"}, (), "selctor"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]],
@@ -684,6 +687,12 @@ MALFORMED_CHECKPOINTS = {
     "missing_spec": lambda doc: {k: v for k, v in doc.items() if k != "spec"},
     "unknown_spec_key": lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")),
     "missing_params": lambda doc: {k: v for k, v in doc.items() if k != "params"},
+    "fractional_window": lambda doc: dict(doc, spec=dict(doc["spec"], window=10.5)),
+    "bool_hidden": lambda doc: dict(doc, spec=dict(doc["spec"], hidden=True)),
+    "string_trained_lr": lambda doc: dict(doc, trained_lr="0.01"),
+    "bool_trained_lr": lambda doc: dict(doc, trained_lr=True),
+    "string_parameter": lambda doc: dict(doc, params=dict(doc["params"], b2=dict(
+        doc["params"]["b2"], data=["1.5"] + doc["params"]["b2"]["data"][1:]))),
 }
 
 
@@ -826,5 +835,66 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
             assert [str(w.message) for w in caught] == [], changes
             if out.is_dir():
                 assert_all_finite(out)
+
+    check()
+
+
+# Checkpoint mutations for the fuzz test: a spec integer becomes a float, a
+# bool, a string or a negative number; trained_lr a string, a bool or a
+# negative number; one parameter entry a string or null.
+SPEC_INTEGERS = ("window", "channels", "hidden", "horizon")
+
+
+@st.composite
+def checkpoint_mutations(draw, doc):
+    """(key path into the checkpoint, new value) for one mutated field."""
+    part = draw(st.sampled_from(["spec", "trained_lr", "params"]))
+    if part == "spec":
+        name = draw(st.sampled_from(SPEC_INTEGERS))
+        v = doc["spec"][name]
+        return ("spec", name), draw(st.sampled_from([float(v), v + 0.5, True, str(v), -v - 1]))
+    if part == "trained_lr":
+        lr = doc["trained_lr"]
+        return ("trained_lr",), draw(st.sampled_from([str(lr), True, False, -lr]))
+    name = draw(st.sampled_from(sorted(doc["params"])))
+    data = doc["params"][name]["data"]
+    i = draw(st.integers(0, len(data) - 1))
+    return ("params", name, "data", i), draw(st.sampled_from([repr(data[i]), None]))
+
+
+def test_mutated_checkpoints_exit_cleanly(pipeline):
+    doc = json.loads((pipeline / "model.json").read_text())
+    series = str(pipeline / "series.csv")
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(checkpoint_mutations(doc))
+    def check(mutation):
+        (*parents, key), value = mutation
+        mutated = json.loads(json.dumps(doc))
+        target = mutated
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        with tempfile.TemporaryDirectory() as root:
+            checkpoint = write_config(Path(root) / "model.json", mutated)
+            configs = {
+                "influence": {"series_csv": series, "checkpoint": checkpoint, "stride": 50},
+                "detect": dict(json.loads((DATA / "detect.json").read_text()),
+                               series_csv=series, checkpoint=checkpoint),
+            }
+            for command, cfg in configs.items():
+                path = write_config(Path(root) / f"{command}.json", cfg)
+                out = Path(root) / command
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--config", path, "--out", str(out)])
+                assert code in (0, 1), (mutation, command, code)
+                # no string, bool or null stands in for a number
+                if value is None or isinstance(value, (bool, str)):
+                    assert code == 1, (mutation, command)
+                if code:
+                    assert err.getvalue().count("\n") == 1, (mutation, err.getvalue())
+                else:
+                    assert_all_finite(out)
 
     check()

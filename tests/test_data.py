@@ -35,6 +35,13 @@ class TestSyntheticConfig:
         with pytest.raises(ValueError, match="need 3 base frequencies, got 2"):
             SyntheticConfig(clusters=3, base_frequencies=(1.0, 2.0))
 
+    @pytest.mark.parametrize("field", ["clusters", "channels_per_cluster", "length", "seed"])
+    def test_integer_fields_must_be_integral(self, field):
+        assert type(getattr(SyntheticConfig(**{field: 3.0}), field)) is int
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+                SyntheticConfig(**{field: bad})
+
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError, match="noise_std"):
             SyntheticConfig(noise_std=-0.1)

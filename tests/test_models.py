@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,14 @@ class TestModelSpec:
     def test_rejects_bad_activation(self):
         with pytest.raises(ValueError, match="unknown activation"):
             ModelSpec("mlp_ci", 4, 2, hidden=3, activation="gelu")
+
+    @pytest.mark.parametrize("field", ["window", "channels", "hidden", "horizon"])
+    def test_integer_fields_must_be_integral(self, field):
+        spec = ModelSpec("mlp_ci", **{"window": 4, "channels": 2, "hidden": 3, field: 2.0})
+        assert getattr(spec, field) == 2 and type(getattr(spec, field)) is int
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+                ModelSpec("mlp_ci", **{"window": 4, "channels": 2, "hidden": 3, field: bad})
 
     def test_row_counts_reconstruction(self):
         spec = ModelSpec("linear_ci", 5, 2)
@@ -962,6 +973,38 @@ class TestCheckpoint:
         assert back.trained_lr == state.trained_lr
         for name in state.params:
             assert np.array_equal(back.params[name], state.params[name])
+
+    def test_integral_float_spec_fields_load_as_integers(self, tmp_path):
+        state = init_params(ModelSpec("mlp_ci", 5, 3, hidden=4, horizon=2), seed=1)
+        path = tmp_path / "model.json"
+        save_checkpoint(state, str(path))
+        doc = json.loads(path.read_text())
+        doc["spec"].update(window=5.0, channels=3.0, hidden=4.0, horizon=2.0)
+        path.write_text(json.dumps(doc))
+        assert load_checkpoint(str(path)).spec == state.spec
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trained_lr", "0.01", "trained_lr must be a JSON number, got '0.01'"),
+            ("trained_lr", True, "trained_lr must be a JSON number, got True"),
+            ("trained_lr", 10**400, "OverflowError"),
+            ("bias", "1.5", "parameter 'bias' entry must be a JSON number, got '1.5'"),
+            ("bias", False, "parameter 'bias' entry must be a JSON number, got False"),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, value, message):
+        state = init_params(ModelSpec("linear_ci", 4, 2), seed=0)
+        path = tmp_path / "model.json"
+        save_checkpoint(state, str(path))
+        doc = json.loads(path.read_text())
+        if field == "trained_lr":
+            doc["trained_lr"] = value
+        else:
+            doc["params"][field]["data"][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"malformed checkpoint .*{re.escape(message)}"):
+            load_checkpoint(str(path))
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

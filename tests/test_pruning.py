@@ -27,9 +27,7 @@ from bench_suite import random_window
 
 
 def table_with_scores(scores):
-    scores = np.asarray(scores, dtype=np.float64)
-    ranking = tuple(int(i) for i in np.argsort(scores, kind="stable"))
-    return ChannelScoreTable(scores, ranking)
+    return ChannelScoreTable(scores)
 
 
 def small_split(seed=1):
@@ -49,19 +47,12 @@ def trained_on(split, spec=SMALL_SPEC, config=SMALL_CONFIG):
 
 
 class TestChannelScoreTable:
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            ChannelScoreTable(np.array([1.0, 2.0]), (0, 0))
-
-    def test_rejects_descending_ranking(self):
-        with pytest.raises(ValueError, match="ascending"):
-            ChannelScoreTable(np.array([1.0, 2.0]), (1, 0))
-
     def test_ties_must_break_by_index(self):
-        with pytest.raises(ValueError, match="ties by index"):
-            ChannelScoreTable(np.array([5.0, 5.0]), (1, 0))
-        table = ChannelScoreTable(np.array([5.0, 5.0]), (0, 1))
-        assert table.ranking == (0, 1)
+        # the table derives its ranking: ascending scores, ties by index
+        table = ChannelScoreTable(np.array([2.0, 5.0, -1.0, 5.0, 2.0]))
+        assert table.ranking == (2, 0, 4, 1, 3)
+        with pytest.raises(TypeError):
+            ChannelScoreTable(np.array([1.0, 2.0]), (0, 1))
 
 
 class TestAccumulate:
@@ -264,26 +255,42 @@ class TestPruneAndEval:
             prune_and_eval(split, spec, SMALL_CONFIG, 2, "continuous")
 
     @pytest.mark.parametrize(
-        "m, strategy, eta, learning_rate, message",
+        "m, strategy, message",
         [
-            (0, "continuous", None, 1e-2, "subset size 0 out of range for 4"),
-            (5, "influence_equidistant", None, 1e-2, "subset size 5 out of range for 4"),
-            (2, "influence_equidistant", -1.0, 1e-2, "eta must be positive, got -1.0"),
-            (2, "most_influence", float("nan"), 1e-2, "eta must be positive, got nan"),
-            (2, "most_influence", float("inf"), 1e-2, "eta must be finite, got inf"),
-            (2, "influence_equidistant", None, 0.0, "no recorded training learning rate"),
+            (0, "continuous", "subset size 0 out of range for 4"),
+            (5, "influence_equidistant", "subset size 5 out of range for 4"),
         ],
-        ids=["m_zero", "m_above_n", "negative_eta", "nan_eta", "inf_eta", "zero_learning_rate"],
+        ids=["m_zero", "m_above_n"],
     )
-    def test_bad_inputs_fail_before_training(
-        self, monkeypatch, m, strategy, eta, learning_rate, message
-    ):
+    def test_bad_inputs_fail_before_training(self, monkeypatch, m, strategy, message):
         calls = []
         monkeypatch.setattr(pruning, "train", lambda *args, **kwargs: calls.append(args))
-        config = replace(SMALL_CONFIG, learning_rate=learning_rate)
         with pytest.raises(ValueError, match=message):
-            prune_and_eval(small_split(), SMALL_SPEC, config, m, strategy, eta=eta)
+            prune_and_eval(small_split(), SMALL_SPEC, SMALL_CONFIG, m, strategy)
         assert calls == []
+
+    def test_zero_learning_rate_ranks_the_untrained_model(self):
+        # no recorded learning rate is needed: the ranking does not depend on eta
+        split = small_split()
+        config = replace(SMALL_CONFIG, learning_rate=0.0)
+        untrained = init_params(SMALL_SPEC, config.seed)
+        val = make_windows(split.val, SMALL_SPEC.total_rows)
+        table = accumulate_channel_scores(untrained, val, eta=1.0)
+        result = prune_and_eval(split, SMALL_SPEC, config, 2, "influence_equidistant")
+        assert result.selected == equidistant_select(table, 2)
+
+    @pytest.mark.parametrize("strategy", ["influence_equidistant", "most_influence"])
+    def test_selection_matches_the_learning_rate_ranking(self, strategy):
+        split = small_split()
+        state, _ = trained_on(split)
+        val = make_windows(split.val, SMALL_SPEC.total_rows)
+        table = accumulate_channel_scores(state, val, eta=SMALL_CONFIG.learning_rate)
+        for m in (1, 2, 3):
+            result = prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, m, strategy)
+            if strategy == "influence_equidistant":
+                assert result.selected == equidistant_select(table, m)
+            else:
+                assert result.selected == baseline_select(table, m, strategy)
 
     @pytest.mark.parametrize(
         "refit_epochs, message",
@@ -304,11 +311,9 @@ class TestPruneAndEval:
             )
         assert calls == []
 
-    def test_strategies_without_scores_ignore_eta(self):
-        # random and continuous never read the score table, so eta is unused
-        split = small_split()
-        result = prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, 2, "continuous", eta=-1.0)
-        assert result.selected == (0, 1)
+    def test_takes_no_eta(self):
+        with pytest.raises(TypeError, match="eta"):
+            prune_and_eval(small_split(), SMALL_SPEC, SMALL_CONFIG, 2, "continuous", eta=0.01)
 
 
 class TestCsv:

@@ -5,7 +5,10 @@ Usage, from the root of a chinf checkout:
     python3 tools/contract_outputs.py OUT_DIR
 
 Runs synth, train, influence (self and matrix), detect (each method with the
-last_layer and the all selector) and prune, one subdirectory per run. A second
+last_layer and the all selector) and prune, one subdirectory per run. Further
+first-pass runs cover influence self mode and cif detect with an explicit
+eta, and cif and reconstruction_error detect with per-channel median_iqr
+normalization, the threshold picked on test, and stride 2. A second
 pass trains an mlp_mix forecaster (horizon 2) and runs influence (self and
 matrix), cif and tracin detect with the all selector, and an mlp_mix prune
 with m < N, which covers the mixing-matrix gradients, the forecasting
@@ -48,6 +51,7 @@ def runs():
     yield "train", "train", fixture("train.json", series_csv=series)
     influence = {"series_csv": series, "checkpoint": model, "stride": 25}
     yield "influence", "influence_self", dict(influence, mode="self")
+    yield "influence", "influence_self_eta", dict(influence, mode="self", eta=0.5)
     yield "influence", "influence_matrix", dict(
         influence, mode="matrix", src_index=2, dst_index=7, selector="all"
     )
@@ -56,6 +60,14 @@ def runs():
             cfg = fixture("detect.json", series_csv=series, checkpoint=model,
                           method=method, selector=selector)
             yield "detect", f"detect_{method}_{selector}", cfg
+    for method in ("cif_self_influence", "reconstruction_error"):
+        cfg = fixture("detect.json", series_csv=series, checkpoint=model, method=method,
+                      threshold_on="test", normalize_per_channel=True,
+                      normalization="median_iqr", stride=2)
+        yield "detect", f"detect_{method}_test_iqr", cfg
+    yield "detect", "detect_cif_eta", fixture(
+        "detect.json", series_csv=series, checkpoint=model, eta=0.5
+    )
     yield "synth", "synth_prune", fixture("synth_prune.json")
     prune_series = "synth_prune/prune_series.csv"
     yield "prune", "prune", fixture("prune.json", series_csv=prune_series)
