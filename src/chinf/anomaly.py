@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MtsSeries, Windows, _origin_vector, as_window_stack, make_windows
+from .core import MtsSeries, Windows, _origin_vector, _readonly, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel  # noqa: F401
@@ -40,7 +40,7 @@ class ScoreSeries:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = _readonly(self.scores)
         if scores.ndim != 1:
             raise ValueError(f"scores must be a vector, got shape {scores.shape}")
         if not np.isfinite(scores).all():
@@ -50,7 +50,6 @@ class ScoreSeries:
             raise ValueError(
                 f"{len(origins)} origins for {scores.size} scores"
             )
-        scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "origins", origins)
 
@@ -101,8 +100,8 @@ class AnomalyReport:
     f1: float
 
     def __post_init__(self):
-        predictions = np.asarray(self.predictions, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        predictions = _readonly(self.predictions, np.int64)
+        labels = _readonly(self.labels, np.int64)
         expected = (self.normalized_scores.scores > self.threshold).astype(np.int64)
         if not np.array_equal(predictions, expected):
             raise ValueError("predictions do not match the threshold rule")
@@ -110,8 +109,6 @@ class AnomalyReport:
             raise ValueError(
                 f"labels shape {labels.shape} does not match predictions {predictions.shape}"
             )
-        predictions.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "labels", labels)
 

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _readonly
+
 
 class NonFiniteError(ValueError):
     """A primitive produced inf or nan on the tape."""
@@ -42,12 +44,11 @@ class GradientVector:
     selector_id: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _readonly(self.values)
         if values.ndim != 1:
             raise ValueError(f"gradient must be a flat vector, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("gradient has non-finite entries")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import anomaly, data, influence, models, pruning
-from .core import chronological_split, make_windows
+from .core import _integral, _number, chronological_split, make_windows
 from .models import all_params_selector, last_layer_selector
 
 
@@ -125,19 +125,14 @@ def _typed(name, value, kind):
         return _read(_typed(name, value, dict), kind, f"{name}.")
     try:
         if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
+            return _integral(value, name)
         if kind is float:
-            # JSON numbers only: float() would also take "0.01" and true
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError
-            return float(value)
+            return _number(value, name)
         # bool, str, list or dict
         if isinstance(value, kind):
             return value
     # OverflowError: float() of an integer beyond the float range
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
     raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 
@@ -268,6 +263,9 @@ def cmd_detect(config, out_dir):
         raise ConfigError(f"detect config: {e}") from None
     split = _split_from(config, series)
     report = anomaly.detect(state, split.test, detect_config, val_series=split.val)
+    # flagging every window (or none) can score best, but JSON has no infinity
+    if not math.isfinite(report.threshold):
+        raise ValueError(f"threshold: the best F1 is at {report.threshold}, not a finite threshold")
     csv_name = config.get("out_csv", "report.csv")
     json_name = config.get("out_json", "summary.json")
     anomaly.save_report_csv(report, os.path.join(out_dir, csv_name))

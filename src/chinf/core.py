@@ -2,8 +2,8 @@
 
 A series is a dense (T, N) float64 matrix, time-major: row t is the
 observation at timestep t, column j is channel j. All containers are
-frozen after construction (arrays are marked read-only) so they can be
-shared freely across threads.
+frozen after construction: each holds private read-only copies of its
+arrays (core._readonly), so they can be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+def _readonly(value, dtype=np.float64) -> np.ndarray:
+    """The one way a container holds an array: a private read-only copy, so
+    the caller's array stays writable and the container's cannot change."""
+    out = np.array(value, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -29,6 +31,14 @@ def _integral(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a ValueError for "0.01", True or None, which
+    float() would partly take, and OverflowError past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _origin_vector(origins) -> np.ndarray:
     """Read-only int64 copy of a vector of window origins. Integer and bool
     input is cast as it is; other numbers must survive the cast unchanged."""
@@ -36,14 +46,12 @@ def _origin_vector(origins) -> np.ndarray:
     if raw.ndim != 1 or raw.dtype.kind not in "biuf":
         raise ValueError("origins must be a vector of integers")
     if raw.dtype.kind in "bi":
-        ints = raw.astype(np.int64)
-    else:
-        # astype truncates 1.7 to 1, wraps 2**63 and maps NaN to an arbitrary integer
-        with np.errstate(invalid="ignore"):
-            ints = raw.astype(np.int64)
-        if not np.array_equal(ints, raw):
-            raise ValueError("origins must be a vector of integers")
-    ints.setflags(write=False)
+        return _readonly(raw, np.int64)
+    # the cast truncates 1.7 to 1, wraps 2**63 and maps NaN to an arbitrary integer
+    with np.errstate(invalid="ignore"):
+        ints = _readonly(raw, np.int64)
+    if not np.array_equal(ints, raw):
+        raise ValueError("origins must be a vector of integers")
     return ints
 
 
@@ -86,14 +94,13 @@ class MtsSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channel_names", names)
         if self.timestep_labels is not None:
-            labels = np.asarray(self.timestep_labels, dtype=np.int64)
+            labels = _readonly(self.timestep_labels, np.int64)
             if labels.shape != (t_total,):
                 raise ValueError(
                     f"labels length {labels.shape} does not match series length {t_total}"
                 )
             if not np.isin(labels, (0, 1)).all():
                 raise ValueError("labels must be 0 or 1")
-            labels.setflags(write=False)
             object.__setattr__(self, "timestep_labels", labels)
 
     @property
@@ -177,6 +184,9 @@ def as_window_stack(windows: Windows) -> WindowStack:
     """The batch functions' one conversion: a stack as it is, a window list stacked once."""
     if isinstance(windows, WindowStack):
         return windows
+    shapes = sorted({w.values.shape for w in windows})
+    if len(shapes) > 1:
+        raise ValueError(f"windows must share one shape, got {shapes[0]} and {shapes[1]}")
     return WindowStack([w.values for w in windows], [w.origin_t for w in windows])
 
 

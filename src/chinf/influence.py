@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
-from .core import MtsWindow, Windows, as_window_stack
+from .core import MtsWindow, Windows, _readonly, as_window_stack
 from .models import ModelState, _selection, channel_gradient_rows, whole_gradient_rows
 
 # Gradient-row entries held at once by _chunked_scores (8 MB of float64)
@@ -39,10 +39,11 @@ class InfluenceMatrix:
     selector_id: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _readonly(self.values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"influence matrix must be square, got shape {values.shape}")
-        values.setflags(write=False)
+        if not np.isfinite(values).all():
+            raise ValueError("influence matrix has non-finite entries")
         object.__setattr__(self, "values", values)
 
     @property
@@ -60,6 +61,13 @@ def _check_eta(eta: float) -> float:
     if eta == np.inf:
         raise ValueError(f"eta must be finite, got {eta}")
     return float(eta)
+
+
+def _finite(value: float) -> float:
+    """value, or a NonFiniteError when a product of finite gradients overflowed."""
+    if not math.isfinite(value):
+        raise NonFiniteError("influence overflowed")
+    return value
 
 
 def _resolve_eta(trained_lr: float, eta: float | None) -> float:
@@ -82,7 +90,7 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
         raise ValueError(
             f"gradient lengths differ: {g_src.values.size} vs {g_dst.values.size}"
         )
-    return _check_eta(eta) * float(g_src.values @ g_dst.values)
+    return _finite(_check_eta(eta) * float(g_src.values @ g_dst.values))
 
 
 def influence_matrix(
@@ -136,7 +144,7 @@ def tracin(
         a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
     else:
         a, b = (whole_gradient_rows(state, [z], selector)[0] for z in (z_src, z_dst))
-    return eta * float(a @ b)
+    return _finite(eta * float(a @ b))
 
 
 def self_influence_per_channel(

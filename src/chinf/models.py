@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, Windows, WindowStack, _integral, _readonly, as_window_stack
+from .core import MtsWindow, Windows, WindowStack, _integral, _number, _readonly, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -79,7 +79,9 @@ class ModelSpec:
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Named parameter shapes in canonical (initialization) order."""
+    """Named parameter shapes in canonical (initialization) order, the one
+    statement of the layout: biases are the 1-D entries, a weight's fan-in is
+    its column count, and the output layer (weight, bias) is the last two."""
     w, h, out = spec.window, spec.hidden, spec.out_rows
     if spec.architecture == "linear_ci":
         return {"weight": (out, w), "bias": (out,)}
@@ -87,15 +89,6 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     if spec.architecture == "mlp_mix":
         return {"mix": (spec.channels, spec.channels), **shapes}
     return shapes
-
-
-# fan_in per weight name: the contraction length of its matmul
-def _fan_in(spec: ModelSpec, name: str) -> int:
-    if name in ("weight", "w1"):
-        return spec.window
-    if name == "w2":
-        return spec.hidden
-    return spec.channels  # mix
 
 
 @dataclass(frozen=True)
@@ -113,14 +106,14 @@ class ModelState:
             )
         frozen = {}
         for name, shape in expected.items():
-            arr = np.asarray(self.params[name], dtype=np.float64)
+            arr = _readonly(self.params[name])
             if arr.shape != shape:
                 raise ValueError(
                     f"parameter {name!r} has shape {arr.shape}, expected {shape}"
                 )
             if not np.isfinite(arr).all():
                 raise ValueError(f"parameter {name!r} has non-finite entries")
-            frozen[name] = _readonly(arr)
+            frozen[name] = arr
         object.__setattr__(self, "params", frozen)
         if not self.trained_lr >= 0:
             raise ValueError(f"trained_lr must be non-negative, got {self.trained_lr}")
@@ -152,14 +145,16 @@ class TrainConfig:
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
-    """Deterministic init: weights uniform in +-1/sqrt(fan_in), biases zero."""
+    """Deterministic init in param_shapes order: the biases (its 1-D
+    entries) are zero, and each weight is uniform in +-1/sqrt(fan_in), its
+    fan-in being its column count."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_shapes(spec).items():
-        if name in ("bias", "b1", "b2"):
+        if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
-            bound = 1.0 / np.sqrt(_fan_in(spec, name))
+            bound = 1.0 / np.sqrt(shape[1])
             params[name] = rng.uniform(-bound, bound, size=shape)
     return ModelState(spec, params)
 
@@ -169,10 +164,9 @@ def all_params_selector(spec: ModelSpec) -> ParamSelector:
 
 
 def last_layer_selector(spec: ModelSpec) -> ParamSelector:
-    if spec.architecture == "linear_ci":
-        names = ("weight", "bias")
-    else:
-        names = ("w2", "b2")
+    """The output layer: the last two entries of param_shapes, its weight
+    and its bias."""
+    names = tuple(param_shapes(spec))[-2:]
     return ParamSelector(f"{spec.architecture}/last_layer", names)
 
 
@@ -204,15 +198,14 @@ def _shared_map(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
     Returns the prediction and the hidden pre- and post-activations (None
     for linear_ci) that the closed-form backward steps reuse.
     """
-    if spec.architecture == "linear_ci":
-        y = params["weight"] @ x
-        y += params["bias"][:, None]
-        return y, None, None
-    a = params["w1"] @ x
-    a += params["b1"][:, None]
-    h = _act_np(spec, a)
-    y = params["w2"] @ h
-    y += params["b2"][:, None]
+    weight, bias = tuple(params)[-2:]
+    a = h = None
+    if spec.architecture != "linear_ci":
+        a = params["w1"] @ x
+        a += params["b1"][:, None]
+        x = h = _act_np(spec, a)
+    y = params[weight] @ x
+    y += params[bias][:, None]
     return y, a, h
 
 
@@ -349,13 +342,10 @@ def channel_gradient_rows(
         if name in blocks:
             blocks[name][...] = value
 
-    if spec.architecture == "linear_ci":
-        put_outer("weight", r, xm)
-        put("bias", r.transpose(0, 2, 1))
-    else:
-        put_outer("w2", r, h)
-        put("b2", r.transpose(0, 2, 1))
-    if blocks.keys() & {"w1", "b1", "mix"}:
+    weight, bias = tuple(shapes)[-2:]
+    put_outer(weight, r, xm if h is None else h)
+    put(bias, r.transpose(0, 2, 1))
+    if blocks.keys() - {weight, bias}:
         da = (params["w2"].T @ r) * _act_grad_np(spec, a, h)
         put_outer("w1", da, xm)
         put("b1", da.transpose(0, 2, 1))
@@ -437,9 +427,11 @@ def _batch_gradients(
     differently, and its mixing matrix gets their transpose times the input
     adjoint put back into row blocks.
 
-    Raises NonFiniteError for any non-finite forward value the tape would
-    have recorded, and ValueError for a non-finite gradient. Parameters are
-    not checked here: a ModelState's are finite, and train checks its own.
+    params come in param_shapes order, as a ModelState's do, so the last
+    two name the output layer. Raises NonFiniteError for any non-finite
+    forward value the tape would have recorded, and ValueError for a
+    non-finite gradient. Parameters are not checked here: a ModelState's
+    are finite, and train checks its own.
     """
     *lead, w, b_times_n = x.shape
     mixed = spec.architecture == "mlp_mix"
@@ -459,12 +451,12 @@ def _batch_gradients(
     g *= scale
 
     grads = {}
-    weight, bias = ("weight", "bias") if spec.architecture == "linear_ci" else ("w2", "b2")
+    weight, bias = tuple(params)[-2:]
     if weight in names:
         grads[weight] = g @ (x if h is None else h).mT
     if bias in names:
         grads[bias] = g.sum(axis=-1)
-    if {"w1", "b1", "mix"} & set(names):
+    if set(names) - {weight, bias}:
         da = params["w2"].T @ g
         da *= _act_grad_np(spec, a, h)
         if "w1" in names:
@@ -501,7 +493,7 @@ def train(
     w = spec.window
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
-    params = {name: np.array(v) for name, v in state.params.items()}
+    params = dict(state.params)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
         perm = rng.permutation(len(stack))
@@ -552,13 +544,6 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         f.write("\n")
 
 
-def _json_number(value, what: str) -> float:
-    # float() would also take "0.01" and true
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a JSON number, got {value!r}")
-    return float(value)
-
-
 def load_checkpoint(path: str) -> ModelState:
     try:
         with open(path, encoding="utf-8") as f:
@@ -574,9 +559,9 @@ def load_checkpoint(path: str) -> ModelState:
         spec = ModelSpec(**doc["spec"])
         params = {}
         for name, entry in doc["params"].items():
-            data = [_json_number(v, f"parameter {name!r} entry") for v in entry["data"]]
+            data = [_number(v, f"parameter {name!r} entry") for v in entry["data"]]
             params[name] = np.array(data, dtype=np.float64).reshape(entry["shape"])
-        return ModelState(spec, params, trained_lr=_json_number(doc["trained_lr"], "trained_lr"))
+        return ModelState(spec, params, trained_lr=_number(doc["trained_lr"], "trained_lr"))
     # OverflowError: float() of an integer beyond the float range
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, Windows, WindowStack, _integral, make_windows
+from .core import DatasetSplit, Windows, WindowStack, _integral, _readonly, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -43,10 +43,11 @@ class ChannelScoreTable:
     ranking: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = _readonly(self.scores)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError(f"scores must be a nonempty vector, got shape {scores.shape}")
-        scores.setflags(write=False)
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
         object.__setattr__(self, "scores", scores)
         ranking = tuple(int(i) for i in np.argsort(scores, kind="stable"))
         object.__setattr__(self, "ranking", ranking)
@@ -123,8 +124,7 @@ def _refit_mixing(
 ) -> ModelState:
     """Graft a fresh full-size mixing layer onto subset-trained shared maps
     and fit only that layer on all channels."""
-    params = {name: np.array(v) for name, v in subset_state.params.items()}
-    params["mix"] = np.array(init_params(spec, train_config.seed).params["mix"])
+    params = dict(subset_state.params, mix=init_params(spec, train_config.seed).params["mix"])
     state = ModelState(spec, params)
     mix_only = ParamSelector(f"{spec.architecture}/mixing", ("mix",))
     config = replace(train_config, epochs=refit_epochs)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chinf import anomaly, cli, data, models
+from chinf import anomaly, cli, core, data, models
 from chinf.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -143,6 +143,26 @@ class TestDetect:
         assert run("detect", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "normalize_per_channel: expected bool, got 'yes'" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_non_finite_threshold_exits_1(self, tmp_path, capsys):
+        # every window of a constant series scores the same, so flagging them
+        # all (threshold -inf) is the best F1 on the validation split
+        labels = np.zeros(80, dtype=np.int64)
+        labels[50:54] = labels[70:73] = 1
+        data.save_csv(core.MtsSeries(np.ones((80, 2)), ("a", "b"), labels),
+                      str(tmp_path / "series.csv"))
+        spec = models.ModelSpec("linear_ci", window=4, channels=2)
+        untrained = models.ModelState(spec, models.init_params(spec, 0).params, trained_lr=0.1)
+        models.save_checkpoint(untrained, str(tmp_path / "model.json"))
+        cfg = dict(json.loads((DATA / "detect.json").read_text()),
+                   series_csv=str(tmp_path / "series.csv"),
+                   checkpoint=str(tmp_path / "model.json"))
+        out = tmp_path / "out"
+        assert run("detect", "--config", write_config(tmp_path / "cfg.json", cfg),
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "threshold" in err
+        assert list(out.iterdir()) == []
 
 
 class TestInfluence:
@@ -841,7 +861,8 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
 
 # Checkpoint mutations for the fuzz test: a spec integer becomes a float, a
 # bool, a string or a negative number; trained_lr a string, a bool or a
-# negative number; one parameter entry a string or null.
+# negative number; one parameter entry a string, null or 1e160, which is
+# finite but makes gradient products overflow.
 SPEC_INTEGERS = ("window", "channels", "hidden", "horizon")
 
 
@@ -859,7 +880,7 @@ def checkpoint_mutations(draw, doc):
     name = draw(st.sampled_from(sorted(doc["params"])))
     data = doc["params"][name]["data"]
     i = draw(st.integers(0, len(data) - 1))
-    return ("params", name, "data", i), draw(st.sampled_from([repr(data[i]), None]))
+    return ("params", name, "data", i), draw(st.sampled_from([repr(data[i]), None, 1e160]))
 
 
 def test_mutated_checkpoints_exit_cleanly(pipeline):
@@ -868,6 +889,8 @@ def test_mutated_checkpoints_exit_cleanly(pipeline):
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(checkpoint_mutations(doc))
+    # an output-layer weight this large overflows the influence matrix
+    @example((("params", "w2", "data", 0), 1e160))
     def check(mutation):
         (*parents, key), value = mutation
         mutated = json.loads(json.dumps(doc))
@@ -877,14 +900,16 @@ def test_mutated_checkpoints_exit_cleanly(pipeline):
         target[key] = value
         with tempfile.TemporaryDirectory() as root:
             checkpoint = write_config(Path(root) / "model.json", mutated)
-            configs = {
-                "influence": {"series_csv": series, "checkpoint": checkpoint, "stride": 50},
-                "detect": dict(json.loads((DATA / "detect.json").read_text()),
-                               series_csv=series, checkpoint=checkpoint),
+            influence = {"series_csv": series, "checkpoint": checkpoint, "stride": 50}
+            runs = {
+                "influence": ("influence", influence),
+                "matrix": ("influence", dict(influence, mode="matrix", src_index=0, dst_index=3)),
+                "detect": ("detect", dict(json.loads((DATA / "detect.json").read_text()),
+                                          series_csv=series, checkpoint=checkpoint)),
             }
-            for command, cfg in configs.items():
-                path = write_config(Path(root) / f"{command}.json", cfg)
-                out = Path(root) / command
+            for name, (command, cfg) in runs.items():
+                path = write_config(Path(root) / f"{name}.json", cfg)
+                out = Path(root) / name
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                     code = main([command, "--config", path, "--out", str(out)])

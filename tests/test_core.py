@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chinf import anomaly, core, data, influence, models, pruning
+from chinf import anomaly, autodiff, core, data, influence, models, pruning
 
 
 def series(t=20, n=3, labels=None, seed=0):
@@ -124,6 +124,14 @@ class TestWindowStack:
         with pytest.raises(ValueError, match="nonempty"):
             wins[4:4]
 
+    def test_list_of_different_shapes_names_both(self):
+        five, six = core.MtsWindow(np.zeros((5, 2)), 4), core.MtsWindow(np.zeros((6, 2)), 5)
+        with pytest.raises(ValueError, match=r"one shape, got \(5, 2\) and \(6, 2\)"):
+            core.as_window_stack([five, five, six])
+        state = models.init_params(models.ModelSpec("linear_ci", 5, 2), 0)
+        with pytest.raises(ValueError, match=r"\(5, 2\) and \(6, 2\)"):
+            influence.influence_matrix(state, five, six, eta=1.0)
+
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError, match="nonempty and 3-D"):
             core.WindowStack(np.zeros((4, 3)), np.arange(4))
@@ -195,3 +203,53 @@ class TestSplit:
         b = core.MtsSeries(np.zeros((5, 3)), ("x", "y", "z"))
         with pytest.raises(ValueError, match="channel names"):
             core.DatasetSplit(a, b, b)
+
+
+def _report(**arrays):
+    scores = anomaly.ScoreSeries([0.0, 1.0], "cif_self_influence", (0, 1))
+    arrays = dict({"predictions": [0, 1], "labels": [0, 1]}, **arrays)
+    return anomaly.AnomalyReport(scores, scores, "mean_std", 0.5, precision=1.0, recall=1.0,
+                                 f1=1.0, **arrays)
+
+
+_LINEAR = models.ModelSpec("linear_ci", window=2, channels=1)
+
+# container field -> (the caller's array, the array the container holds of it)
+HOLDERS = {
+    "MtsSeries.values": (np.zeros((4, 2)), lambda a: core.MtsSeries(a, ("a", "b")).values),
+    "MtsSeries.timestep_labels": (
+        np.zeros(4, dtype=np.int64),
+        lambda a: core.MtsSeries(np.zeros((4, 1)), ("a",), a).timestep_labels,
+    ),
+    "MtsWindow.values": (np.zeros((2, 2)), lambda a: core.MtsWindow(a, 1).values),
+    "WindowStack.values": (np.zeros((1, 2, 2)), lambda a: core.WindowStack(a, [1]).values),
+    "WindowStack.origins": (
+        np.array([1], dtype=np.int64), lambda a: core.WindowStack(np.zeros((1, 2, 2)), a).origins
+    ),
+    "ModelState.params": (
+        np.zeros((2, 2)),
+        lambda a: models.ModelState(_LINEAR, {"weight": a, "bias": np.zeros(2)}).params["weight"],
+    ),
+    "GradientVector.values": (np.zeros(3), lambda a: autodiff.GradientVector(a, "s").values),
+    "InfluenceMatrix.values": (
+        np.zeros((2, 2)), lambda a: influence.InfluenceMatrix(a, 1.0, "s").values
+    ),
+    "ChannelScoreTable.scores": (np.zeros(3), lambda a: pruning.ChannelScoreTable(a).scores),
+    "ScoreSeries.scores": (
+        np.zeros(2), lambda a: anomaly.ScoreSeries(a, "cif_self_influence", (0, 1)).scores
+    ),
+    "AnomalyReport.predictions": (np.array([0, 1]), lambda a: _report(predictions=a).predictions),
+    "AnomalyReport.labels": (np.array([0, 1]), lambda a: _report(labels=a).labels),
+}
+
+
+@pytest.mark.parametrize("holder", list(HOLDERS))
+def test_container_holds_a_private_read_only_copy(holder):
+    given_array, hold = HOLDERS[holder]
+    mine = given_array.copy()
+    held = hold(mine)
+    assert mine.flags.writeable and not held.flags.writeable
+    assert not np.shares_memory(mine, held)
+    before = held.copy()
+    mine += 1
+    assert np.array_equal(held, before)

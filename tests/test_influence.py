@@ -8,6 +8,7 @@ from chinf import (
     ModelState,
     MtsWindow,
     TrainConfig,
+    channel_gradient,
     cif,
     influence_matrix,
     init_params,
@@ -79,6 +80,27 @@ class TestInfluenceMatrix:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             InfluenceMatrix(np.zeros((2, 3)), 1.0, "s")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            InfluenceMatrix(np.array([[1.0, bad], [0.0, 1.0]]), 1.0, "s")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises_in_every_route(self):
+        # finite windows and parameters whose gradient products overflow
+        state = init_params(ModelSpec("linear_ci", 4, 2), seed=0)
+        z = MtsWindow(np.full((4, 2), 1e150), origin_t=3)
+        g = channel_gradient(state, z, 0)
+        for route in (
+            lambda: cif(g, g, 0.1),
+            lambda: tracin(state, z, z, 0.1),
+            lambda: self_influence_per_channel(state, z, 0.1),
+        ):
+            with pytest.raises(autodiff.NonFiniteError, match="overflowed"):
+                route()
+        with pytest.raises(ValueError, match="non-finite"):
+            influence_matrix(state, z, z, 0.1)
 
     def test_total(self):
         m = InfluenceMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, "s")

@@ -54,6 +54,11 @@ class TestChannelScoreTable:
         with pytest.raises(TypeError):
             ChannelScoreTable(np.array([1.0, 2.0]), (0, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelScoreTable(np.array([1.0, bad]))
+
 
 class TestAccumulate:
     def test_single_window_is_its_self_influence(self):

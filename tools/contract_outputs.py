@@ -8,7 +8,10 @@ Runs synth, train, influence (self and matrix), detect (each method with the
 last_layer and the all selector) and prune, one subdirectory per run. Further
 first-pass runs cover influence self mode and cif detect with an explicit
 eta, and cif and reconstruction_error detect with per-channel median_iqr
-normalization, the threshold picked on test, and stride 2. A second
+normalization, the threshold picked on test, and stride 2. Two more train
+runs write a linear_ci forecaster (prune.json's model fields) and a relu
+mlp_ci checkpoint, so the init and training bytes of every architecture
+are compared directly (mlp_mix comes next). A second
 pass trains an mlp_mix forecaster (horizon 2) and runs influence (self and
 matrix), cif and tracin detect with the all selector, and an mlp_mix prune
 with m < N, which covers the mixing-matrix gradients, the forecasting
@@ -74,6 +77,13 @@ def runs():
     unseeded = fixture("prune.json", series_csv=prune_series)
     del unseeded["seeds"]
     yield "prune", "prune_seed1", unseeded, "--seed", "1"
+    # the other two architectures' checkpoints: a linear_ci forecaster with
+    # prune.json's model and SGD fields, and a relu mlp_ci
+    linear = fixture("prune.json", series_csv=prune_series)
+    for key in ("m", "strategies", "seeds"):
+        del linear[key]
+    yield "train", "train_linear", linear
+    yield "train", "train_relu", fixture("train.json", series_csv=series, activation="relu")
 
     mix = "train_mix/model.json"
     yield "train", "train_mix", fixture(
