@@ -8,6 +8,7 @@ arrays (core._readonly), so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -32,9 +33,10 @@ def _integral(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as a float; a ValueError for "0.01", True or None, which
-    float() would partly take, and OverflowError past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (or another real, such as a numpy scalar) as a float; a
+    ValueError for "0.01", True or None, which float() would partly take, and
+    OverflowError past the float range."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{what} must be a JSON number, got {value!r}")
     return float(value)
 

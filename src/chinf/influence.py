@@ -8,6 +8,13 @@ the matrix total recovers the whole-sample value. The diagonal of the
 self-influence matrix (eta * squared gradient norm per channel) is what the
 anomaly and pruning pipelines consume.
 
+The two come from different kernels. The matrix needs products of two
+channels' gradients, so influence_matrix takes the gradient rows
+(models.channel_gradient_rows). The diagonal needs only each row's squared
+norm, and each channel's gradient block is an outer product whose squared
+norm is the product of its factors' squared norms, so self_influence_rows
+takes factored norms (models.channel_gradient_norms) and writes no row.
+
 eta only rescales: every ranking built on these values is invariant to it.
 It defaults to the learning rate the model was trained with.
 """
@@ -20,9 +27,15 @@ import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
 from .core import MtsWindow, Windows, _readonly, as_window_stack
-from .models import ModelState, _selection, channel_gradient_rows, whole_gradient_rows
+from .models import (
+    ModelState,
+    _selection,
+    channel_gradient_norms,
+    channel_gradient_rows,
+    whole_gradient_rows,
+)
 
-# Gradient-row entries held at once by _chunked_scores (8 MB of float64)
+# Gradient-row entries held at once by tracin_self_scores (8 MB of float64)
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -166,8 +179,11 @@ def self_influence_rows(
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> np.ndarray:
-    """(windows, channels) self-influence diagonals of a stack or window list."""
-    return _chunked_scores(state, windows, eta, selector, per_channel=True)
+    """(windows, channels) self-influence diagonals of a stack or window list:
+    eta times models.channel_gradient_norms, which forms each squared norm
+    from the forward pass's factors without writing a gradient row."""
+    eta = _resolve_eta(state.trained_lr, eta)
+    return _checked_scores(eta * channel_gradient_norms(state, windows, selector))
 
 
 def tracin_self_scores(
@@ -176,16 +192,13 @@ def tracin_self_scores(
     eta: float | None = None,
     selector: ParamSelector | None = None,
 ) -> np.ndarray:
-    """(windows,) whole-window self-influence: tracin(state, w, w) for each w."""
-    return _chunked_scores(state, windows, eta, selector, per_channel=False)
+    """(windows,) whole-window self-influence: tracin(state, w, w) for each w.
 
-
-def _chunked_scores(state, windows, eta, selector, per_channel):
-    """eta * squared norm of each window's N channel gradient rows (with
-    per_channel) or its whole-window row, in the same chunks of windows
-    either way, so memory stays bounded. Each row is reduced the same way
-    whatever the chunk size, a whole-window row as a (1, P) @ (P, 1) product
-    that rounds like tracin's dot, so the result equals per-window values."""
+    eta times the squared norm of each window's whole_gradient_rows row,
+    taken a chunk of windows at a time so memory stays bounded. Each row is
+    reduced as a (1, P) @ (P, 1) product that rounds like tracin's dot,
+    whatever the chunk size, so the result equals per-window values.
+    """
     eta = _resolve_eta(state.trained_lr, eta)
     selector, shapes = _selection(state.spec, selector)
     windows = as_window_stack(windows)
@@ -193,13 +206,13 @@ def _chunked_scores(state, windows, eta, selector, per_channel):
     step = max(1, _CHUNK_ELEMENTS // per_window)
     parts = []
     for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
-        if per_channel:
-            rows = channel_gradient_rows(state, chunk, selector)
-            parts.append(np.einsum("bnp,bnp->bn", rows, rows))
-        else:
-            rows = whole_gradient_rows(state, chunk, selector)
-            parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    scores = eta * np.concatenate(parts)
+        rows = whole_gradient_rows(state, chunk, selector)
+        parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return _checked_scores(eta * np.concatenate(parts))
+
+
+def _checked_scores(scores: np.ndarray) -> np.ndarray:
+    """scores, or a NonFiniteError when a squared gradient norm overflowed."""
     if not np.isfinite(scores).all():
         raise NonFiniteError("self-influence overflowed")
     return scores

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -32,7 +31,8 @@ ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_FORMAT = "chinf-checkpoint"
 CHECKPOINT_VERSION = 1
 
-# Forward-pass entries held at once by channel_losses and mean_window_mse
+# Forward-pass entries held at once by channel_losses, mean_window_mse and
+# channel_gradient_norms
 _FORWARD_CHUNK_ENTRIES = 1 << 16
 
 
@@ -91,6 +91,19 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _rate(value, what: str) -> float:
+    """A learning rate as a float: a number (core._number) that is finite and
+    non-negative, with a ValueError for anything else, an integer past the
+    float range included."""
+    try:
+        rate = _number(value, what)
+    except OverflowError:
+        rate = math.inf
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
+    return rate
+
+
 @dataclass(frozen=True)
 class ModelState:
     spec: ModelSpec
@@ -115,8 +128,7 @@ class ModelState:
                 raise ValueError(f"parameter {name!r} has non-finite entries")
             frozen[name] = arr
         object.__setattr__(self, "params", frozen)
-        if not self.trained_lr >= 0:
-            raise ValueError(f"trained_lr must be non-negative, got {self.trained_lr}")
+        object.__setattr__(self, "trained_lr", _rate(self.trained_lr, "trained_lr"))
 
 
 @dataclass(frozen=True)
@@ -129,15 +141,10 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
-        if isinstance(self.learning_rate, bool) or not isinstance(self.learning_rate, Real):
-            raise ValueError(f"learning_rate must be a number, got {self.learning_rate!r}")
+        # 0 is allowed so a no-op training step stays expressible
+        object.__setattr__(self, "learning_rate", _rate(self.learning_rate, "learning_rate"))
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        # 0 is allowed so a no-op training step stays expressible
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(
-                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
-            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.seed < 0:
@@ -242,17 +249,22 @@ def window_loss(state: ModelState, window: MtsWindow) -> float:
     return float(d @ d)
 
 
-def _residual_chunks(state: ModelState, windows: Windows):
-    """Prediction-minus-target (b, out_rows, N) stacks, a chunk of windows
+def _forward_chunks(spec: ModelSpec, windows: Windows):
+    """(inputs, targets) views of a stack or window list, a chunk of windows
     at a time, so inputs, activations and residuals stay in a fixed budget."""
-    spec = state.spec
     inputs, targets = _split_xy(spec, as_window_stack(windows))
     # x and mixed x, hidden a and h, then prediction, target and residual
     rows_per_channel = 2 * spec.window + 2 * spec.hidden + 3 * spec.out_rows
     step = max(1, _FORWARD_CHUNK_ENTRIES // (inputs.shape[2] * rows_per_channel))
     for start in range(0, len(inputs), step):
         chunk = slice(start, start + step)
-        yield _forward_parts(spec, state.params, inputs[chunk])[0] - targets[chunk]
+        yield inputs[chunk], targets[chunk]
+
+
+def _residual_chunks(state: ModelState, windows: Windows):
+    """Prediction-minus-target (b, out_rows, N) stacks, one per forward chunk."""
+    for x, target in _forward_chunks(state.spec, windows):
+        yield _forward_parts(state.spec, state.params, x)[0] - target
 
 
 def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
@@ -294,6 +306,34 @@ def _selection(
     return selector, shapes
 
 
+def _channel_factors(
+    spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, target: np.ndarray, names
+):
+    """The forward pass and hand-derived backward step that both per-channel
+    kernels build on, for a (B, window, N) input stack and its targets.
+
+    With residual r = 2 (y - t), channel j's loss reaches the output layer
+    only through column j, so its output weight gradient is r_j v_j^T, v_j
+    being column j of the output layer's input (h, or the mixed input xm for
+    linear_ci), and its output bias gradient is r_j. One more step gives the
+    hidden layer, da_j = (W2^T r_j) * act'(a_j), whose weight gradient is
+    da_j xm_j^T, and the mixing matrix gets channel j's signal in its column
+    j only: c_j, column j of x^T (W1^T da). Returns (r, v, xm, da, c), each
+    (B, rows, N) but c (B, N, N); da is None unless a hidden-layer parameter
+    is among `names`, and c unless "mix" is.
+    """
+    y, xm, a, h = _forward_parts(spec, params, x)
+    # an overflow in the mixed input reaches a (or y) too
+    _check_finite("forward pass", a, y)
+    r = 2.0 * (y - target)
+    da = c = None
+    if set(names) - set(tuple(params)[-2:]):
+        da = (params["w2"].T @ r) * _act_grad_np(spec, a, h)
+        if "mix" in names:
+            c = x.transpose(0, 2, 1) @ (params["w1"].T @ da)
+    return r, xm if h is None else h, xm, da, c
+
+
 def channel_gradient_rows(
     state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
@@ -301,12 +341,10 @@ def channel_gradient_rows(
 
     Row [b, j] is window b's channel-j loss gradient over the selected
     parameters, in selector order and row-major within each parameter (the
-    layout of autodiff.backward). One batched forward pass plus the
-    hand-derived backward step: with residual r = 2 (y - t), channel j's
-    loss reaches the output layer only through column j, so its output
-    weight gradient is r_j h_j^T and its output bias gradient is r_j. One
-    more step gives the hidden layer, da_j = (W2^T r_j) * act'(a_j), and the
-    mixing matrix gets channel j's signal in its column j only.
+    layout of autodiff.backward), written out from _channel_factors. The
+    rows serve influence_matrix, which needs the products of two channels'
+    gradients, and channel_gradients; the self-influence diagonal comes
+    from channel_gradient_norms instead, and the tests hold it to these rows.
 
     The rows are C-contiguous: reductions over them then run in the same
     order for every batch size, so results do not depend on how callers
@@ -314,12 +352,8 @@ def channel_gradient_rows(
     """
     spec = state.spec
     selector, shapes = _selection(spec, selector)
-    params = state.params
     x, target = _split_xy(spec, as_window_stack(windows))
-    y, xm, a, h = _forward_parts(spec, params, x)
-    # an overflow in the mixed input reaches a (or y) too
-    _check_finite("forward pass", a, y)
-    r = 2.0 * (y - target)
+    r, v, xm, da, c = _channel_factors(spec, state.params, x, target, selector.names)
     b, _, n = r.shape
 
     sizes = [math.prod(shapes[name]) for name in selector.names]
@@ -343,21 +377,59 @@ def channel_gradient_rows(
             blocks[name][...] = value
 
     weight, bias = tuple(shapes)[-2:]
-    put_outer(weight, r, xm if h is None else h)
+    put_outer(weight, r, v)
     put(bias, r.transpose(0, 2, 1))
-    if blocks.keys() - {weight, bias}:
-        da = (params["w2"].T @ r) * _act_grad_np(spec, a, h)
+    if da is not None:
         put_outer("w1", da, xm)
         put("b1", da.transpose(0, 2, 1))
-        if "mix" in blocks:
-            # column j of the mixing matrix is x^T (W1^T da_j), the rest is 0
-            c = x.transpose(0, 2, 1) @ (params["w1"].T @ da)
-            mix = blocks["mix"]
-            mix[...] = 0.0
-            cols = np.arange(n)
-            mix[:, cols, :, cols] = c.transpose(2, 0, 1)
+    if c is not None:
+        # column j of the mixing matrix is c_j, the rest is 0
+        mix = blocks["mix"]
+        mix[...] = 0.0
+        cols = np.arange(n)
+        mix[:, cols, :, cols] = c.transpose(2, 0, 1)
     _check_finite("channel gradients", rows)
     return rows
+
+
+def _column_norms(u: np.ndarray) -> np.ndarray:
+    """(B, N) squared norms of the channel columns of a (B, k, N) stack."""
+    return np.einsum("bkn,bkn->bn", u, u)
+
+
+def channel_gradient_norms(
+    state: ModelState, windows: Windows, selector: ParamSelector | None = None
+) -> np.ndarray:
+    """(B, N) squared norms of the channel_gradient_rows rows, with no row
+    written: the self-influence diagonal that detect and prune read.
+
+    Each channel's gradient block is an outer product of two of the
+    _channel_factors columns, and ||u v^T||^2 = ||u||^2 ||v||^2, so each
+    selected parameter adds a product of column norms: the output weight
+    ||r_j||^2 ||v_j||^2, the output bias ||r_j||^2, w1 ||da_j||^2 ||xm_j||^2,
+    b1 ||da_j||^2 and mix ||c_j||^2 (the per-example gradient norm trick,
+    applied per channel). The terms are summed in selector order, a chunk of
+    windows at a time (_forward_chunks), so memory stays that of the
+    forward pass and each window's value does not depend on the chunking.
+
+    A norm that overflows comes back as an infinity, not an error; the
+    forward pass is checked as in channel_gradient_rows.
+    """
+    spec = state.spec
+    selector = _selection(spec, selector)[0]
+    weight, bias = tuple(param_shapes(spec))[-2:]
+    parts = []
+    for x, target in _forward_chunks(spec, windows):
+        r, v, xm, da, c = _channel_factors(spec, state.params, x, target, selector.names)
+        r2 = _column_norms(r)
+        terms = {weight: r2 * _column_norms(v), bias: r2}
+        if da is not None:
+            da2 = _column_norms(da)
+            terms.update(w1=da2 * _column_norms(xm), b1=da2)
+        if c is not None:
+            terms["mix"] = _column_norms(c)
+        parts.append(sum(terms[name] for name in selector.names))
+    return np.concatenate(parts)
 
 
 def channel_gradients(

@@ -164,6 +164,28 @@ class TestDetect:
         assert err.count("\n") == 1 and "threshold" in err
         assert list(out.iterdir()) == []
 
+    def test_gradient_row_overflow_exits_1(self, tmp_path, capsys):
+        # the forward pass, residuals (4e200) and inputs (1e200) are finite,
+        # and their outer product, the output weight's gradient rows, is not
+        labels = np.zeros(40, dtype=np.int64)
+        labels[30:33] = 1
+        data.save_csv(core.MtsSeries(np.full((40, 2), 1e200), ("a", "b"), labels),
+                      str(tmp_path / "series.csv"))
+        spec = models.ModelSpec("linear_ci", window=4, channels=2)
+        state = models.ModelState(
+            spec, {"weight": np.zeros((4, 4)), "bias": np.full(4, 3e200)}, trained_lr=0.1
+        )
+        models.save_checkpoint(state, str(tmp_path / "model.json"))
+        cfg = dict(json.loads((DATA / "detect.json").read_text()),
+                   series_csv=str(tmp_path / "series.csv"),
+                   checkpoint=str(tmp_path / "model.json"))
+        out = tmp_path / "out"
+        assert run("detect", "--config", write_config(tmp_path / "cfg.json", cfg),
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "self-influence overflowed" in err
+        assert list(out.iterdir()) == []
+
 
 class TestInfluence:
     def influence_config(self, pipeline, tmp_path, **overrides):

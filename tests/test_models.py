@@ -13,6 +13,7 @@ from chinf import (
     TrainConfig,
     all_params_selector,
     channel_gradient,
+    channel_gradient_norms,
     channel_gradient_rows,
     channel_gradients,
     channel_loss,
@@ -115,6 +116,17 @@ class TestModelState:
         spec = ModelSpec("linear_ci", 3, 2)
         with pytest.raises(ValueError, match="do not match"):
             ModelState(spec, {"weight": np.zeros((3, 3))})
+
+    @pytest.mark.parametrize(
+        "lr",
+        [float("inf"), float("nan"), -0.1, pytest.param(10**400, id="int_past_float_range"),
+         "0.1", True],
+    )
+    def test_rejects_bad_trained_lr(self, lr):
+        spec = ModelSpec("linear_ci", 3, 2)
+        params = init_params(spec, seed=0).params
+        with pytest.raises(ValueError, match="^trained_lr must be"):
+            ModelState(spec, params, trained_lr=lr)
 
     def test_params_are_frozen(self):
         state = identity_linear(3, 2)
@@ -357,17 +369,33 @@ class TestChannelGradientRows:
         with pytest.raises(ValueError, match="nonempty"):
             channel_gradient_rows(identity_linear(3, 2), [])
 
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_norms_match_row_einsum(self, architecture, activation, horizon):
+        rng = np.random.default_rng(63)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, activation=activation, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = [random_window(rng, spec.total_rows, 3) for _ in range(7)]
+        # last layer, all, and each parameter alone (w1 and mix among them)
+        for _, selector in kernel_selectors(spec):
+            rows = channel_gradient_rows(state, windows, selector)
+            want = np.einsum("bnp,bnp->bn", rows, rows)
+            got = channel_gradient_norms(state, windows, selector)
+            assert got.shape == want.shape and (want > 0).any(), selector.selector_id
+            # relative, so a dead relu channel's 0 must come out exactly 0
+            err = np.abs(got - want)
+            assert (err <= 1e-12 * want).all(), (selector.selector_id, np.max(err / want))
+
     def test_chunked_list_equals_per_window_results(self, monkeypatch):
         rng = np.random.default_rng(62)
         spec = ModelSpec("mlp_ci", 6, 4, hidden=5)
         state = init_params(spec, seed=3)
         windows = [random_window(rng, 6, 4) for _ in range(23)]
+        # one window's forward entries: 4 channels x (2*6 + 2*5 + 3*6) rows;
+        # chunks of 5 windows, the last one short
+        monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", 5 * 4 * 40 + 1)
         for selector in (last_layer_selector(spec), all_params_selector(spec)):
-            per_window_size = 4 * sum(
-                int(np.prod(param_shapes(spec)[name])) for name in selector.names
-            )
-            # chunks of 5 windows, the last one short
-            monkeypatch.setattr(influence, "_CHUNK_ELEMENTS", 5 * per_window_size + 1)
             chunked = influence.self_influence_rows(state, windows, 0.1, selector)
             one_by_one = np.array(
                 [influence.self_influence_per_channel(state, w, 0.1, selector) for w in windows]
@@ -388,6 +416,21 @@ class TestChannelGradientRows:
                 channel_gradient_rows(state, [win], all_params_selector(spec))
             with pytest.raises(ValueError, match="non-finite"):
                 influence.self_influence_rows(state, [win], eta=1.0)
+
+    def test_row_overflow_raises(self):
+        # finite forward pass, residual and input whose outer product, a
+        # gradient row entry, overflows
+        spec = ModelSpec("linear_ci", 2, 1)
+        state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.full(2, 3e200)})
+        win = MtsWindow(np.full((2, 1), 1e200), origin_t=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.NonFiniteError, match="channel gradients produced non-finite"):
+                channel_gradient_rows(state, [win])
+            # the kernel reports the overflow as an infinity, the caller raises
+            assert np.isinf(channel_gradient_norms(state, [win])).all()
+            for _, selector in kernel_selectors(spec):
+                with pytest.raises(ad.NonFiniteError, match="self-influence overflowed"):
+                    influence.self_influence_rows(state, [win], 1.0, selector)
 
     def test_score_overflow_raises(self):
         # finite forward pass and gradient rows whose squared norm overflows
@@ -506,7 +549,9 @@ class TestTrain:
         assert np.array_equal(out.params["b1"], state.params["b1"])
         assert not np.array_equal(out.params["w2"], state.params["w2"])
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.01])
+    @pytest.mark.parametrize(
+        "lr", [float("nan"), float("inf"), -0.01, pytest.param(10**400, id="int_past_float_range")]
+    )
     def test_rejects_bad_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be finite and non-negative"):
             TrainConfig(learning_rate=lr)
@@ -520,8 +565,8 @@ class TestTrain:
             ("batch_size", float("nan"), "batch_size must be an integer, got nan"),
             ("seed", 1.5, "seed must be an integer, got 1.5"),
             ("seed", False, "seed must be an integer, got False"),
-            ("learning_rate", True, "learning_rate must be a number, got True"),
-            ("learning_rate", "0.01", "learning_rate must be a number, got '0.01'"),
+            ("learning_rate", True, "learning_rate must be a JSON number, got True"),
+            ("learning_rate", "0.01", "learning_rate must be a JSON number, got '0.01'"),
         ],
         ids=["epochs_bool", "epochs_half", "batch_half", "batch_nan", "seed_half", "seed_bool",
              "learning_rate_bool", "learning_rate_str"],

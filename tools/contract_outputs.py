@@ -3,6 +3,7 @@
 Usage, from the root of a chinf checkout:
 
     python3 tools/contract_outputs.py OUT_DIR
+    python3 tools/contract_outputs.py --compare OLD_DIR NEW_DIR
 
 Runs synth, train, influence (self and matrix), detect (each method with the
 last_layer and the all selector) and prune, one subdirectory per run. Further
@@ -22,14 +23,25 @@ so that training at BLAS widths is compared bit for bit too. Two runs take
 the --seed flag: synth, and prune from a config without a seeds list. Paths
 inside the configs are relative to OUT_DIR, so the manifests do not name it
 and the trees of two checkouts compare with ``diff -r``.
+
+``--compare`` reads two such trees, say from two checkouts, and prints each
+file whose bytes differ. For a CSV file it names the columns that moved and
+for a JSON file the keys (list positions written ``[]``), each with the
+number of values that moved and the largest relative move
+|new - old| / max(|old|, |new|). It exits 1 when any other field differs: a
+file only one tree has, a header, a row count, an integer, a string, a
+non-finite value, or any byte of another kind of file. A change that only
+moves the last bits of floats thus exits 0.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import os
 import sys
+from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -125,7 +137,108 @@ def write_all(out_dir):
             raise SystemExit(f"{command} ({name}) exited {code}")
 
 
+def _tree(root):
+    """Paths of the files under root, relative to it."""
+    return {
+        os.path.relpath(os.path.join(parent, name), root)
+        for parent, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def _float_text(text):
+    """The value of a CSV cell written as a float (1.5, 2e-07, inf), else None."""
+    try:
+        int(text)
+        return None
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _move(old, new, field, moves, problems):
+    """Record a float field's relative move, or a problem for anything else."""
+    if all(isinstance(v, float) and math.isfinite(v) for v in (old, new)):
+        moves[field].append(abs(new - old) / max(abs(old), abs(new)))
+    else:
+        problems.append(f"{field}: {old!r} -> {new!r}")
+
+
+def _compare_json(old, new, field, moves, problems):
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            problems.append(f"{field or '<root>'}: keys {sorted(old)} -> {sorted(new)}")
+            return
+        for key in old:
+            _compare_json(old[key], new[key], f"{field}.{key}" if field else key, moves, problems)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            problems.append(f"{field}: length {len(old)} -> {len(new)}")
+            return
+        for a, b in zip(old, new):
+            _compare_json(a, b, f"{field}[]", moves, problems)
+    elif type(old) is not type(new) or old != new:
+        _move(old, new, field, moves, problems)
+
+
+def _compare_csv(old_text, new_text, moves, problems):
+    old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
+    if len(old_lines) != len(new_lines) or old_lines[:1] != new_lines[:1]:
+        problems.append(f"header or row count: {old_lines[:1]} ({len(old_lines)} lines) -> "
+                        f"{new_lines[:1]} ({len(new_lines)} lines)")
+        return
+    header = old_lines[0].split(",")
+    for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
+        old_cells, new_cells = old_line.split(","), new_line.split(",")
+        if len(old_cells) != len(header) or len(new_cells) != len(header):
+            problems.append(f"row shape: {old_line!r} -> {new_line!r}")
+            continue
+        for name, a, b in zip(header, old_cells, new_cells):
+            if a != b:
+                _move(_float_text(a), _float_text(b), name, moves, problems)
+
+
+def compare(old_root, new_root, out=sys.stdout):
+    """Print what differs between two output trees; 1 if a non-float field does."""
+    old_files, new_files = _tree(old_root), _tree(new_root)
+    failed = False
+    for path in sorted(old_files ^ new_files):
+        print(f"only in {old_root if path in old_files else new_root}: {path}", file=out)
+        failed = True
+    changed = 0
+    for path in sorted(old_files & new_files):
+        with open(os.path.join(old_root, path), "rb") as f:
+            old = f.read()
+        with open(os.path.join(new_root, path), "rb") as f:
+            new = f.read()
+        if old == new:
+            continue
+        changed += 1
+        moves, problems = defaultdict(list), []
+        if path.endswith(".json"):
+            _compare_json(json.loads(old), json.loads(new), "", moves, problems)
+        elif path.endswith(".csv"):
+            _compare_csv(old.decode("utf-8"), new.decode("utf-8"), moves, problems)
+        else:
+            problems.append("bytes differ")
+        print(f"changed: {path}", file=out)
+        for field, values in sorted(moves.items()):
+            print(f"  {field}: {len(values)} moved, largest relative move {max(values):.2g}",
+                  file=out)
+        for problem in problems:
+            print(f"  NOT A FLOAT MOVE {problem}", file=out)
+        failed = failed or bool(problems)
+    print(f"{changed} of {len(old_files & new_files)} common files changed; "
+          f"{'non-float fields differ' if failed else 'only float fields moved'}", file=out)
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        raise SystemExit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        raise SystemExit("usage: contract_outputs.py OUT_DIR")
+        raise SystemExit("usage: contract_outputs.py OUT_DIR | --compare OLD_DIR NEW_DIR")
     write_all(sys.argv[1])
