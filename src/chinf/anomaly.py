@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MtsSeries, Windows, _origin_vector, _readonly, as_window_stack, make_windows
+from .core import MtsSeries, Windows, _integral, _origin_vector, _readonly, as_window_stack
+from .core import make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel  # noqa: F401
@@ -79,8 +80,13 @@ class DetectConfig:
             raise ValueError(
                 f"threshold_on must be 'val' or 'test', got {self.threshold_on!r}"
             )
+        object.__setattr__(self, "stride", _integral(self.stride, "stride"))
         if self.stride < 1:
             raise ValueError(f"stride must be positive, got {self.stride}")
+        if not isinstance(self.normalize_per_channel, bool):
+            raise ValueError(
+                f"normalize_per_channel must be a bool, got {self.normalize_per_channel!r}"
+            )
         if self.normalize_per_channel and self.method == "tracin_self_influence":
             raise ValueError(
                 "per-channel normalization is not defined for tracin_self_influence"

@@ -199,6 +199,8 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
     index of its last row. Returns floor((T - w) / stride) + 1 windows as
     one stack, copied once out of the series.
     """
+    w = _integral(w, "window length")
+    stride = _integral(stride, "stride")
     if w < 1:
         raise ValueError(f"window length must be >= 1, got {w}")
     if stride < 1:

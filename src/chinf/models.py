@@ -199,32 +199,41 @@ def _act_np(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _shared_map(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
-    """The per-channel map on already-mixed input with `window` rows.
-
-    Returns the prediction and the hidden pre- and post-activations (None
-    for linear_ci) that the closed-form backward steps reuse.
-    """
-    weight, bias = tuple(params)[-2:]
-    a = h = None
-    if spec.architecture != "linear_ci":
-        a = params["w1"] @ x
-        a += params["b1"][:, None]
-        x = h = _act_np(spec, a)
-    y = params[weight] @ x
-    y += params[bias][:, None]
-    return y, a, h
+def _row_stacked(x: np.ndarray, n: int) -> np.ndarray:
+    """Column-stacked windows (..., window, b*N) as (..., b*window, N), the
+    windows' rows one under another: the layout mlp_mix mixes in, since a
+    gemm on reordered rows can round differently. b = 1 comes back as is."""
+    *lead, w, b_times_n = x.shape
+    if b_times_n == n:
+        return x
+    return x.reshape(*lead, w, -1, n).swapaxes(-3, -2).reshape(*lead, -1, n)
 
 
 def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
-    """Forward pass on one (window, N) input or a (B, window, N) stack.
+    """Forward pass on column-stacked windows (..., window, b*N); one
+    (window, N) window and a (B, window, N) stack are the case b = 1.
 
-    Returns the prediction together with the mixed input and the hidden
-    pre- and post-activations (None for linear_ci).
+    Returns the prediction and the parts that _factors reuses: the input as
+    mixed (x, or its _row_stacked copy), the mixed input in x's layout, and
+    the hidden pre- and post-activations (None for linear_ci). This is the
+    one place the mixing matrix is applied, row-stacked as in the tape oracle.
     """
-    xm = x @ params["mix"] if spec.architecture == "mlp_mix" else x
-    y, a, h = _shared_map(spec, params, xm)
-    return y, xm, a, h
+    x_rows = xm = x
+    if spec.architecture == "mlp_mix":
+        n = spec.channels
+        x_rows = _row_stacked(x, n)
+        xm = x_rows @ params["mix"]
+        if x_rows is not x:
+            xm = xm.reshape(*x.shape[:-2], -1, spec.window, n).swapaxes(-3, -2).reshape(x.shape)
+    weight, bias = tuple(params)[-2:]
+    a = h = None
+    if spec.architecture != "linear_ci":
+        a = params["w1"] @ xm
+        a += params["b1"][:, None]
+        h = _act_np(spec, a)
+    y = params[weight] @ (xm if h is None else h)
+    y += params[bias][:, None]
+    return y, x_rows, xm, a, h
 
 
 def reconstruct(state: ModelState, window: MtsWindow) -> np.ndarray:
@@ -306,32 +315,42 @@ def _selection(
     return selector, shapes
 
 
-def _channel_factors(
-    spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, target: np.ndarray, names
-):
-    """The forward pass and hand-derived backward step that both per-channel
-    kernels build on, for a (B, window, N) input stack and its targets.
+def _factors(spec: ModelSpec, params, g, x_rows, xm, a, h, names) -> dict[str, tuple]:
+    """The backward step, written once: each named parameter's gradient as
+    a factor pair (u, v), from the loss adjoint g = dL/dy and the parts of
+    the forward pass (_forward_parts).
 
-    With residual r = 2 (y - t), channel j's loss reaches the output layer
-    only through column j, so its output weight gradient is r_j v_j^T, v_j
-    being column j of the output layer's input (h, or the mixed input xm for
-    linear_ci), and its output bias gradient is r_j. One more step gives the
-    hidden layer, da_j = (W2^T r_j) * act'(a_j), whose weight gradient is
-    da_j xm_j^T, and the mixing matrix gets channel j's signal in its column
-    j only: c_j, column j of x^T (W1^T da). Returns (r, v, xm, da, c), each
-    (B, rows, N) but c (B, N, N); da is None unless a hidden-layer parameter
-    is among `names`, and c unless "mix" is.
+    The output weight is (g, h), or (g, xm) for linear_ci, and the output
+    bias (g, None). The hidden adjoint da = (W2^T g) * act'(a), formed only
+    when a hidden-layer parameter is named, gives w1 (da, xm) and b1
+    (da, None); mix pairs the row-stacked input and input adjoint W1^T da.
+    Over all columns a pair contracts to u v^T, the row sums of u when v is
+    None, and u^T v for mix (_batch_gradients). With b = 1, channel j's
+    gradient is column j's: the outer product of the columns j, column j of
+    u, or a mixing block whose only nonzero column j is that of u^T v
+    (channel_gradient_rows, channel_gradient_norms). params come in
+    param_shapes order, so the last two name the output layer.
     """
-    y, xm, a, h = _forward_parts(spec, params, x)
+    weight, bias = tuple(params)[-2:]
+    table = {weight: (g, xm if h is None else h), bias: (g, None)}
+    if set(names) - {weight, bias}:
+        da = params["w2"].T @ g
+        da *= _act_grad_np(spec, a, h)
+        table.update(w1=(da, xm), b1=(da, None))
+        if "mix" in names:
+            table["mix"] = (x_rows, _row_stacked(params["w1"].T @ da, spec.channels))
+    return {name: table[name] for name in names}
+
+
+def _channel_factors(spec: ModelSpec, params, x, target, names) -> dict[str, tuple]:
+    """_factors of a (B, window, N) stack's per-channel losses, whose
+    adjoint is r = 2 (y - t), after the forward pass is checked."""
+    y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     # an overflow in the mixed input reaches a (or y) too
     _check_finite("forward pass", a, y)
-    r = 2.0 * (y - target)
-    da = c = None
-    if set(names) - set(tuple(params)[-2:]):
-        da = (params["w2"].T @ r) * _act_grad_np(spec, a, h)
-        if "mix" in names:
-            c = x.transpose(0, 2, 1) @ (params["w1"].T @ da)
-    return r, xm if h is None else h, xm, da, c
+    r = np.subtract(y, target, out=y)
+    r *= 2.0
+    return _factors(spec, params, r, x_rows, xm, a, h, names)
 
 
 def channel_gradient_rows(
@@ -341,10 +360,11 @@ def channel_gradient_rows(
 
     Row [b, j] is window b's channel-j loss gradient over the selected
     parameters, in selector order and row-major within each parameter (the
-    layout of autodiff.backward), written out from _channel_factors. The
-    rows serve influence_matrix, which needs the products of two channels'
-    gradients, and channel_gradients; the self-influence diagonal comes
-    from channel_gradient_norms instead, and the tests hold it to these rows.
+    layout of autodiff.backward): channel j's contraction of each _factors
+    pair. The rows serve influence_matrix, which needs the products of two
+    channels' gradients, and channel_gradients. The tests hold them to the
+    tape oracle (bit for bit for the last layer, 1e-12 otherwise) and to
+    finite differences.
 
     The rows are C-contiguous: reductions over them then run in the same
     order for every batch size, so results do not depend on how callers
@@ -353,41 +373,25 @@ def channel_gradient_rows(
     spec = state.spec
     selector, shapes = _selection(spec, selector)
     x, target = _split_xy(spec, as_window_stack(windows))
-    r, v, xm, da, c = _channel_factors(spec, state.params, x, target, selector.names)
-    b, _, n = r.shape
+    table = _channel_factors(spec, state.params, x, target, selector.names)
+    b, _, n = x.shape
 
     sizes = [math.prod(shapes[name]) for name in selector.names]
     rows = np.empty((b, n, sum(sizes)))
-    # (B, N, *shape) views of rows, one per selected parameter; splitting the
-    # contiguous last axis never copies, so writing a block fills the rows
-    blocks = {}
     pos = 0
-    for name, size in zip(selector.names, sizes):
-        blocks[name] = rows[:, :, pos : pos + size].reshape(b, n, *shapes[name])
+    for (name, (u, v)), size in zip(table.items(), sizes):
+        # a (B, N, *shape) view: splitting the contiguous last axis never
+        # copies, so writing the block fills the rows
+        block = rows[:, :, pos : pos + size].reshape(b, n, *shapes[name])
         pos += size
-
-    def put_outer(name, u, v):
-        # per channel j: u[:, :, j] v[:, :, j]^T of (B, k, N) and (B, l, N)
-        if name in blocks:
-            u_t, v_t = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
-            np.multiply(u_t[:, :, :, None], v_t[:, :, None, :], out=blocks[name])
-
-    def put(name, value):
-        if name in blocks:
-            blocks[name][...] = value
-
-    weight, bias = tuple(shapes)[-2:]
-    put_outer(weight, r, v)
-    put(bias, r.transpose(0, 2, 1))
-    if da is not None:
-        put_outer("w1", da, xm)
-        put("b1", da.transpose(0, 2, 1))
-    if c is not None:
-        # column j of the mixing matrix is c_j, the rest is 0
-        mix = blocks["mix"]
-        mix[...] = 0.0
-        cols = np.arange(n)
-        mix[:, cols, :, cols] = c.transpose(2, 0, 1)
+        if v is None:
+            block[...] = u.mT
+        elif name == "mix":
+            block[...] = 0.0
+            cols = np.arange(n)
+            block[:, cols, :, cols] = (u.mT @ v).transpose(2, 0, 1)
+        else:
+            np.multiply(u.mT[..., None], v.mT[..., None, :], out=block)
     _check_finite("channel gradients", rows)
     return rows
 
@@ -397,38 +401,50 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
     return np.einsum("bkn,bkn->bn", u, u)
 
 
+def _norm_product(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """u2 * v2, but 0 where either is 0, as a zero factor makes its block of
+    the rows 0, where 0 * inf gives NaN."""
+    product = u2 * v2
+    if np.isnan(product).any():
+        product[(u2 == 0) | (v2 == 0)] = 0.0
+    return product
+
+
 def channel_gradient_norms(
     state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
     """(B, N) squared norms of the channel_gradient_rows rows, with no row
     written: the self-influence diagonal that detect and prune read.
 
-    Each channel's gradient block is an outer product of two of the
-    _channel_factors columns, and ||u v^T||^2 = ||u||^2 ||v||^2, so each
-    selected parameter adds a product of column norms: the output weight
-    ||r_j||^2 ||v_j||^2, the output bias ||r_j||^2, w1 ||da_j||^2 ||xm_j||^2,
-    b1 ||da_j||^2 and mix ||c_j||^2 (the per-example gradient norm trick,
-    applied per channel). The terms are summed in selector order, a chunk of
-    windows at a time (_forward_chunks), so memory stays that of the
-    forward pass and each window's value does not depend on the chunking.
+    Channel j's block of a _factors pair is the outer product of their
+    columns j, and ||u v^T||^2 = ||u||^2 ||v||^2 (the per-example gradient
+    norm trick, applied per channel), so each selected parameter adds a
+    product of column norms (_norm_product); a bias adds ||u_j||^2, and mix
+    the squared norm of column j of u^T v. The terms are summed in
+    selector order, a chunk of windows at a time (_forward_chunks), so
+    memory stays that of the forward pass and each window's value does not
+    depend on the chunking. The tests hold the result to the rows at 1e-12.
 
     A norm that overflows comes back as an infinity, not an error; the
     forward pass is checked as in channel_gradient_rows.
     """
     spec = state.spec
     selector = _selection(spec, selector)[0]
-    weight, bias = tuple(param_shapes(spec))[-2:]
     parts = []
-    for x, target in _forward_chunks(spec, windows):
-        r, v, xm, da, c = _channel_factors(spec, state.params, x, target, selector.names)
-        r2 = _column_norms(r)
-        terms = {weight: r2 * _column_norms(v), bias: r2}
-        if da is not None:
-            da2 = _column_norms(da)
-            terms.update(w1=da2 * _column_norms(xm), b1=da2)
-        if c is not None:
-            terms["mix"] = _column_norms(c)
-        parts.append(sum(terms[name] for name in selector.names))
+    # _norm_product puts right the NaN of 0 * inf
+    with np.errstate(invalid="ignore"):
+        for x, target in _forward_chunks(spec, windows):
+            table = _channel_factors(spec, state.params, x, target, selector.names)
+            # a bias shares its weight's u, so each distinct factor is squared once
+            distinct = {id(f): f for name, pair in table.items() if name != "mix" for f in pair}
+            squares = {key: _column_norms(f) for key, f in distinct.items() if f is not None}
+            terms = [
+                _column_norms(u.mT @ v) if name == "mix"
+                else squares[id(u)] if v is None
+                else _norm_product(squares[id(u)], squares[id(v)])
+                for name, (u, v) in table.items()
+            ]
+            parts.append(sum(terms))
     return np.concatenate(parts)
 
 
@@ -467,8 +483,9 @@ def whole_gradient_rows(
     """(B, P) gradients of each window's loss (the sum of squared errors, not
     their mean): train's closed-form step on B one-window batches stacked
     along a leading axis (the per-example layout), so row b does not depend
-    on B. Derived apart from channel_gradient_rows, so the per-channel
-    gradients summing to a row is a check, not an identity of the code."""
+    on B. The rows and channel_gradient_rows contract the same _factors
+    table; the per-channel rows summing to a row is checked against the
+    tape oracle and finite differences in the tests."""
     spec = state.spec
     selector = _selection(spec, selector)[0]
     x, target = _split_xy(spec, as_window_stack(windows))
@@ -484,7 +501,8 @@ def _batch_gradients(
     names: tuple[str, ...],
     scale: float,
 ) -> dict[str, np.ndarray]:
-    """Gradients of scale times one batch's sum of squared errors.
+    """Gradients of scale times one batch's sum of squared errors: the
+    _factors pairs contracted over every column.
 
     A batch of b windows comes column-stacked, x (window, b*N) and t
     (out_rows, b*N) with window k in columns kN to (k+1)N; a leading axis on
@@ -492,54 +510,29 @@ def _batch_gradients(
     stack is already in this layout). train passes scale = 1 / t.size (the
     batch mean), whole_gradient_rows 1 (one window's sum). The arithmetic
     and operand layouts are those of the tape oracle in tests/test_models.py,
-    so the gradients are bit-identical to it. With residual d and G = 2 d *
-    scale, the output layer gets G H^T and the row sums of G; da = (W2^T G)
-    * act'(a) feeds the hidden layer. mlp_mix mixes the row-stacked
-    (b*window, N) inputs, since a gemm on reordered rows can round
-    differently, and its mixing matrix gets their transpose times the input
-    adjoint put back into row blocks.
+    so the gradients are bit-identical to it.
 
-    params come in param_shapes order, as a ModelState's do, so the last
-    two name the output layer. Raises NonFiniteError for any non-finite
-    forward value the tape would have recorded, and ValueError for a
-    non-finite gradient. Parameters are not checked here: a ModelState's
-    are finite, and train checks its own.
+    Raises NonFiniteError for any non-finite forward value the tape would
+    have recorded, and ValueError for a non-finite gradient. Parameters are
+    not checked here: a ModelState's are finite, and train checks its own.
     """
-    *lead, w, b_times_n = x.shape
-    mixed = spec.architecture == "mlp_mix"
-    if mixed:
-        b, n = b_times_n // spec.channels, spec.channels
-        x_rows = x.reshape(*lead, w, b, n).swapaxes(-3, -2).reshape(*lead, b * w, n)
-        xm = x_rows @ params["mix"]
-        x = xm.reshape(*lead, b, w, n).swapaxes(-3, -2).reshape(*lead, w, b_times_n)
-    y, a, h = _shared_map(spec, params, x)
+    y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     d = np.subtract(y, t, out=y)
     # a non-finite prediction, residual or square makes a batch's
     # squared-error total non-finite; the activation can hide a non-finite
     # pre-activation, and the hidden layer a non-finite mixed input
     total = (d * d).sum(axis=(-2, -1))
-    _check_finite("forward pass", xm if mixed else None, a, total)
+    _check_finite("forward pass", xm if spec.architecture == "mlp_mix" else None, a, total)
     g = np.multiply(d, 2.0, out=d)
     g *= scale
 
     grads = {}
-    weight, bias = tuple(params)[-2:]
-    if weight in names:
-        grads[weight] = g @ (x if h is None else h).mT
-    if bias in names:
-        grads[bias] = g.sum(axis=-1)
-    if set(names) - {weight, bias}:
-        da = params["w2"].T @ g
-        da *= _act_grad_np(spec, a, h)
-        if "w1" in names:
-            grads["w1"] = da @ x.mT
-        if "b1" in names:
-            grads["b1"] = da.sum(axis=-1)
-        if "mix" in names:
-            dx = (params["w1"].T @ da).reshape(*lead, w, b, n).swapaxes(-3, -2)
-            grads["mix"] = x_rows.mT @ dx.reshape(*lead, b * w, n)
-    for grad in grads.values():
-        if not np.isfinite(grad).all():
+    for name, (u, v) in _factors(spec, params, g, x_rows, xm, a, h, names).items():
+        if v is None:
+            grads[name] = u.sum(axis=-1)
+        else:
+            grads[name] = u.mT @ v if name == "mix" else u @ v.mT
+        if not np.isfinite(grads[name]).all():
             raise ValueError("gradient has non-finite entries")
     return grads
 

@@ -326,6 +326,23 @@ class TestDetectConfig:
         with pytest.raises(ValueError, match="threshold_on"):
             DetectConfig(threshold_on="train")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("stride", 1.5, "stride must be an integer, got 1.5"),
+            ("stride", True, "stride must be an integer, got True"),
+            ("normalize_per_channel", "yes", "normalize_per_channel must be a bool, got 'yes'"),
+            ("normalize_per_channel", 1, "normalize_per_channel must be a bool, got 1"),
+        ],
+        ids=["stride_half", "stride_bool", "per_channel_str", "per_channel_int"],
+    )
+    def test_rejects_mistyped_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectConfig(**{field: value})
+
+    def test_integral_float_stride_becomes_int(self):
+        assert type(DetectConfig(stride=2.0).stride) is int
+
 
 @pytest.fixture(scope="module")
 def trained_scenario():

@@ -57,6 +57,23 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match="window exceeds series length"):
             core.make_windows(series(t=5), 10)
 
+    @pytest.mark.parametrize(
+        "w, stride, message",
+        [
+            (3, 1.5, "stride must be an integer, got 1.5"),
+            (3, True, "stride must be an integer, got True"),
+            (1.5, 1, "window length must be an integer, got 1.5"),
+            ("3", 1, "window length must be an integer, got '3'"),
+        ],
+        ids=["stride_half", "stride_bool", "w_half", "w_str"],
+    )
+    def test_rejects_non_integral_w_or_stride(self, w, stride, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            core.make_windows(series(t=10), w, stride)
+
+    def test_integral_float_stride_is_an_int(self):
+        assert core.make_windows(series(t=10), 3.0, 2.0).origins.tolist() == [2, 4, 6, 8]
+
     def test_stride_windows_tile_the_series(self):
         s = series(t=24)
         wins = core.make_windows(s, 6, stride=6)

@@ -8,14 +8,21 @@ from chinf import (
     ModelState,
     MtsWindow,
     TrainConfig,
+    all_params_selector,
     channel_gradient,
+    channel_gradient_rows,
+    channel_losses,
     cif,
     influence_matrix,
     init_params,
+    last_layer_selector,
+    param_shapes,
     save_influence_csv,
     self_influence_per_channel,
     tracin,
     train,
+    whole_gradient,
+    window_loss,
 )
 from chinf import autodiff
 
@@ -249,6 +256,95 @@ class TestSelfInfluence:
         assert m[0, 2] == pytest.approx(m[0, 0], rel=1e-12)
         off_diag = [m[0, j] for j in range(4) if j != 0]
         assert m[0, 2] == max(off_diag)
+
+
+def sgd_step_cases():
+    """(label, state, selector, source, destination) for each architecture
+    x horizon {0, 2} x selector (last layer, all): a perturbed small model
+    and two random windows."""
+    for architecture in ("linear_ci", "mlp_ci", "mlp_mix"):
+        for horizon in (0, 2):
+            rng = np.random.default_rng(5)
+            spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+            params = init_params(spec, seed=2).params
+            state = ModelState(
+                spec, {k: v + 0.1 * rng.normal(size=v.shape) for k, v in params.items()}
+            )
+            src, dst = (random_window(rng, spec.total_rows, 3) for _ in range(2))
+            for selector in (last_layer_selector(spec), all_params_selector(spec)):
+                label = f"{selector.selector_id} h={horizon}"
+                yield label, state, selector, src, dst
+
+
+def stepped(state, selector, direction, eps):
+    """state after one SGD step of size eps along a gradient over the
+    selected parameters: theta' = theta - eps * direction."""
+    params = dict(state.params)
+    shapes = param_shapes(state.spec)
+    pos = 0
+    for name in selector.names:
+        size = int(np.prod(shapes[name]))
+        params[name] = params[name] - eps * direction[pos : pos + size].reshape(shapes[name])
+        pos += size
+    return ModelState(state.spec, params)
+
+
+class TestInfluencePredictsSgdStep:
+    """Influence estimates what one SGD step on the source does to the
+    destination's loss (TracIn, arXiv:2002.08484): with eta = eps the change
+    is -influence to first order, so their sum, relative to the influence's
+    scale (max |M| for the matrix, eps |g_src| |g_dst| for tracin), is at
+    most C * eps and falls 100x from eps = 1e-3 to 1e-5."""
+
+    C = 20.0
+    EPSILONS = (1e-3, 1e-5)
+
+    def check(self, capsys, what, relative_error):
+        """relative_error(state, selector, src, dst, eps) on every case:
+        asserts the bound and the first-order fall, and prints the margin."""
+        ok = False
+        worst, falls = 0.0, []
+        try:
+            for label, *case in sgd_step_cases():
+                errors = [relative_error(*case, eps) for eps in self.EPSILONS]
+                worst = max(worst, *(err / eps for err, eps in zip(errors, self.EPSILONS)))
+                falls.append(errors[0] / errors[1])
+                assert worst <= self.C, (label, errors)
+                assert 80 <= falls[-1] <= 125, (label, errors)
+            ok = True
+        finally:
+            with capsys.disabled():
+                print(
+                    f"[sgd step {what}] {'PASS' if ok else 'FAIL'}: |change + influence| <= "
+                    f"{self.C:g} * eps * scale on 12 cases (worst {worst:.2f}), error falls "
+                    f"{min(falls, default=0):.1f}x to {max(falls, default=0):.1f}x from eps "
+                    "1e-3 to 1e-5"
+                )
+
+    def test_influence_matrix(self, capsys):
+        def relative_error(state, selector, src, dst, eps):
+            g = channel_gradient_rows(state, [src], selector)[0]
+            before = channel_losses(state, [dst])[0]
+            # row i: each destination channel's loss change after a step on source channel i
+            change = np.array(
+                [channel_losses(stepped(state, selector, g_i, eps), [dst])[0] - before for g_i in g]
+            )
+            m = influence_matrix(state, src, dst, eta=eps, selector=selector).values
+            return np.max(np.abs(change + m)) / np.max(np.abs(m))
+
+        self.check(capsys, "matrix", relative_error)
+
+    def test_tracin(self, capsys):
+        def relative_error(state, selector, src, dst, eps):
+            g_src = whole_gradient(state, src, selector).values
+            g_dst = whole_gradient(state, dst, selector).values
+            after = window_loss(stepped(state, selector, g_src, eps), dst)
+            change = after - window_loss(state, dst)
+            influence = tracin(state, src, dst, eta=eps, selector=selector)
+            # eps |g_src| |g_dst| bounds |influence| and does not vanish with it
+            return abs(change + influence) / (eps * np.linalg.norm(g_src) * np.linalg.norm(g_dst))
+
+        self.check(capsys, "tracin", relative_error)
 
 
 class TestCsv:

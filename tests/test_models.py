@@ -32,7 +32,14 @@ from chinf import (
 )
 from chinf.autodiff import ParamSelector, finite_difference_gradient
 
-from bench_suite import PRUNING_SPEC, pruning_split, random_model_case, random_window
+from bench_suite import (
+    PRUNING_SPEC,
+    anomaly_model,
+    anomaly_scenario,
+    pruning_split,
+    random_model_case,
+    random_window,
+)
 
 
 def identity_linear(window, channels):
@@ -432,6 +439,20 @@ class TestChannelGradientRows:
                 with pytest.raises(ad.NonFiniteError, match="self-influence overflowed"):
                     influence.self_influence_rows(state, [win], 1.0, selector)
 
+    def test_zero_factor_gives_zero_norm_term(self):
+        # inputs of 1e160 saturate every tanh unit, so the hidden adjoint is
+        # 0 while the input's squared norm overflows; the w1 block is 0
+        spec = ModelSpec("mlp_ci", 2, 1, hidden=2, activation="tanh", horizon=1)
+        state = init_params(spec, seed=0)
+        win = MtsWindow(np.array([[1e160], [1e160], [1.0]]), origin_t=2)
+        selector = all_params_selector(spec)
+        rows = channel_gradient_rows(state, [win], selector)
+        want = np.einsum("bnp,bnp->bn", rows, rows)
+        got = channel_gradient_norms(state, [win], selector)
+        scores = influence.self_influence_rows(state, [win], 1.0, selector)
+        assert want[0, 0] > 0 and np.abs(got - want).max() <= 1e-12 * want.max()
+        assert np.array_equal(scores, got)
+
     def test_score_overflow_raises(self):
         # finite forward pass and gradient rows whose squared norm overflows
         spec = ModelSpec("linear_ci", 2, 1)
@@ -441,6 +462,52 @@ class TestChannelGradientRows:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="overflow"):
                 influence.self_influence_rows(state, [win], eta=1.0)
+
+
+@pytest.fixture(scope="module")
+def detect_benchmark_case():
+    """The detect benchmark's model (mlp_ci, 8 channels, trained on anomaly
+    scenario 0) and its val split's window stack."""
+    train_series, val, _ = anomaly_scenario(0)
+    state = anomaly_model(train_series, 0)
+    return state, core.make_windows(val, state.spec.total_rows)
+
+
+class TestChannelKernelsMatchTapeAtBenchmarkScale:
+    """The per-channel oracle cases above are 5x3 windows; these run the
+    model shapes of the benchmark over a whole split, as detect and
+    influence do, and check every 16th window against the tape."""
+
+    @staticmethod
+    def assert_match(state, stack, selector, exact):
+        picked = list(range(0, len(stack), 16))
+        n = stack.values.shape[2]
+        want = np.array([
+            [tape_channel_gradient(state, stack[b], j, selector) for j in range(n)] for b in picked
+        ])
+        rows = channel_gradient_rows(state, stack, selector)[picked]
+        if exact:
+            assert np.array_equal(rows, want), selector.selector_id
+        else:
+            err = np.max(np.abs(rows - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, (selector.selector_id, err)
+        want_norms = np.einsum("bnp,bnp->bn", want, want)
+        norms = channel_gradient_norms(state, stack, selector)[picked]
+        assert (np.abs(norms - want_norms) <= 1e-12 * want_norms).all(), selector.selector_id
+
+    @pytest.mark.parametrize("kind", ["last_layer", "all"])
+    def test_detect_model(self, detect_benchmark_case, kind):
+        state, stack = detect_benchmark_case
+        assert state.spec.channels == 8 and len(stack) > 400
+        selector = dict(kernel_selectors(state.spec))[kind]
+        self.assert_match(state, stack, selector, exact=kind == "last_layer")
+
+    def test_mixing_forecaster(self):
+        # the model of the influence benchmark, on a test split's windows
+        rng = np.random.default_rng(92)
+        spec = ModelSpec("mlp_mix", window=10, channels=8, hidden=16, horizon=2)
+        stack = core.make_windows(anomaly_scenario(0)[2], spec.total_rows)
+        self.assert_match(perturbed_state(spec, rng), stack, all_params_selector(spec), False)
 
 
 def split_target(spec, window):
@@ -903,15 +970,16 @@ class TestWholeGradientRows:
 
 
 def count_kernel_calls(monkeypatch):
-    """A list that grows by one per closed-form gradient call."""
+    """A list that grows by one per forward pass, which every loss and
+    gradient kernel starts with, holding the shape of its input."""
     calls = []
-    kernel = models._batch_gradients
+    kernel = models._forward_parts
 
     def counted(*args):
         calls.append(args[2].shape)
         return kernel(*args)
 
-    monkeypatch.setattr(models, "_batch_gradients", counted)
+    monkeypatch.setattr(models, "_forward_parts", counted)
     return calls
 
 
