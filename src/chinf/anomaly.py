@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MtsSeries, Windows, _integral, _origin_vector, _readonly, as_window_stack
-from .core import make_windows
+from .core import MtsSeries, Windows, _finite_number, _integral, _origin_vector, _readonly
+from .core import _write_lines, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel  # noqa: F401
@@ -83,6 +83,10 @@ class DetectConfig:
         object.__setattr__(self, "stride", _integral(self.stride, "stride"))
         if self.stride < 1:
             raise ValueError(f"stride must be positive, got {self.stride}")
+        if self.eta is not None:
+            object.__setattr__(self, "eta", _finite_number(self.eta, "eta", positive=True))
+        if not (self.selector is None or isinstance(self.selector, ParamSelector)):
+            raise ValueError(f"selector must be None or a ParamSelector, got {self.selector!r}")
         if not isinstance(self.normalize_per_channel, bool):
             raise ValueError(
                 f"normalize_per_channel must be a bool, got {self.normalize_per_channel!r}"
@@ -322,8 +326,7 @@ def save_report_csv(report: AnomalyReport, path: str) -> None:
         report.labels.tolist(),
     ):
         lines.append(f"{t},{raw!r},{norm!r},{pred},{label}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def report_summary(report: AnomalyReport) -> dict:

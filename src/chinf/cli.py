@@ -4,7 +4,8 @@ Each command reads a flat JSON config (--config), applies any flag
 overrides, runs, and writes its outputs plus a manifest.json echoing the
 config as given, with any --seed override, into the output directory.
 Outputs carry no timestamps, so a rerun with the same config and inputs is
-byte-identical.
+byte-identical. core._write_lines is the single place the byte rule lives
+(UTF-8, LF line ends, one final LF), and every output goes through it.
 
 main types the config against the command's schema in SCHEMAS before the
 command runs; an unknown key, a bad value, a NaN or infinity exits 2.
@@ -24,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import anomaly, data, influence, models, pruning
-from .core import _integral, _number, chronological_split, make_windows
+from .core import _float_rows, _integral, _number, _write_lines, chronological_split, make_windows
 from .models import all_params_selector, last_layer_selector
 
 
@@ -151,12 +152,6 @@ def _given(config, names):
     return {name: config[name] for name in names if name in config}
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def _input_path(config, name):
     path = config[name]
     if not os.path.isfile(path):
@@ -203,7 +198,7 @@ def cmd_synth(config, out_dir):
         try:
             spec = data.AnomalySpec(entry["kind"], entry["target_channels"], entry["intervals"],
                                     **_given(entry, ("magnitude",)))
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"anomalies[{i}]: {e}") from None
         series = data.inject_anomalies(series, spec, seed=entry.get("seed", 0))
     name = config.get("out_csv", "series.csv")
@@ -242,12 +237,11 @@ def cmd_influence(config, out_dir):
         return {"matrix": name}
     if mode != "self":
         raise ConfigError(f"mode: unknown value {mode!r}, expected 'matrix' or 'self'")
+    rows = _float_rows(influence.self_influence_rows(state, windows, eta, selector))
     lines = ["origin_t," + ",".join(series.channel_names)]
-    for t, vec in zip(windows.origins, influence.self_influence_rows(state, windows, eta, selector)):
-        lines.append(str(t) + "," + ",".join(repr(float(v)) for v in vec))
+    lines += (f"{t},{row}" for t, row in zip(windows.origins.tolist(), rows))
     name = config.get("out_csv", "self_influence.csv")
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(out_dir, name), lines)
     return {"self_influence": name}
 
 
@@ -269,7 +263,8 @@ def cmd_detect(config, out_dir):
     csv_name = config.get("out_csv", "report.csv")
     json_name = config.get("out_json", "summary.json")
     anomaly.save_report_csv(report, os.path.join(out_dir, csv_name))
-    _write_json(os.path.join(out_dir, json_name), anomaly.report_summary(report))
+    summary = json.dumps(anomaly.report_summary(report), indent=1, sort_keys=True)
+    _write_lines(os.path.join(out_dir, json_name), [summary])
     return {"report": csv_name, "summary": json_name}
 
 
@@ -343,7 +338,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             outputs = COMMANDS[args.command](fields, args.out)
         manifest = {"command": args.command, "config": config}
-        _write_json(os.path.join(args.out, "manifest.json"), manifest)
+        _write_lines(os.path.join(args.out, "manifest.json"),
+                     [json.dumps(manifest, indent=1, sort_keys=True)])
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -4,9 +4,11 @@ A series is a dense (T, N) float64 matrix, time-major: row t is the
 observation at timestep t, column j is channel j. All containers are
 frozen after construction: each holds private read-only copies of its
 arrays (core._readonly), so they can be shared freely across threads.
+core is also the one module that writes a file (_write_lines).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -39,6 +41,31 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{what} must be a JSON number, got {value!r}")
     return float(value)
+
+
+def _finite_number(value, what: str, *, positive: bool = False) -> float:
+    """A JSON number (_number) that is finite and non-negative, or positive
+    with positive=True; a ValueError naming what for anything else, an
+    integer past the float range included."""
+    try:
+        number = _number(value, what)
+    except OverflowError:
+        number = math.inf
+    if not (0 < number if positive else 0 <= number) or number == math.inf:
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{what} must be finite and {sign}, got {value!r}")
+    return number
+
+
+def _write_lines(path: str, lines) -> None:
+    """The package's one file writer: UTF-8, LF line ends and one final LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _float_rows(values: np.ndarray):
+    """A 2-D float array's rows as comma-joined float reprs, one row at a time."""
+    return (",".join(map(repr, row.tolist())) for row in values)
 
 
 def _origin_vector(origins) -> np.ndarray:

@@ -7,12 +7,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MtsSeries, _integral
+from .core import MtsSeries, _finite_number, _float_rows, _integral, _write_lines
 
 # Non-harmonic defaults so clusters stay spectrally distinct.
 _BASE_FREQUENCIES = (3.0, 7.0, 13.0, 23.0, 41.0, 71.0, 113.0, 197.0)
 
 ANOMALY_KINDS = ("spike", "drift", "correlation_break")
+
+
+def _items(value, what: str) -> tuple:
+    """value's items as a tuple, or a ValueError naming what when it has none
+    to iterate over (a number, None)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,8 @@ class SyntheticConfig:
     def __post_init__(self):
         for name in ("clusters", "channels_per_cluster", "length", "seed"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("phase_jitter", "noise_std"):
+            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
         if self.clusters < 1:
             raise ValueError(f"clusters must be positive, got {self.clusters}")
         if self.channels_per_cluster < 1:
@@ -43,14 +54,13 @@ class SyntheticConfig:
             )
         if self.length < 2:
             raise ValueError(f"length must be at least 2, got {self.length}")
-        if self.phase_jitter < 0:
-            raise ValueError(f"phase_jitter must be non-negative, got {self.phase_jitter}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.base_frequencies is not None:
-            freqs = tuple(float(f) for f in self.base_frequencies)
+            freqs = tuple(
+                _finite_number(f, "base frequency")
+                for f in _items(self.base_frequencies, "base_frequencies")
+            )
             if len(freqs) != self.clusters:
                 raise ValueError(
                     f"need {self.clusters} base frequencies, got {len(freqs)}"
@@ -83,15 +93,21 @@ class AnomalySpec:
             raise ValueError(
                 f"unknown anomaly kind {self.kind!r}, expected one of {ANOMALY_KINDS}"
             )
-        channels = tuple(_integral(c, "anomaly target channel") for c in self.target_channels)
+        channels = tuple(
+            _integral(c, "anomaly target channel")
+            for c in _items(self.target_channels, "anomaly target channels")
+        )
         if len(channels) == 0:
             raise ValueError("anomaly must target at least one channel")
         if len(set(channels)) != len(channels):
             raise ValueError("anomaly target channels must be unique")
-        intervals = tuple(
-            (_integral(a, "anomaly interval bound"), _integral(b, "anomaly interval bound"))
-            for a, b in self.intervals
-        )
+        intervals = []
+        for item in _items(self.intervals, "anomaly intervals"):
+            bounds = _items(item, "anomaly interval")
+            pair = tuple(_integral(b, "anomaly interval bound") for b in bounds)
+            if len(pair) != 2:
+                raise ValueError(f"anomaly interval must be a (start, end) pair, got {item!r}")
+            intervals.append(pair)
         if len(intervals) == 0:
             raise ValueError("anomaly must cover at least one interval")
         for start, end in intervals:
@@ -102,10 +118,9 @@ class AnomalySpec:
         ):
             if nxt_start < prev_end:
                 raise ValueError("anomaly intervals overlap")
-        if self.magnitude < 0:
-            raise ValueError(f"magnitude must be non-negative, got {self.magnitude}")
+        object.__setattr__(self, "magnitude", _finite_number(self.magnitude, "magnitude"))
         object.__setattr__(self, "target_channels", channels)
-        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "intervals", tuple(intervals))
 
 
 def gen_synthetic(config: SyntheticConfig) -> MtsSeries:
@@ -175,14 +190,9 @@ def save_csv(series: MtsSeries, path: str) -> None:
     When the series carries timestep labels they go to ``path + ".labels"``,
     one 0/1 per line.
     """
-    lines = [",".join(series.channel_names)]
-    for row in series.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(series.channel_names), *_float_rows(series.values)])
     if series.timestep_labels is not None:
-        with open(path + ".labels", "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(str(int(v)) for v in series.timestep_labels) + "\n")
+        _write_lines(path + ".labels", map(str, series.timestep_labels.tolist()))
 
 
 def _parse_row(cells: list[str], n: int, lineno: int) -> list[float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
-from .core import MtsWindow, Windows, _readonly, as_window_stack
+from .core import MtsWindow, Windows, _float_rows, _readonly, _write_lines, as_window_stack
 from .models import (
     ModelState,
     _selection,
@@ -202,7 +202,8 @@ def tracin_self_scores(
     eta = _resolve_eta(state.trained_lr, eta)
     selector, shapes = _selection(state.spec, selector)
     windows = as_window_stack(windows)
-    per_window = windows.values.shape[2] * sum(math.prod(shapes[name]) for name in selector.names)
+    # whole_gradient_rows holds one P-entry row per window
+    per_window = sum(math.prod(shapes[name]) for name in selector.names)
     step = max(1, _CHUNK_ELEMENTS // per_window)
     parts = []
     for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
@@ -227,8 +228,4 @@ def save_influence_csv(
         channel_names = tuple(f"c{i}" for i in range(n))
     if len(channel_names) != n:
         raise ValueError(f"got {len(channel_names)} channel names for {n} channels")
-    lines = [",".join(channel_names)]
-    for row in matrix.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(channel_names), *_float_rows(matrix.values)])

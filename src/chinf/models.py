@@ -23,7 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, Windows, WindowStack, _integral, _number, _readonly, as_window_stack
+from .core import MtsWindow, Windows, WindowStack, _finite_number, _integral, _number, _readonly
+from .core import _write_lines, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -91,19 +92,6 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _rate(value, what: str) -> float:
-    """A learning rate as a float: a number (core._number) that is finite and
-    non-negative, with a ValueError for anything else, an integer past the
-    float range included."""
-    try:
-        rate = _number(value, what)
-    except OverflowError:
-        rate = math.inf
-    if not 0 <= rate < math.inf:
-        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
-    return rate
-
-
 @dataclass(frozen=True)
 class ModelState:
     spec: ModelSpec
@@ -128,7 +116,7 @@ class ModelState:
                 raise ValueError(f"parameter {name!r} has non-finite entries")
             frozen[name] = arr
         object.__setattr__(self, "params", frozen)
-        object.__setattr__(self, "trained_lr", _rate(self.trained_lr, "trained_lr"))
+        object.__setattr__(self, "trained_lr", _finite_number(self.trained_lr, "trained_lr"))
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         # 0 is allowed so a no-op training step stays expressible
-        object.__setattr__(self, "learning_rate", _rate(self.learning_rate, "learning_rate"))
+        rate = _finite_number(self.learning_rate, "learning_rate")
+        object.__setattr__(self, "learning_rate", rate)
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -604,9 +593,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
             for name, arr in state.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    _write_lines(path, [json.dumps(doc, indent=1)])
 
 
 def load_checkpoint(path: str) -> ModelState:

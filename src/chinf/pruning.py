@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, Windows, WindowStack, _integral, _readonly, make_windows
+from .core import DatasetSplit, Windows, WindowStack, _integral, _readonly, _write_lines
+from .core import make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -214,5 +215,4 @@ def save_pruning_csv(results: list[PruningResult], path: str) -> None:
             f"{r.mse_selected_model_on_all_channels!r},{r.mse_full_model!r},"
             f"{str(r.mixing_refit).lower()}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

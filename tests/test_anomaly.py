@@ -333,8 +333,15 @@ class TestDetectConfig:
             ("stride", True, "stride must be an integer, got True"),
             ("normalize_per_channel", "yes", "normalize_per_channel must be a bool, got 'yes'"),
             ("normalize_per_channel", 1, "normalize_per_channel must be a bool, got 1"),
+            ("eta", "0.1", "eta must be a JSON number, got '0.1'"),
+            ("eta", True, "eta must be a JSON number, got True"),
+            ("eta", float("nan"), "eta must be finite and positive, got nan"),
+            ("eta", float("inf"), "eta must be finite and positive, got inf"),
+            ("eta", 0.0, "eta must be finite and positive, got 0.0"),
+            ("selector", "all", "selector must be None or a ParamSelector, got 'all'"),
         ],
-        ids=["stride_half", "stride_bool", "per_channel_str", "per_channel_int"],
+        ids=["stride_half", "stride_bool", "per_channel_str", "per_channel_int", "eta_str",
+             "eta_bool", "eta_nan", "eta_inf", "eta_zero", "selector_str"],
     )
     def test_rejects_mistyped_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -342,6 +349,17 @@ class TestDetectConfig:
 
     def test_integral_float_stride_becomes_int(self):
         assert type(DetectConfig(stride=2.0).stride) is int
+
+    def test_eta_is_checked_even_where_unused(self):
+        # reconstruction_error never reads eta, so detect would run with a NaN
+        with pytest.raises(ValueError, match="^eta must be finite and positive, got nan$"):
+            DetectConfig(eta=float("nan"), method="reconstruction_error")
+        with pytest.raises(ValueError, match="^eta must be finite and positive, got 1000"):
+            DetectConfig(eta=10**400, method="reconstruction_error")
+
+    def test_numeric_eta_becomes_float(self):
+        assert type(DetectConfig(eta=np.float32(0.5)).eta) is float
+        assert DetectConfig(eta=1).eta == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
+import ast
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -881,6 +884,59 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
     check()
 
 
+# The library's config constructors, each with a valid base: the property
+# below overrides some fields with JSON-like values of any type.
+CONSTRUCTORS = {
+    "ModelSpec": (models.ModelSpec, {"architecture": "mlp_ci", "window": 5, "channels": 3,
+                                     "hidden": 4}),
+    "TrainConfig": (models.TrainConfig, {}),
+    "DetectConfig": (anomaly.DetectConfig, {}),
+    "SyntheticConfig": (data.SyntheticConfig, {}),
+    "AnomalySpec": (data.AnomalySpec, {"kind": "spike", "target_channels": (0,),
+                                       "intervals": ((1, 2),)}),
+}
+JSON_SCALARS = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+    st.integers(-5, 5), st.integers(), st.floats(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+)
+# the sequence fields (frequencies, channels, intervals) get lists and nested lists too
+JSON_VALUES = st.one_of(
+    JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+    st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=2),
+)
+SCALAR_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_library_configs_build_or_raise_value_error(name):
+    """Each constructor raises ValueError or builds an object whose scalar
+    fields hold their declared types, the floats finite."""
+    constructor, base = CONSTRUCTORS[name]
+    fields = dataclasses.fields(constructor)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.dictionaries(st.sampled_from([f.name for f in fields]), JSON_VALUES,
+                           min_size=1, max_size=3))
+    def check(changes):
+        # a TypeError, AttributeError or OverflowError escapes and fails the test
+        try:
+            built = constructor(**{**base, **changes})
+        except ValueError:
+            return
+        for field in fields:
+            value = getattr(built, field.name)
+            kind = SCALAR_TYPES.get(field.type.removesuffix(" | None"))
+            if kind is None or (value is None and field.type.endswith(" | None")):
+                continue
+            assert type(value) is kind, (field.name, value)
+            assert kind is not float or math.isfinite(value), (field.name, value)
+
+    check()
+
+
 # Checkpoint mutations for the fuzz test: a spec integer becomes a float, a
 # bool, a string or a negative number; trained_lr a string, a bool or a
 # negative number; one parameter entry a string, null or 1e160, which is
@@ -945,3 +1001,44 @@ def test_mutated_checkpoints_exit_cleanly(pipeline):
                     assert_all_finite(out)
 
     check()
+
+
+def test_only_core_opens_files_for_writing():
+    """core._write_lines is the one writer: no other module calls open with
+    a mode that writes, appends or creates, or with a mode it cannot read."""
+    src = Path(__file__).parents[1] / "src" / "chinf"
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert writers and all(w.startswith("core.py:") for w in writers), writers
+
+
+def test_every_output_is_utf8_with_one_final_lf(pipeline, tmp_path):
+    """synth, train, influence (self mode) and detect write UTF-8 text with
+    LF line ends and exactly one LF at the end of every file."""
+    series, checkpoint = str(pipeline / "series.csv"), str(pipeline / "model.json")
+    configs = {
+        "synth": json.loads((DATA / "synth.json").read_text()),
+        "train": dict(json.loads((DATA / "train.json").read_text()), series_csv=series),
+        "influence": {"series_csv": series, "checkpoint": checkpoint, "stride": 50},
+        "detect": dict(json.loads((DATA / "detect.json").read_text()),
+                       series_csv=series, checkpoint=checkpoint),
+    }
+    written = []
+    for command, cfg in configs.items():
+        out = tmp_path / command
+        assert run(command, "--config", write_config(tmp_path / f"{command}.json", cfg),
+                   "--out", out) == 0
+        written += sorted(out.iterdir())
+    assert len(written) == 10, written
+    for path in written:
+        raw = path.read_bytes()
+        raw.decode("utf-8")
+        assert b"\r" not in raw, path
+        assert raw.endswith(b"\n") and not raw.endswith(b"\n\n"), path

@@ -46,6 +46,36 @@ class TestSyntheticConfig:
         with pytest.raises(ValueError, match="noise_std"):
             SyntheticConfig(noise_std=-0.1)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"phase_jitter": "x"}, "phase_jitter must be a JSON number, got 'x'"),
+            ({"phase_jitter": float("inf")}, "phase_jitter must be finite and non-negative"),
+            ({"noise_std": float("nan")}, "noise_std must be finite and non-negative, got nan"),
+            ({"noise_std": True}, "noise_std must be a JSON number, got True"),
+            ({"clusters": 1, "base_frequencies": (float("nan"),)},
+             "base frequency must be finite and non-negative, got nan"),
+            ({"clusters": 1, "base_frequencies": (-3.0,)},
+             "base frequency must be finite and non-negative, got -3.0"),
+            ({"clusters": 1, "base_frequencies": ("3",)},
+             "base frequency must be a JSON number, got '3'"),
+            ({"clusters": 1, "base_frequencies": 3.0},
+             "base_frequencies must be a sequence, got 3.0"),
+        ],
+        ids=["jitter_str", "jitter_inf", "noise_nan", "noise_bool", "freq_nan", "freq_negative",
+             "freq_str", "freq_scalar"],
+    )
+    def test_rejects_bad_float_field(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SyntheticConfig(**kw)
+
+    def test_float_fields_become_floats(self):
+        cfg = SyntheticConfig(clusters=1, base_frequencies=[np.int64(3)], phase_jitter=0,
+                              noise_std=np.float32(0.5))
+        assert cfg.base_frequencies == (3.0,)
+        assert all(type(v) is float for v in (*cfg.base_frequencies, cfg.phase_jitter,
+                                               cfg.noise_std))
+
 
 class TestGenSynthetic:
     def test_shape_and_names(self):
@@ -129,6 +159,25 @@ class TestAnomalySpec:
     def test_rejects_duplicate_channels(self):
         with pytest.raises(ValueError, match="unique"):
             AnomalySpec("spike", (1, 1), ((0, 2),))
+
+    @pytest.mark.parametrize(
+        "channels, intervals, magnitude, message",
+        [
+            ((0,), ((0, 2),), "x", "magnitude must be a JSON number, got 'x'"),
+            ((0,), ((0, 2),), float("nan"), "magnitude must be finite and non-negative, got nan"),
+            ((0,), ((0, 2),), 10**400, "magnitude must be finite and non-negative, got 1000"),
+            (0, ((0, 2),), 1.0, "anomaly target channels must be a sequence, got 0"),
+            ((0,), None, 1.0, "anomaly intervals must be a sequence, got None"),
+            ((0,), (5,), 1.0, "anomaly interval must be a sequence, got 5"),
+            ((0,), ((0, 2, 4),), 1.0,
+             "anomaly interval must be a (start, end) pair, got (0, 2, 4)"),
+        ],
+        ids=["magnitude_str", "magnitude_nan", "magnitude_past_float_range", "channels_scalar",
+             "intervals_none", "interval_scalar", "interval_triple"],
+    )
+    def test_rejects_malformed_field(self, channels, intervals, magnitude, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            AnomalySpec("spike", channels, intervals, magnitude)
 
 
 class TestInjectAnomalies:

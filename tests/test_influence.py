@@ -347,6 +347,59 @@ class TestInfluencePredictsSgdStep:
         self.check(capsys, "tracin", relative_error)
 
 
+class TestLinearRemainderIsExact:
+    """For linear_ci the channel loss is quadratic in the parameters, so the
+    one-step change is exactly -influence plus a second-order term:
+    Delta_ij + M_eps[i, j] = eps^2 / 2 * g_i^T H_j g_i, where H_j = 2 A_j^T A_j
+    and A_j = [I (x) x_j^T, I] maps the (weight, bias) parameters, weight
+    row-major, to channel j's prediction; this is 2 [x_j; 1][x_j; 1]^T (x) I
+    with the parameters reordered. The identity holds up to rounding: the
+    error is at most ULPS units of eps_mach times the operands' scale
+    (the loss, |M| and the remainder). The largest measured was 2.41."""
+
+    ULPS = 8.0
+    EPSILONS = (1e-1, 1e-2, 1e-3)
+
+    def test_remainder_matches_closed_form(self, capsys):
+        ok, worst, cases = False, 0.0, 0
+        try:
+            for label, state, selector, src, dst in sgd_step_cases():
+                spec = state.spec
+                if spec.architecture != "linear_ci":
+                    continue
+                cases += 1
+                g = channel_gradient_rows(state, [src], selector)[0]
+                before = channel_losses(state, [dst])[0]
+                x = dst.values[: spec.window]
+                hessians = []
+                for j in range(x.shape[1]):
+                    eye = np.eye(spec.out_rows)
+                    a = np.hstack([np.kron(eye, x[:, j]), eye])
+                    hessians.append(2.0 * a.T @ a)
+                for eps in self.EPSILONS:
+                    change = np.array([
+                        channel_losses(stepped(state, selector, g_i, eps), [dst])[0] - before
+                        for g_i in g
+                    ])
+                    m = influence_matrix(state, src, dst, eta=eps, selector=selector).values
+                    remainder = np.array(
+                        [[eps**2 / 2 * g_i @ h @ g_i for h in hessians] for g_i in g]
+                    )
+                    scale = np.finfo(np.float64).eps * (before + np.abs(m) + remainder)
+                    ulps = np.max(np.abs(change + m - remainder) / scale)
+                    worst = max(worst, ulps)
+                    assert ulps <= self.ULPS, (label, eps, ulps)
+            assert cases == 4, cases
+            ok = True
+        finally:
+            with capsys.disabled():
+                print(
+                    f"[linear_ci remainder] {'PASS' if ok else 'FAIL'}: |change + influence - "
+                    f"eps^2/2 g^T H g| <= {self.ULPS:g} ulps of scale on {cases} cases x eps "
+                    f"1e-1..1e-3 (worst {worst:.2f})"
+                )
+
+
 class TestCsv:
     def test_roundtrip_preserves_floats(self, tmp_path):
         rng = np.random.default_rng(51)

@@ -928,7 +928,7 @@ class TestWholeGradientRows:
         state = perturbed_state(spec, rng)
         windows = [random_window(rng, spec.total_rows, 3) for _ in range(11)]
         for _, selector in kernel_selectors(spec):
-            per_window = 3 * sum(int(np.prod(param_shapes(spec)[n])) for n in selector.names)
+            per_window = sum(int(np.prod(param_shapes(spec)[n])) for n in selector.names)
             # chunks of 4 windows, the last one short
             monkeypatch.setattr(influence, "_CHUNK_ELEMENTS", 4 * per_window + 1)
             chunked = influence.tracin_self_scores(state, windows, 0.1, selector)
@@ -938,6 +938,25 @@ class TestWholeGradientRows:
             assert np.array_equal(
                 chunked, [influence.tracin(state, w, w, 0.1, selector) for w in windows]
             )
+
+    def test_tracin_chunks_hold_chunk_elements_row_entries(self, monkeypatch):
+        """Each window's gradient row has P entries, whatever the channel
+        count, so _CHUNK_ELEMENTS = 4 P gives chunks of 4 windows."""
+        spec = ModelSpec("mlp_ci", 5, 8, hidden=4)
+        state = perturbed_state(spec, np.random.default_rng(85))
+        windows = [random_window(np.random.default_rng(86), 5, 8) for _ in range(10)]
+        selector = last_layer_selector(spec)
+        p = sum(int(np.prod(param_shapes(spec)[n])) for n in selector.names)
+        sizes = []
+
+        def rows(state, chunk, selector):
+            sizes.append(len(chunk))
+            return whole_gradient_rows(state, chunk, selector)
+
+        monkeypatch.setattr(influence, "_CHUNK_ELEMENTS", 4 * p)
+        monkeypatch.setattr(influence, "whole_gradient_rows", rows)
+        influence.tracin_self_scores(state, windows, 0.1, selector)
+        assert sizes == [4, 4, 2]
 
     def test_default_selector_is_last_layer(self):
         state = perturbed_state(ModelSpec("mlp_ci", 4, 2, hidden=3), np.random.default_rng(5))
