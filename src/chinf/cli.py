@@ -286,13 +286,15 @@ def cmd_prune(config, out_dir):
     for label, items in (("strategies", strategies), ("seeds", seeds)):
         if not items:
             raise ConfigError(f"{label}: expected a nonempty list")
+    # one pass per seed: its full model and score table serve every strategy
+    cells = [(m, strategy) for strategy in strategies]
     results = [
-        pruning.prune_and_eval(
-            split, spec, replace(train_config, seed=seed), m, strategy, seed=seed,
+        result
+        for seed in seeds
+        for result in pruning.prune_cells(
+            split, spec, replace(train_config, seed=seed), cells, seed=seed,
             **_given(config, ("stride", "refit_epochs")),
         )
-        for seed in seeds
-        for strategy in strategies
     ]
     name = config.get("out_csv", "pruning.csv")
     pruning.save_pruning_csv(results, os.path.join(out_dir, name))

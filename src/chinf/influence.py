@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import GradientVector, NonFiniteError, ParamSelector
-from .core import MtsWindow, Windows, _float_rows, _readonly, _write_lines, as_window_stack
+from .core import MtsWindow, Windows, _finite_number, _float_rows, _readonly, _write_lines
+from .core import as_window_stack
 from .models import (
     ModelState,
     _selection,
@@ -67,15 +68,6 @@ class InfluenceMatrix:
         return float(self.values.sum())
 
 
-def _check_eta(eta: float) -> float:
-    # written so that NaN fails too
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if eta == np.inf:
-        raise ValueError(f"eta must be finite, got {eta}")
-    return float(eta)
-
-
 def _finite(value: float) -> float:
     """value, or a NonFiniteError when a product of finite gradients overflowed."""
     if not math.isfinite(value):
@@ -84,13 +76,12 @@ def _finite(value: float) -> float:
 
 
 def _resolve_eta(trained_lr: float, eta: float | None) -> float:
-    if eta is None:
-        if not trained_lr > 0:
-            raise ValueError(
-                "model has no recorded training learning rate; pass eta explicitly"
-            )
-        eta = trained_lr
-    return _check_eta(eta)
+    # an explicit eta takes the number rule; ModelState has checked trained_lr
+    if eta is not None:
+        return _finite_number(eta, "eta", positive=True)
+    if not trained_lr > 0:
+        raise ValueError("model has no recorded training learning rate; pass eta explicitly")
+    return trained_lr
 
 
 def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
@@ -103,7 +94,7 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
         raise ValueError(
             f"gradient lengths differ: {g_src.values.size} vs {g_dst.values.size}"
         )
-    return _finite(_check_eta(eta) * float(g_src.values @ g_dst.values))
+    return _finite(_finite_number(eta, "eta", positive=True) * float(g_src.values @ g_dst.values))
 
 
 def influence_matrix(

@@ -1,11 +1,13 @@
 """Channel subset selection by accumulated self-influence, plus evaluation.
 
-Channels are ranked by their self-influence accumulated over a validation
-set (computed once, on a model trained with all channels), then a subset is
-picked by equidistant sampling over the ascending ranking. The ranking does
-not depend on eta, so the scores are accumulated in units of it. A model
-retrained from scratch on the subset alone is evaluated against the
-full-channel model on the complete test channel set.
+A pruning pass (prune_cells) trains a model on all channels once, ranks
+the channels by their self-influence accumulated over a validation set on
+that model, and evaluates any number of (m, strategy) cells against the
+one model and ranking. select_channels picks each cell's subset; the
+paper's strategy samples the ascending ranking at equal spacing. The
+ranking does not depend on eta, so the scores are accumulated in units of
+it. A model retrained from scratch on the subset alone is evaluated against
+the full-channel model on the complete test channel set.
 
 Channel-shared models make that evaluation well-defined on channels never
 seen in subset training. The channel-mixing variant has no such out-of-the-
@@ -20,7 +22,7 @@ import numpy as np
 
 from .autodiff import ParamSelector
 from .core import DatasetSplit, Windows, WindowStack, _integral, _readonly, _write_lines
-from .core import make_windows
+from .core import MtsSeries, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -85,35 +87,32 @@ def accumulate_channel_scores(
     return ChannelScoreTable(np.add.accumulate(per_window, axis=0)[-1])
 
 
-def equidistant_select(table: ChannelScoreTable, m: int) -> tuple[int, ...]:
-    """Channels at ranked positions floor(k*N/m), k = 0..m-1.
-
-    Walking the ascending ranking at a constant stride covers the whole
-    influence range, lowest-influence channel included. Returns original
-    channel indices, sorted.
-    """
-    n = table.n_channels
-    if not 1 <= m <= n:
-        raise ValueError(f"subset size {m} out of range for {n} channels")
-    positions = [(k * n) // m for k in range(m)]
-    return tuple(sorted(table.ranking[p] for p in positions))
-
-
-def baseline_select(
+def select_channels(
     table: ChannelScoreTable, m: int, strategy: str, seed: int = 0
 ) -> tuple[int, ...]:
-    """Comparison strategies: continuous, random, most_influence."""
+    """The m channels a strategy keeps, as sorted original channel indices.
+
+    influence_equidistant takes ranked positions floor(k*N/m), k = 0..m-1:
+    walking the ascending ranking at a constant stride covers the whole
+    influence range, lowest-influence channel included. most_influence takes
+    the top m of the ranking, continuous the first m channels, and random m
+    distinct channels drawn with ``seed``.
+    """
     n = table.n_channels
+    m = _integral(m, "subset size")
     if not 1 <= m <= n:
         raise ValueError(f"subset size {m} out of range for {n} channels")
-    if strategy == "continuous":
-        return tuple(range(m))
-    if strategy == "random":
-        rng = np.random.default_rng(seed)
-        return tuple(sorted(int(c) for c in rng.choice(n, size=m, replace=False)))
-    if strategy == "most_influence":
-        return tuple(sorted(table.ranking[n - m :]))
-    raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if strategy == "influence_equidistant":
+        picked = [table.ranking[(k * n) // m] for k in range(m)]
+    elif strategy == "most_influence":
+        picked = table.ranking[n - m :]
+    elif strategy == "random":
+        picked = np.random.default_rng(seed).choice(n, size=m, replace=False).tolist()
+    elif strategy == "continuous":
+        picked = range(m)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    return tuple(sorted(picked))
 
 
 def _refit_mixing(
@@ -132,6 +131,70 @@ def _refit_mixing(
     return train(state, full_train_windows, config, trainable=mix_only)
 
 
+def prune_cells(
+    split: DatasetSplit,
+    spec: ModelSpec,
+    train_config: TrainConfig,
+    cells,
+    *,
+    stride: int = 1,
+    seed: int | None = None,
+    refit_epochs: int = 5,
+) -> list[PruningResult]:
+    """One pruning pass: a PruningResult per (m, strategy) cell, in order.
+
+    The full-channel model, its test MSE and the score table are built once
+    and shared by every cell; the table is accumulated at eta = 1, since the
+    ranking is all that selection reads, and only when a cell reads it. Each
+    cell then trains a model from scratch on its subset alone. ``seed``
+    (default: train_config.seed) only feeds the random strategy. Both MSEs
+    are per-element forecasting error on the full-channel test windows.
+    Every cell and refit_epochs are checked before anything trains.
+    """
+    if spec.horizon < 1:
+        raise ValueError("pruning evaluation needs a forecasting model (horizon > 0)")
+    n = split.train.n_channels
+    if spec.architecture == "mlp_mix" and spec.channels != n:
+        raise ValueError(f"spec expects {spec.channels} channels, data has {n}")
+    cells = list(cells)
+    if not cells:
+        raise ValueError("no (m, strategy) cells to evaluate")
+    # random and continuous ignore the scores; a zero table carries N, and
+    # selecting on it checks every cell before anything trains
+    table = ChannelScoreTable(np.zeros(n))
+    for m, strategy in cells:
+        select_channels(table, m, strategy)
+    if _integral(refit_epochs, "refit_epochs") < 1:
+        raise ValueError(f"refit_epochs must be at least 1, got {refit_epochs}")
+    if seed is None:
+        seed = train_config.seed
+
+    rows = spec.total_rows
+    train_windows = make_windows(split.train, rows, stride)
+    test_windows = make_windows(split.test, rows, stride)
+    full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
+    mse_full = mean_window_mse(full_state, test_windows)
+    if any(strategy in ("influence_equidistant", "most_influence") for _, strategy in cells):
+        val_windows = make_windows(split.val, rows, stride)
+        table = accumulate_channel_scores(full_state, val_windows, 1.0)
+
+    results = []
+    for m, strategy in cells:
+        selected = select_channels(table, m, strategy, seed)
+        m = len(selected)
+        names = tuple(split.train.channel_names[c] for c in selected)
+        subset = MtsSeries(split.train.values[:, list(selected)], names)
+        subset_spec = replace(spec, channels=m) if spec.architecture == "mlp_mix" else spec
+        subset_state = init_params(subset_spec, train_config.seed)
+        eval_state = train(subset_state, make_windows(subset, rows, stride), train_config)
+        mixing_refit = spec.architecture == "mlp_mix" and m < n
+        if mixing_refit:
+            eval_state = _refit_mixing(eval_state, spec, train_windows, train_config, refit_epochs)
+        mse = mean_window_mse(eval_state, test_windows)
+        results.append(PruningResult(strategy, selected, mse, mse_full, seed, mixing_refit))
+    return results
+
+
 def prune_and_eval(
     split: DatasetSplit,
     spec: ModelSpec,
@@ -143,67 +206,10 @@ def prune_and_eval(
     seed: int | None = None,
     refit_epochs: int = 5,
 ) -> PruningResult:
-    """Train full, select m channels, retrain on them, evaluate both on all.
-
-    The score table always comes from the full-channel model, so selection
-    itself never retrains; it is accumulated at eta = 1, since the ranking
-    is all that selection reads. ``seed`` (default: train_config.seed) only
-    feeds the random strategy. Both MSEs are per-element forecasting error
-    on the full-channel test windows. m and refit_epochs are checked before
-    anything trains.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if spec.horizon < 1:
-        raise ValueError("pruning evaluation needs a forecasting model (horizon > 0)")
-    n = split.train.n_channels
-    if spec.architecture == "mlp_mix" and spec.channels != n:
-        raise ValueError(f"spec expects {spec.channels} channels, data has {n}")
-    if not 1 <= m <= n:
-        raise ValueError(f"subset size {m} out of range for {n} channels")
-    if _integral(refit_epochs, "refit_epochs") < 1:
-        raise ValueError(f"refit_epochs must be at least 1, got {refit_epochs}")
-    if seed is None:
-        seed = train_config.seed
-
-    rows = spec.total_rows
-    train_windows = make_windows(split.train, rows, stride)
-    test_windows = make_windows(split.test, rows, stride)
-    full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
-
-    if strategy in ("influence_equidistant", "most_influence"):
-        val_windows = make_windows(split.val, rows, stride)
-        table = accumulate_channel_scores(full_state, val_windows, 1.0)
-    else:
-        # random and continuous ignore the scores; a zero table carries N
-        table = ChannelScoreTable(np.zeros(n))
-    if strategy == "influence_equidistant":
-        selected = equidistant_select(table, m)
-    else:
-        selected = baseline_select(table, m, strategy, seed)
-
-    subset_spec = replace(spec, channels=m) if spec.architecture == "mlp_mix" else spec
-    subset_windows = WindowStack(train_windows.values[..., list(selected)], train_windows.origins)
-    subset_state = train(
-        init_params(subset_spec, train_config.seed), subset_windows, train_config
-    )
-
-    mixing_refit = spec.architecture == "mlp_mix" and m < n
-    if mixing_refit:
-        eval_state = _refit_mixing(
-            subset_state, spec, train_windows, train_config, refit_epochs
-        )
-    else:
-        eval_state = subset_state
-
-    return PruningResult(
-        strategy=strategy,
-        selected=selected,
-        mse_selected_model_on_all_channels=mean_window_mse(eval_state, test_windows),
-        mse_full_model=mean_window_mse(full_state, test_windows),
-        seed=seed,
-        mixing_refit=mixing_refit,
-    )
+    """One cell of prune_cells: train full, select m channels, retrain on
+    them, evaluate both on all."""
+    options = dict(stride=stride, seed=seed, refit_epochs=refit_epochs)
+    return prune_cells(split, spec, train_config, [(m, strategy)], **options)[0]
 
 
 def save_pruning_csv(results: list[PruningResult], path: str) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chinf import anomaly, cli, core, data, models
+from chinf import anomaly, cli, core, data, models, pruning
 from chinf.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -385,6 +385,27 @@ class TestPrune:
             ("continuous", "1"),
         }
         assert all(r[1] == "3" and r[5] == "false" for r in rows)
+
+    def test_each_seed_trains_one_full_model(self, prune_series, tmp_path, monkeypatch):
+        widths, passes = [], []
+        prune_cells = pruning.prune_cells
+
+        def train_and_count(state, windows, config, **kwargs):
+            widths.append(windows.values.shape[-1])
+            return models.train(state, windows, config, **kwargs)
+
+        def cells_and_count(*args, **kwargs):
+            passes.append(args[3])
+            return prune_cells(*args, **kwargs)
+
+        monkeypatch.setattr(pruning, "train", train_and_count)
+        monkeypatch.setattr(pruning, "prune_cells", cells_and_count)
+        cfg = self.prune_config(prune_series, tmp_path)
+        assert run("prune", "--config", cfg, "--out", tmp_path) == 0
+        # seeds [0, 1] x strategies equidistant and continuous at m = 3 of 6:
+        # per seed, one full model and one model per strategy's subset
+        assert widths == [6, 3, 3] * 2
+        assert passes == [[(3, "influence_equidistant"), (3, "continuous")]] * 2
 
     def test_byte_identical_across_rerun_and_threads(self, prune_series, tmp_path):
         outs = []

@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import chinf
 from chinf import anomaly, autodiff, core, data, influence, models, pruning
 
 
@@ -270,3 +273,16 @@ def test_container_holds_a_private_read_only_copy(holder):
     before = held.copy()
     mine += 1
     assert np.array_equal(held, before)
+
+
+def test_all_lists_every_public_name_once():
+    # a stale entry breaks `from chinf import *`, a missing one hides a name
+    bound = {
+        name
+        for name, value in vars(chinf).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(chinf.__all__) == sorted(bound)
+    namespace = {}
+    exec("from chinf import *", namespace)
+    assert bound <= namespace.keys()

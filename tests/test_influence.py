@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from chinf import (
     param_shapes,
     save_influence_csv,
     self_influence_per_channel,
+    self_influence_rows,
     tracin,
+    tracin_self_scores,
     train,
     whole_gradient,
     window_loss,
@@ -53,7 +57,7 @@ class TestCif:
             cif(gv([1.0]), gv([1.0, 2.0]), 1.0)
 
     def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError, match="eta must be positive, got 0"):
+        with pytest.raises(ValueError, match="eta must be finite and positive, got 0"):
             cif(gv([1.0]), gv([1.0]), 0)
 
 
@@ -182,11 +186,12 @@ class TestEtaHandling:
 
     def test_rejects_negative_eta(self):
         state, win = self.trained_state()
-        with pytest.raises(ValueError, match="eta must be positive"):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
             tracin(state, win, win, eta=-1.0)
 
     @pytest.mark.parametrize(
-        "eta, message", [(float("nan"), "must be positive, got nan"), (float("inf"), "must be finite")]
+        "eta, message",
+        [(float("nan"), "must be finite and positive, got nan"), (float("inf"), "must be finite")],
     )
     def test_rejects_non_finite_eta(self, eta, message):
         state, win = self.trained_state()
@@ -194,6 +199,39 @@ class TestEtaHandling:
             self_influence_per_channel(state, win, eta=eta)
         with pytest.raises(ValueError, match=f"eta {message}"):
             cif(gv([1.0]), gv([1.0]), eta)
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            ("0.1", "eta must be a JSON number, got '0.1'"),
+            (True, "eta must be a JSON number, got True"),
+            (np.True_, "eta must be a JSON number, got np.True_"),
+            (10**400, "eta must be finite and positive, got 1000"),
+        ],
+        ids=["str", "bool", "numpy_bool", "huge_int"],
+    )
+    def test_explicit_eta_takes_the_number_rule(self, eta, message):
+        state, win = self.trained_state()
+        calls = {
+            "cif": lambda: cif(gv([1.0]), gv([2.0]), eta),
+            "influence_matrix": lambda: influence_matrix(state, win, win, eta=eta),
+            "tracin": lambda: tracin(state, win, win, eta=eta),
+            "self_influence_rows": lambda: self_influence_rows(state, [win], eta=eta),
+            "tracin_self_scores": lambda: tracin_self_scores(state, [win], eta=eta),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+                pytest.fail(f"{name} took eta {eta!r}")
+
+    def test_numeric_eta_becomes_float(self):
+        state, win = self.trained_state()
+        assert cif(gv([1.0]), gv([2.0]), 2) == 4.0
+        assert cif(gv([1.0]), gv([2.0]), np.float64(0.5)) == 1.0
+        for eta in (2, np.int64(2), np.float64(2.0)):
+            matrix = influence_matrix(state, win, win, eta=eta)
+            assert type(matrix.eta) is float
+            assert np.array_equal(matrix.values, influence_matrix(state, win, win, eta=2.0).values)
 
     def test_doubling_eta_doubles_every_entry(self):
         state, win = self.trained_state()

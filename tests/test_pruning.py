@@ -3,25 +3,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chinf import autodiff, influence, pruning
+from chinf import autodiff, influence, models, pruning
 from chinf import (
     ChannelScoreTable,
     ModelSpec,
     MtsSeries,
+    WindowStack,
     TrainConfig,
     accumulate_channel_scores,
-    baseline_select,
     chronological_split,
-    equidistant_select,
     gen_synthetic,
     init_params,
     make_windows,
     prune_and_eval,
+    prune_cells,
     save_pruning_csv,
+    select_channels,
     self_influence_per_channel,
     train,
 )
 from chinf.data import SyntheticConfig
+from chinf.pruning import STRATEGIES
 
 from bench_suite import random_window
 
@@ -127,68 +129,97 @@ class TestAccumulate:
 
 
 class TestEquidistantSelect:
+    """select_channels' influence_equidistant strategy."""
+
     def test_eight_channels_four_picks(self):
         # scores ascend with the index, so ranked position k is channel k
         table = table_with_scores(np.arange(8.0))
-        assert equidistant_select(table, 4) == (0, 2, 4, 6)
+        assert select_channels(table, 4, "influence_equidistant") == (0, 2, 4, 6)
 
     def test_returns_original_indices_not_positions(self):
         table = table_with_scores(np.array([3.0, 0.0, 2.0, 1.0]))
         # ascending ranking is (1, 3, 2, 0); positions 0 and 2 of it
-        assert equidistant_select(table, 2) == (1, 2)
+        assert select_channels(table, 2, "influence_equidistant") == (1, 2)
 
     def test_m_equals_n_selects_everything(self):
         table = table_with_scores(np.random.default_rng(0).normal(size=6))
-        assert equidistant_select(table, 6) == (0, 1, 2, 3, 4, 5)
+        assert select_channels(table, 6, "influence_equidistant") == (0, 1, 2, 3, 4, 5)
 
     def test_m_one_selects_lowest_influence(self):
         table = table_with_scores(np.array([0.4, 0.1, 0.9]))
-        assert equidistant_select(table, 1) == (1,)
+        assert select_channels(table, 1, "influence_equidistant") == (1,)
 
     def test_uneven_stride(self):
         table = table_with_scores(np.arange(5.0))
-        assert equidistant_select(table, 2) == (0, 2)
+        assert select_channels(table, 2, "influence_equidistant") == (0, 2)
 
     def test_out_of_range(self):
         table = table_with_scores(np.arange(8.0))
         with pytest.raises(ValueError, match="subset size 0 out of range for 8"):
-            equidistant_select(table, 0)
+            select_channels(table, 0, "influence_equidistant")
         with pytest.raises(ValueError, match="subset size 9 out of range for 8"):
-            equidistant_select(table, 9)
+            select_channels(table, 9, "influence_equidistant")
 
     def test_invariant_to_positive_rescaling(self):
         rng = np.random.default_rng(4)
         scores = rng.normal(size=12)
         for m in (1, 3, 5, 12):
-            assert equidistant_select(table_with_scores(scores), m) == (
-                equidistant_select(table_with_scores(scores * 3.7), m)
+            assert select_channels(table_with_scores(scores), m, "influence_equidistant") == (
+                select_channels(table_with_scores(scores * 3.7), m, "influence_equidistant")
             )
 
 
 class TestBaselineSelect:
+    """select_channels' comparison strategies: continuous, random, most_influence."""
+
     table = table_with_scores(np.array([0.5, 0.1, 0.8, 0.3, 0.9]))
 
     def test_continuous(self):
-        assert baseline_select(self.table, 3, "continuous") == (0, 1, 2)
+        assert select_channels(self.table, 3, "continuous") == (0, 1, 2)
 
     def test_random_is_seed_deterministic(self):
-        a = baseline_select(self.table, 3, "random", seed=11)
-        b = baseline_select(self.table, 3, "random", seed=11)
+        a = select_channels(self.table, 3, "random", seed=11)
+        b = select_channels(self.table, 3, "random", seed=11)
         assert a == b
         assert len(set(a)) == 3
         assert all(0 <= c < 5 for c in a)
 
     def test_most_influence_takes_top_scores(self):
-        assert baseline_select(self.table, 1, "most_influence") == (4,)
-        assert baseline_select(self.table, 2, "most_influence") == (2, 4)
+        assert select_channels(self.table, 1, "most_influence") == (4,)
+        assert select_channels(self.table, 2, "most_influence") == (2, 4)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'pca'"):
-            baseline_select(self.table, 2, "pca")
+            select_channels(self.table, 2, "pca")
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            baseline_select(self.table, 6, "continuous")
+            select_channels(self.table, 6, "continuous")
+
+
+class TestSelectChannels:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_m_out_of_range(self, strategy):
+        table = table_with_scores(np.arange(8.0))
+        with pytest.raises(ValueError, match="subset size 0 out of range for 8"):
+            select_channels(table, 0, strategy)
+        with pytest.raises(ValueError, match="subset size 9 out of range for 8"):
+            select_channels(table, 9, strategy)
+
+    @pytest.mark.parametrize("m", [2.5, True, "2"])
+    def test_non_integral_size_rejected(self, m):
+        table = table_with_scores(np.arange(8.0))
+        with pytest.raises(ValueError, match="subset size must be an integer"):
+            select_channels(table, m, "continuous")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sorted_distinct_indices(self, strategy):
+        table = table_with_scores(np.random.default_rng(6).normal(size=9))
+        for m in range(1, 10):
+            selected = select_channels(table, m, strategy, seed=2)
+            assert selected == tuple(sorted(set(selected)))
+            assert len(selected) == m and all(0 <= c < 9 for c in selected)
+            assert all(type(c) is int for c in selected)
 
 
 class TestPruneAndEval:
@@ -282,7 +313,7 @@ class TestPruneAndEval:
         val = make_windows(split.val, SMALL_SPEC.total_rows)
         table = accumulate_channel_scores(untrained, val, eta=1.0)
         result = prune_and_eval(split, SMALL_SPEC, config, 2, "influence_equidistant")
-        assert result.selected == equidistant_select(table, 2)
+        assert result.selected == select_channels(table, 2, "influence_equidistant")
 
     @pytest.mark.parametrize("strategy", ["influence_equidistant", "most_influence"])
     def test_selection_matches_the_learning_rate_ranking(self, strategy):
@@ -292,10 +323,7 @@ class TestPruneAndEval:
         table = accumulate_channel_scores(state, val, eta=SMALL_CONFIG.learning_rate)
         for m in (1, 2, 3):
             result = prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, m, strategy)
-            if strategy == "influence_equidistant":
-                assert result.selected == equidistant_select(table, m)
-            else:
-                assert result.selected == baseline_select(table, m, strategy)
+            assert result.selected == select_channels(table, m, strategy)
 
     @pytest.mark.parametrize(
         "refit_epochs, message",
@@ -319,6 +347,100 @@ class TestPruneAndEval:
     def test_takes_no_eta(self):
         with pytest.raises(TypeError, match="eta"):
             prune_and_eval(small_split(), SMALL_SPEC, SMALL_CONFIG, 2, "continuous", eta=0.01)
+
+
+def counting_train(monkeypatch):
+    """Wrap pruning's train; the list collects each call's channel count."""
+    widths = []
+
+    def train_and_count(state, windows, config, **kwargs):
+        widths.append(windows.values.shape[-1])
+        return models.train(state, windows, config, **kwargs)
+
+    monkeypatch.setattr(pruning, "train", train_and_count)
+    return widths
+
+
+class TestPruneCells:
+    CELLS = [(m, strategy) for m in (2, 4) for strategy in STRATEGIES]
+
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_mix"])
+    def test_each_result_equals_its_one_cell_run(self, architecture):
+        split = small_split()
+        spec = ModelSpec(architecture, window=8, channels=4, hidden=4, horizon=2)
+        options = dict(seed=3, refit_epochs=2)
+        results = prune_cells(split, spec, SMALL_CONFIG, self.CELLS, **options)
+        assert [(r.m, r.strategy) for r in results] == self.CELLS
+        for (m, strategy), result in zip(self.CELLS, results):
+            assert result == prune_and_eval(split, spec, SMALL_CONFIG, m, strategy, **options)
+        refits = [r.mixing_refit for r in results]
+        assert refits == [architecture == "mlp_mix"] * 4 + [False] * 4
+
+    def test_trains_the_full_model_once_and_scores_once(self, monkeypatch):
+        widths = counting_train(monkeypatch)
+        tables = []
+        accumulate = pruning.accumulate_channel_scores
+
+        def accumulate_and_count(*args, **kwargs):
+            tables.append(args)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(pruning, "accumulate_channel_scores", accumulate_and_count)
+        split = small_split()
+        prune_cells(split, SMALL_SPEC, SMALL_CONFIG, [(2, s) for s in STRATEGIES])
+        # one full training on all 4 channels, then one per 2-channel subset
+        assert widths == [4, 2, 2, 2, 2]
+        assert len(tables) == 1
+        # no cell reads the ranking, so no table is built
+        prune_cells(split, SMALL_SPEC, SMALL_CONFIG, [(2, "random"), (3, "continuous")])
+        assert widths[5:] == [4, 2, 3]
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((5, "random"), "subset size 5 out of range for 4"),
+            ((0, "most_influence"), "subset size 0 out of range for 4"),
+            ((2, "pca"), "unknown strategy 'pca'"),
+            ((1.5, "continuous"), "subset size must be an integer, got 1.5"),
+        ],
+        ids=["m_above_n", "m_zero", "unknown_strategy", "fractional_m"],
+    )
+    def test_a_bad_last_cell_fails_before_training(self, monkeypatch, bad, message):
+        widths = counting_train(monkeypatch)
+        cells = [(2, "continuous"), (3, "influence_equidistant"), bad]
+        with pytest.raises(ValueError, match=message):
+            prune_cells(small_split(), SMALL_SPEC, SMALL_CONFIG, cells)
+        assert widths == []
+
+    def test_no_cells_fails_before_training(self, monkeypatch):
+        widths = counting_train(monkeypatch)
+        with pytest.raises(ValueError, match="no \\(m, strategy\\) cells"):
+            prune_cells(small_split(), SMALL_SPEC, SMALL_CONFIG, [])
+        assert widths == []
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_subset_windows_equal_the_sliced_full_stack(self, stride):
+        # windowing the subset series must train the very model that slicing
+        # the full training stack's channels trains
+        split = small_split()
+        selected = [0, 2, 3]
+        rows = SMALL_SPEC.total_rows
+        full = make_windows(split.train, rows, stride)
+        sliced = WindowStack(full.values[..., selected], full.origins)
+        names = tuple(split.train.channel_names[c] for c in selected)
+        subset = make_windows(MtsSeries(split.train.values[:, selected], names), rows, stride)
+        assert np.array_equal(subset.values, sliced.values)
+        assert np.array_equal(subset.origins, sliced.origins)
+        init = init_params(SMALL_SPEC, SMALL_CONFIG.seed)
+        a, b = (train(init, w, SMALL_CONFIG) for w in (subset, sliced))
+        for name in a.params:
+            assert np.array_equal(a.params[name], b.params[name])
+        result = prune_and_eval(split, SMALL_SPEC, SMALL_CONFIG, 3, "continuous", stride=stride)
+        test = make_windows(split.test, rows, stride)
+        continuous = WindowStack(full.values[..., :3], full.origins)
+        expected = models.mean_window_mse(train(init, continuous, SMALL_CONFIG), test)
+        assert result.mse_selected_model_on_all_channels == expected
 
 
 class TestCsv:
