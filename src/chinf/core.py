@@ -17,8 +17,10 @@ import numpy as np
 
 def _readonly(value, dtype=np.float64) -> np.ndarray:
     """The one way a container holds an array: a private read-only copy, so
-    the caller's array stays writable and the container's cannot change."""
-    out = np.array(value, dtype=dtype)
+    the caller's array stays writable and the container's cannot change.
+    The copy is C-ordered whatever the input's layout (a column subset of a
+    series is F-ordered), so a window stack is always C-contiguous."""
+    out = np.array(value, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

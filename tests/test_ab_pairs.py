@@ -1,0 +1,60 @@
+import importlib.util
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+TOOL = ROOT / "tools" / "ab_pairs.py"
+spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+METRICS = ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")
+
+
+def scripted(old_walls, new_walls):
+    """A run_once stand-in: wall_s from the scripts, one call at a time."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        k = sum(c[0] == checkout for c in calls) - 1
+        wall = (new_walls if checkout == "NEW" else old_walls)[k]
+        values = {"setup_s": 0.05, "wall_s": wall, "items_per_s": 1.0 / wall, "peak_rss_mb": 50.0}
+        return {"failed": 0, "metrics": {m: {"value": values[m]} for m in METRICS}}
+
+    return run_once, calls
+
+
+def summary_rows(text):
+    return {line.split()[0]: line for line in text.splitlines() if line.split()[0] in METRICS}
+
+
+def test_old_runs_first_and_the_gain_rule_is_applied(monkeypatch, capsys):
+    old = [1.0 + 0.01 * k for k in range(10)]
+    new = [1.5] + [0.8] * 9  # the change loses the first pair only
+    run_once, calls = scripted(old, new)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = [str(ROOT), "NEW", "--workload", "detect_cif", "--seed", "7", "--pairs", "10"]
+    assert ab_pairs.main(argv + ["--seconds", "2"]) == 0
+    assert [c[0] for c in calls] == [str(ROOT), "NEW"] * 10
+    assert {c[1:] for c in calls} == {("detect_cif", 7, 2.0)}
+    text = capsys.readouterr().out
+    assert text.count("\npair ") == 9 and text.startswith("pair 1: ")
+    rows = summary_rows(text)
+    # 9 of 10 won and a median gap far beyond the parent's quartile distance
+    for name in ("wall_s", "items_per_s"):
+        assert " 9/10" in rows[name] and rows[name].endswith("yes")
+    ratio = statistics.median(b / a for a, b in zip(old, new))
+    assert f" {ratio:.4f} " in rows["wall_s"]
+    # equal values are ties, which count for neither side
+    for name in ("setup_s", "peak_rss_mb"):
+        assert " 0/10" in rows[name] and rows[name].endswith("no")
+
+
+def test_eight_of_ten_wins_claim_nothing(monkeypatch, capsys):
+    old = [1.0] * 10
+    new = [1.2, 1.2] + [0.5] * 8
+    monkeypatch.setattr(ab_pairs, "run_once", scripted(old, new)[0])
+    ab_pairs.main([str(ROOT), "NEW", "--workload", "w", "--seed", "0", "--pairs", "10"])
+    row = summary_rows(capsys.readouterr().out)["wall_s"]
+    assert " 8/10" in row and row.endswith("no")

@@ -22,10 +22,12 @@ from chinf import (
     tracin,
 )
 from chinf import anomaly, autodiff
-from chinf.anomaly import report_summary
-from chinf.models import all_params_selector, last_layer_selector
+from chinf.anomaly import METHODS, report_summary
+from chinf.influence import self_influence_rows
+from chinf.models import all_params_selector, channel_losses, last_layer_selector
 
 import bench_suite
+from test_acceptance import _brute_force_threshold
 
 
 NON_INTEGRAL_ORIGINS = pytest.mark.parametrize(
@@ -33,6 +35,12 @@ NON_INTEGRAL_ORIGINS = pytest.mark.parametrize(
     [(1.7, 2.2), (1, np.nan), (1, 2**63), ("1", "2"), ((1, 2), (3, 4))],
     ids=["fractional", "nan", "past_int64", "strings", "nested"],
 )
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def series_of(values, method="cif_self_influence"):
@@ -99,6 +107,14 @@ class TestNormalize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown normalization 'zscore'"):
             normalize_scores(series_of([1.0, 2.0]), "zscore")
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 490, 491])
+    def test_median_iqr_equals_the_three_call_form(self, n):
+        rng = np.random.default_rng(n)
+        for scores in (rng.normal(size=n), rng.choice([0.0, 0.25, 1.0, 3.0], size=n)):
+            scale = np.percentile(scores, 75) - np.percentile(scores, 25)
+            want = (scores - np.median(scores)) / max(float(scale), anomaly._EPS)
+            assert same_bits(anomaly._normalize_raw(scores, "median_iqr"), want)
 
     def test_preserves_order(self):
         rng = np.random.default_rng(0)
@@ -213,6 +229,27 @@ class TestSelectThreshold:
             scores = adjacent_float_ties(rng, n)
             labels = sparse_labels(rng, n, rate=rng.uniform(0.05, 0.6))
             assert select_threshold(scores, labels) == brute_force_threshold(scores, labels)
+
+    def test_signed_zeros_and_long_ties_match_exhaustive_search(self):
+        # -0.0 == 0.0, and the subnormal pool puts midpoints at -0.0 and 0.0
+        pools = ([-1.0, -0.0, 0.0, 0.5, 1.0], [-5e-324, -0.0, 0.0, 5e-324])
+        rng = np.random.default_rng(20)
+        for case in range(300):
+            pool = np.array(pools[case % 2])
+            n = int(rng.integers(2, 200))
+            if case % 3 == 0:
+                scores = rng.choice(pool, size=n)
+            else:
+                # a few long runs of one value each, in sorted or shuffled order
+                runs = rng.multinomial(n, rng.dirichlet(np.ones(pool.size)))
+                scores = np.repeat(pool, runs)
+                if case % 3 == 2:
+                    rng.shuffle(scores)
+            labels = rng.integers(0, 2, size=n)
+            if labels.all() or not labels.any():
+                labels[rng.integers(n)] ^= 1
+            got = select_threshold(scores, labels)
+            assert same_bits(got, _brute_force_threshold(scores, labels)), f"case {case}"
 
     def test_continuous_scores_with_tied_copies(self):
         rng = np.random.default_rng(81)
@@ -532,3 +569,87 @@ class TestDetect:
         assert int(first[0]) == report.raw_scores.origins[0]
         assert float(first[1]) == report.raw_scores.scores[0]
         assert float(first[2]) == report.normalized_scores.scores[0]
+
+
+def assert_same_series(got: ScoreSeries, want: ScoreSeries):
+    assert got.method == want.method
+    assert got.origins == want.origins
+    assert same_bits(got.scores, want.scores)
+
+
+def split_labels(series, windows):
+    return series.timestep_labels[windows.origins]
+
+
+@pytest.mark.parametrize("threshold_on", ["val", "test"])
+class TestDetectEqualsThePublicRoute:
+    """detect scores each split as plain arrays; its report must equal what
+    score_windows, normalize_scores and select_threshold give, bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scores_and_threshold(self, trained_scenario, method, threshold_on):
+        state, val, test = trained_scenario
+        config = DetectConfig(method=method, threshold_on=threshold_on)
+        report = detect(state, test, config, val_series=val)
+        rows = state.spec.total_rows
+        test_windows = make_windows(test, rows)
+        raw = score_windows(state, test_windows, method)
+        assert_same_series(report.raw_scores, raw)
+        assert_same_series(report.normalized_scores, normalize_scores(raw, report.normalization))
+        assert np.array_equal(report.labels, split_labels(test, test_windows))
+        source = val if threshold_on == "val" else test
+        windows = make_windows(source, rows)
+        normalized = normalize_scores(score_windows(state, windows, method), report.normalization)
+        h = select_threshold(normalized, split_labels(source, windows))
+        assert same_bits(report.threshold, h)
+
+    @pytest.mark.parametrize("method", ["cif_self_influence", "reconstruction_error"])
+    def test_per_channel_normalization(self, trained_scenario, method, threshold_on):
+        state, val, test = trained_scenario
+        config = DetectConfig(method=method, threshold_on=threshold_on, normalize_per_channel=True)
+        report = detect(state, test, config, val_series=val)
+        rows = state.spec.total_rows
+        columns_of = self_influence_rows if method == "cif_self_influence" else channel_losses
+
+        def per_channel(series):
+            windows = make_windows(series, rows)
+            columns = columns_of(state, windows)
+            normalized = [
+                normalize_scores(ScoreSeries(c, method, windows.origins), report.normalization)
+                for c in columns.T
+            ]
+            best = np.max([n.scores for n in normalized], axis=0)
+            return ScoreSeries(best, method, windows.origins), split_labels(series, windows)
+
+        assert_same_series(report.raw_scores, score_windows(state, make_windows(test, rows), method))
+        assert_same_series(report.normalized_scores, per_channel(test)[0])
+        source = val if threshold_on == "val" else test
+        assert same_bits(report.threshold, select_threshold(*per_channel(source)))
+
+    def test_builds_two_score_series(self, trained_scenario, monkeypatch, threshold_on):
+        state, val, test = trained_scenario
+        built = []
+        check = ScoreSeries.__post_init__
+
+        def counting(series):
+            built.append(series)
+            check(series)
+
+        monkeypatch.setattr(ScoreSeries, "__post_init__", counting)
+        report = detect(state, test, DetectConfig(threshold_on=threshold_on), val_series=val)
+        assert len(built) == 2
+        assert built[0] is report.raw_scores and built[1] is report.normalized_scores
+
+
+@pytest.mark.parametrize("scaled", ["val", "test"])
+def test_detect_rejects_non_finite_scores_on_either_split(trained_scenario, scaled):
+    # squared errors of a series scaled by 1e160 pass the float range
+    state, val, test = trained_scenario
+    splits = {"val": val, "test": test}
+    series = splits[scaled]
+    splits[scaled] = bench_suite.core.MtsSeries(
+        series.values * 1e160, series.channel_names, series.timestep_labels
+    )
+    config = DetectConfig(method="reconstruction_error")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores must be finite"):
+        detect(state, splits["test"], config, val_series=splits["val"])

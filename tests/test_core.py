@@ -118,6 +118,18 @@ class TestWindowStack:
         # the stack owns a copy: it does not alias the series
         assert not np.shares_memory(wins.values, s.values)
 
+    def test_column_subset_series_windows_to_a_contiguous_stack(self):
+        # numpy gives values[:, [0, 4, 9]] in F order; the containers copy to C order
+        full = series(t=40, n=10)
+        columns = [0, 4, 9]
+        subset = core.MtsSeries(full.values[:, columns], [full.channel_names[j] for j in columns])
+        assert subset.values.flags.c_contiguous
+        for stride in (1, 3):
+            wins = core.make_windows(subset, 6, stride)
+            assert wins.values.flags.c_contiguous
+            want = core.make_windows(full, 6, stride).values[..., columns]
+            assert np.array_equal(wins.values, want)
+
     def test_int_index_gives_a_window_and_slice_a_stack(self):
         s = series(t=30)
         wins = core.make_windows(s, 5, stride=2)
