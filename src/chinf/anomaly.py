@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MtsSeries, Windows, _finite_number, _integral, _origin_vector, _readonly
-from .core import _write_lines, as_window_stack, make_windows
+from .core import MtsSeries, Windows, _choice, _finite_number, _integral, _origin_vector
+from .core import _readonly, _write_lines, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel  # noqa: F401
@@ -45,8 +45,7 @@ class ScoreSeries:
     origins: tuple[int, ...]
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        _choice(self.method, METHODS, "method")
         scores = _readonly(self.scores)
         if scores.ndim != 1:
             raise ValueError(f"scores must be a vector, got shape {scores.shape}")
@@ -74,20 +73,10 @@ class DetectConfig:
     normalize_per_channel: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.normalization not in NORMALIZATIONS + ("best_of_both",):
-            raise ValueError(
-                f"unknown normalization {self.normalization!r}, expected one of "
-                f"{NORMALIZATIONS + ('best_of_both',)}"
-            )
-        if self.threshold_on not in ("val", "test"):
-            raise ValueError(
-                f"threshold_on must be 'val' or 'test', got {self.threshold_on!r}"
-            )
-        object.__setattr__(self, "stride", _integral(self.stride, "stride"))
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
+        _choice(self.method, METHODS, "method")
+        _choice(self.normalization, NORMALIZATIONS + ("best_of_both",), "normalization")
+        _choice(self.threshold_on, ("val", "test"), "threshold_on")
+        object.__setattr__(self, "stride", _integral(self.stride, "stride", 1))
         if self.eta is not None:
             object.__setattr__(self, "eta", _finite_number(self.eta, "eta", positive=True))
         if not (self.selector is None or isinstance(self.selector, ParamSelector)):
@@ -185,8 +174,7 @@ def normalize_scores(series: ScoreSeries, mode: str) -> ScoreSeries:
     (n-1)*p. Scales below 1e-12 are clamped, so a constant series maps to
     all zeros.
     """
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {mode!r}, expected one of {NORMALIZATIONS}")
+    _choice(mode, NORMALIZATIONS, "normalization")
     return ScoreSeries(_normalize_raw(series.scores, mode), series.method, series.origins)
 
 

@@ -3,12 +3,14 @@
 Each command reads a flat JSON config (--config), applies any flag
 overrides, runs, and writes its outputs plus a manifest.json echoing the
 config as given, with any --seed override, into the output directory.
-Outputs carry no timestamps, so a rerun with the same config and inputs is
-byte-identical. core._write_lines is the single place the byte rule lives
-(UTF-8, LF line ends, one final LF), and every output goes through it.
+Outputs carry no timestamps, so a rerun with the same config and inputs on
+one machine and numpy/OpenBLAS build is byte-identical. core._write_lines
+is the single place the byte rule lives (UTF-8, LF line ends, one final
+LF), and every output goes through it.
 
 main types the config against the command's schema in SCHEMAS before the
-command runs; an unknown key, a bad value, a NaN or infinity exits 2.
+command runs; an unknown key, a bad value, a NaN or infinity exits 2, and
+so does a library ValueError raised while a config is built (_labelled).
 
 Exit codes: 0 success, 1 runtime failure (missing files, training blowups),
 2 config or usage errors (always naming the offending field).
@@ -20,12 +22,14 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import anomaly, data, influence, models, pruning
-from .core import _float_rows, _integral, _number, _write_lines, chronological_split, make_windows
+from .core import _choice, _float_rows, _integral, _number, _write_lines, chronological_split
+from .core import make_windows
 from .models import all_params_selector, last_layer_selector
 
 
@@ -63,10 +67,19 @@ SCHEMAS = {
 SELECTORS = {"last_layer": last_layer_selector, "all": all_params_selector}
 
 
+@contextmanager
+def _labelled(label):
+    """The one boundary between the library and exit 2: a ValueError raised
+    inside becomes a config error headed by label."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{label}: {e}") from None
+
+
 def _resolve_selector(config, spec):
-    name = config.get("selector", "last_layer")
-    if name not in SELECTORS:
-        raise ConfigError(f"selector: unknown value {name!r}, expected one of {tuple(SELECTORS)}")
+    with _labelled("selector"):
+        name = _choice(config.get("selector", "last_layer"), tuple(SELECTORS), "value")
     return SELECTORS[name](spec)
 
 
@@ -160,46 +173,36 @@ def _input_path(config, name):
 
 
 def _model_spec_from(config):
-    try:
+    with _labelled("model spec"):
         return models.ModelSpec(
             architecture=config["architecture"], window=config["window"],
             channels=config["channels"], **_given(config, ("hidden", "activation", "horizon")),
         )
-    except ValueError as e:
-        raise ConfigError(f"model spec: {e}") from None
 
 
 def _train_config_from(config):
-    try:
+    with _labelled("train config"):
         return models.TrainConfig(**_given(config, SGD))
-    except ValueError as e:
-        raise ConfigError(f"train config: {e}") from None
 
 
 def _split_from(config, series):
-    try:
+    with _labelled("train_frac/val_frac"):
         return chronological_split(
             series, config.get("train_frac", 0.5), config.get("val_frac", 0.25)
         )
-    except ValueError as e:
-        raise ConfigError(f"train_frac/val_frac: {e}") from None
 
 
 def cmd_synth(config, out_dir):
-    try:
+    with _labelled("synth config"):
         syn = data.SyntheticConfig(
             # an empty list leaves the frequencies at their default
             **_given(config, SYNTH), base_frequencies=config.get("base_frequencies") or None
         )
-    except ValueError as e:
-        raise ConfigError(f"synth config: {e}") from None
     series = data.gen_synthetic(syn)
     for i, entry in enumerate(config.get("anomalies", ())):
-        try:
+        with _labelled(f"anomalies[{i}]"):
             spec = data.AnomalySpec(entry["kind"], entry["target_channels"], entry["intervals"],
                                     **_given(entry, ("magnitude",)))
-        except ValueError as e:
-            raise ConfigError(f"anomalies[{i}]: {e}") from None
         series = data.inject_anomalies(series, spec, seed=entry.get("seed", 0))
     name = config.get("out_csv", "series.csv")
     data.save_csv(series, os.path.join(out_dir, name))
@@ -248,13 +251,9 @@ def cmd_influence(config, out_dir):
 def cmd_detect(config, out_dir):
     series = data.load_csv(_input_path(config, "series_csv"))
     state = models.load_checkpoint(_input_path(config, "checkpoint"))
-    try:
-        detect_config = anomaly.DetectConfig(
-            **_given(config, DETECT),
-            selector=_resolve_selector(config, state.spec),
-        )
-    except ValueError as e:
-        raise ConfigError(f"detect config: {e}") from None
+    selector = _resolve_selector(config, state.spec)
+    with _labelled("detect config"):
+        detect_config = anomaly.DetectConfig(**_given(config, DETECT), selector=selector)
     split = _split_from(config, series)
     report = anomaly.detect(state, split.test, detect_config, val_series=split.val)
     # flagging every window (or none) can score best, but JSON has no infinity

@@ -25,15 +25,27 @@ def _readonly(value, dtype=np.float64) -> np.ndarray:
     return out
 
 
-def _integral(value, what: str) -> int:
-    """value as an int, or a ValueError when it is not integral (1.5, "3", True)."""
+def _integral(value, what: str, low: int | None = None) -> int:
+    """value as an int, or a ValueError when it is not integral (1.5, "3",
+    True) or lies below low: the one place an integer bound is worded."""
     try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
+        integral = not isinstance(value, bool) and int(value) == value
     # int() of a NaN, an infinity or a non-numeric string
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _choice(value, options: tuple, what: str):
+    """value, or a ValueError when it is not one of options."""
+    if value not in options:
+        raise ValueError(f"unknown {what} {value!r}, expected one of {options}")
+    return value
 
 
 def _number(value, what: str) -> float:
@@ -228,12 +240,8 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
     index of its last row. Returns floor((T - w) / stride) + 1 windows as
     one stack, copied once out of the series.
     """
-    w = _integral(w, "window length")
-    stride = _integral(stride, "stride")
-    if w < 1:
-        raise ValueError(f"window length must be >= 1, got {w}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    w = _integral(w, "window length", 1)
+    stride = _integral(stride, "stride", 1)
     if w > series.n_timesteps:
         raise ValueError(f"window exceeds series length ({w} > {series.n_timesteps})")
     # any stride past the series gives the first window alone; capping it

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MtsSeries, _finite_number, _float_rows, _integral, _write_lines
+from .core import MtsSeries, _choice, _finite_number, _float_rows, _integral, _write_lines
 
 # Non-harmonic defaults so clusters stay spectrally distinct.
 _BASE_FREQUENCIES = (3.0, 7.0, 13.0, 23.0, 41.0, 71.0, 113.0, 197.0)
@@ -42,20 +42,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("clusters", "channels_per_cluster", "length", "seed"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name, low in (("clusters", 1), ("channels_per_cluster", 1), ("length", 2), ("seed", 0)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, low))
         for name in ("phase_jitter", "noise_std"):
             object.__setattr__(self, name, _finite_number(getattr(self, name), name))
-        if self.clusters < 1:
-            raise ValueError(f"clusters must be positive, got {self.clusters}")
-        if self.channels_per_cluster < 1:
-            raise ValueError(
-                f"channels_per_cluster must be positive, got {self.channels_per_cluster}"
-            )
-        if self.length < 2:
-            raise ValueError(f"length must be at least 2, got {self.length}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.base_frequencies is not None:
             freqs = tuple(
                 _finite_number(f, "base frequency")
@@ -89,10 +79,7 @@ class AnomalySpec:
     magnitude: float = 3.0
 
     def __post_init__(self):
-        if self.kind not in ANOMALY_KINDS:
-            raise ValueError(
-                f"unknown anomaly kind {self.kind!r}, expected one of {ANOMALY_KINDS}"
-            )
+        _choice(self.kind, ANOMALY_KINDS, "anomaly kind")
         channels = tuple(
             _integral(c, "anomaly target channel")
             for c in _items(self.target_channels, "anomaly target channels")

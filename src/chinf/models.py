@@ -23,8 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, Windows, WindowStack, _finite_number, _integral, _number, _readonly
-from .core import _write_lines, as_window_stack
+from .core import MtsWindow, Windows, WindowStack, _choice, _finite_number, _integral, _number
+from .core import _readonly, _write_lines, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -50,22 +50,10 @@ class ModelSpec:
     horizon: int = 0
 
     def __post_init__(self):
-        for name in ("window", "channels", "hidden", "horizon"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
-            )
-        if self.window < 1:
-            raise ValueError(f"window must be positive, got {self.window}")
-        if self.channels < 1:
-            raise ValueError(f"channels must be positive, got {self.channels}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        for name, low in (("window", 1), ("channels", 1), ("hidden", 0), ("horizon", 0)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, low))
+        _choice(self.architecture, ARCHITECTURES, "architecture")
+        _choice(self.activation, ACTIVATIONS, "activation")
         if self.architecture != "linear_ci" and self.hidden < 1:
             raise ValueError(
                 f"hidden must be at least 1 for {self.architecture}, got {self.hidden}"
@@ -130,17 +118,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, low))
         # 0 is allowed so a no-op training step stays expressible
         rate = _finite_number(self.learning_rate, "learning_rate")
         object.__setattr__(self, "learning_rate", rate)
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, Windows, WindowStack, _integral, _readonly, _write_lines
-from .core import MtsSeries, make_windows
+from .core import DatasetSplit, Windows, WindowStack, _finite_number, _integral, _readonly
+from .core import MtsSeries, _write_lines, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -68,6 +68,10 @@ class PruningResult:
     mse_full_model: float
     seed: int
     mixing_refit: bool = False
+
+    def __post_init__(self):
+        for name in ("mse_selected_model_on_all_channels", "mse_full_model"):
+            object.__setattr__(self, name, _finite_number(getattr(self, name), name))
 
     @property
     def m(self) -> int:
@@ -164,8 +168,7 @@ def prune_cells(
     table = ChannelScoreTable(np.zeros(n))
     for m, strategy in cells:
         select_channels(table, m, strategy)
-    if _integral(refit_epochs, "refit_epochs") < 1:
-        raise ValueError(f"refit_epochs must be at least 1, got {refit_epochs}")
+    _integral(refit_epochs, "refit_epochs", 1)
     if seed is None:
         seed = train_config.seed
 

@@ -24,7 +24,7 @@ from chinf import (
     make_windows,
     normalize_scores,
     prf1,
-    prune_and_eval,
+    prune_cells,
     score_windows,
     select_threshold,
     self_influence_per_channel,
@@ -319,18 +319,17 @@ def test_criterion_08_pruning_strategy_ordering(capsys):
         strategies = ("influence_equidistant", "random", "continuous", "most_influence")
         mse = {(m, s): [] for m in (4, 8) for s in strategies}
         coverage = {m: 0 for m in (4, 8)}
+        # one pruning pass per seed: one full model and score table for all 8 cells
+        cells = list(mse)
         for seed in bench_suite.PRUNING_SEEDS:
             split = bench_suite.pruning_split(seed)
             config = bench_suite.pruning_train_config(seed)
-            for m in (4, 8):
-                for strategy in strategies:
-                    result = prune_and_eval(
-                        split, bench_suite.PRUNING_SPEC, config, m, strategy, seed=seed
-                    )
-                    mse[(m, strategy)].append(result.mse_selected_model_on_all_channels)
-                    if strategy == "influence_equidistant":
-                        clusters = {bench_suite.cluster_of(c) for c in result.selected}
-                        coverage[m] += clusters == set(range(bench_suite.PRUNING_CLUSTERS))
+            results = prune_cells(split, bench_suite.PRUNING_SPEC, config, cells, seed=seed)
+            for (m, strategy), result in zip(cells, results):
+                mse[(m, strategy)].append(result.mse_selected_model_on_all_channels)
+                if strategy == "influence_equidistant":
+                    clusters = {bench_suite.cluster_of(c) for c in result.selected}
+                    coverage[m] += clusters == set(range(bench_suite.PRUNING_CLUSTERS))
         elapsed = time.monotonic() - start
 
         means = {k: float(np.mean(v)) for k, v in mse.items()}
@@ -363,10 +362,11 @@ def test_criterion_09_identity_pruning(capsys):
         split = bench_suite.pruning_split(0)
         config = bench_suite.pruning_train_config(0)
         n = split.train.n_channels
-        for strategy in ("influence_equidistant", "continuous"):
-            result = prune_and_eval(
-                split, bench_suite.PRUNING_SPEC, config, n, strategy, seed=0
-            )
+        strategies = ("influence_equidistant", "continuous")
+        results = prune_cells(
+            split, bench_suite.PRUNING_SPEC, config, [(n, s) for s in strategies], seed=0
+        )
+        for strategy, result in zip(strategies, results):
             assert result.selected == tuple(range(n))
             assert (
                 result.mse_selected_model_on_all_channels == result.mse_full_model

@@ -460,6 +460,23 @@ class TestPrune:
         config = json.loads((flagged / "manifest.json").read_text())["config"]
         assert (config["seed"], config["seeds"]) == (5, [5])
 
+    def test_infinite_test_mse_exits_1(self, tmp_path, capsys):
+        # the spike falls in the test split, so both MSEs overflow to inf
+        t = np.arange(200, dtype=np.float64)[:, None]
+        values = np.sin(t / 7 + np.arange(4))
+        values[190, 2] = 1e200
+        data.save_csv(core.MtsSeries(values, ("a", "b", "c", "d")), str(tmp_path / "s.csv"))
+        cfg = write_config(tmp_path / "cfg.json", {
+            "series_csv": str(tmp_path / "s.csv"), "architecture": "linear_ci", "window": 8,
+            "channels": 4, "horizon": 2, "epochs": 2, "m": 2, "strategies": ["continuous"],
+        })
+        out = tmp_path / "out"
+        assert run("prune", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: mse_selected_model_on_all_channels must be finite and non-negative, got inf\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -628,10 +645,10 @@ def base_config(command, pipeline, prune_series):
 
 
 FIELD_BOUND_CASES = [
-    ("train", {"seed": -3}, "train config: seed must be non-negative, got -3"),
-    ("prune", {"seed": -3}, "train config: seed must be non-negative, got -3"),
+    ("train", {"seed": -3}, "train config: seed must be at least 0, got -3"),
+    ("prune", {"seed": -3}, "train config: seed must be at least 0, got -3"),
     ("prune", {"seeds": [0, -1]}, "seeds[1]: expected a value in [0, inf), got -1"),
-    ("synth", {"seed": -1}, "synth config: seed must be non-negative, got -1"),
+    ("synth", {"seed": -1}, "synth config: seed must be at least 0, got -1"),
     ("synth", {"anomalies": [{"kind": "spike", "target_channels": [1], "intervals": [[700, 715]],
                               "seed": -2}]},
      "anomalies[0].seed: expected a value in [0, inf), got -2"),
@@ -671,6 +688,17 @@ FIELD_BOUND_CASES = [
     # checked in every field, used or not, so none reaches manifest.json
     ("influence", {"src_index": float("nan")}, "src_index: expected a finite number, got nan"),
     ("detect", {"extra": {"a": [1.0, float("-inf")]}}, "extra: unknown field"),
+    # library lower bounds, each worded by core._integral
+    ("train", {"window": 0}, "model spec: window must be at least 1, got 0"),
+    ("train", {"channels": 0}, "model spec: channels must be at least 1, got 0"),
+    ("train", {"horizon": -1}, "model spec: horizon must be at least 0, got -1"),
+    ("train", {"architecture": "linear_ci", "hidden": -5},
+     "model spec: hidden must be at least 0, got -5"),
+    ("train", {"epochs": 0}, "train config: epochs must be at least 1, got 0"),
+    ("train", {"batch_size": 0}, "train config: batch_size must be at least 1, got 0"),
+    ("synth", {"clusters": 0}, "synth config: clusters must be at least 1, got 0"),
+    ("synth", {"length": 1}, "synth config: length must be at least 2, got 1"),
+    ("detect", {"stride": 0}, "detect config: stride must be at least 1, got 0"),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -298,3 +299,98 @@ def test_all_lists_every_public_name_once():
     namespace = {}
     exec("from chinf import *", namespace)
     assert bound <= namespace.keys()
+
+
+def _prune_refit(refit_epochs):
+    split = core.chronological_split(series(t=60, n=2), 0.5, 0.25)
+    spec = models.ModelSpec("mlp_mix", window=3, channels=2, hidden=2, horizon=1)
+    config = models.TrainConfig(epochs=1)
+    return pruning.prune_cells(split, spec, config, [(1, "continuous")], refit_epochs=refit_epochs)
+
+
+# (what the message names, the field's lower bound, a build taking the value)
+BOUNDS = {
+    "ModelSpec.window": ("window", 1, lambda v: models.ModelSpec("mlp_ci", v, 2, hidden=3)),
+    "ModelSpec.channels": ("channels", 1, lambda v: models.ModelSpec("mlp_ci", 4, v, hidden=3)),
+    "ModelSpec.hidden": ("hidden", 0, lambda v: models.ModelSpec("linear_ci", 4, 2, hidden=v)),
+    "ModelSpec.horizon": ("horizon", 0, lambda v: models.ModelSpec("linear_ci", 4, 2, horizon=v)),
+    "TrainConfig.epochs": ("epochs", 1, lambda v: models.TrainConfig(epochs=v)),
+    "TrainConfig.batch_size": ("batch_size", 1, lambda v: models.TrainConfig(batch_size=v)),
+    "TrainConfig.seed": ("seed", 0, lambda v: models.TrainConfig(seed=v)),
+    "SyntheticConfig.clusters": ("clusters", 1, lambda v: data.SyntheticConfig(clusters=v)),
+    "SyntheticConfig.channels_per_cluster": (
+        "channels_per_cluster", 1, lambda v: data.SyntheticConfig(channels_per_cluster=v)
+    ),
+    "SyntheticConfig.length": ("length", 2, lambda v: data.SyntheticConfig(length=v)),
+    "SyntheticConfig.seed": ("seed", 0, lambda v: data.SyntheticConfig(seed=v)),
+    "DetectConfig.stride": ("stride", 1, lambda v: anomaly.DetectConfig(stride=v)),
+    "make_windows.w": ("window length", 1, lambda v: core.make_windows(series(), v)),
+    "make_windows.stride": ("stride", 1, lambda v: core.make_windows(series(), 2, v)),
+    "prune_cells.refit_epochs": ("refit_epochs", 1, _prune_refit),
+}
+
+
+@pytest.mark.parametrize("field", list(BOUNDS))
+def test_every_integer_bound_has_one_wording(field):
+    what, low, build = BOUNDS[field]
+    build(low)
+    for below in (low - 1, float(low - 1), low - 10**30):
+        with pytest.raises(ValueError) as caught:
+            build(below)
+        assert str(caught.value) == f"{what} must be at least {low}, got {int(below)}"
+
+
+def test_no_hand_written_bound_wording_is_left():
+    # the modules holding config types and make_windows; "must be finite
+    # and non-negative" is core._finite_number's float rule
+    for module in (anomaly, core, data, influence, models, pruning):
+        text = open(module.__file__, encoding="utf-8").read()
+        assert not re.search(r"must be (positive|non-negative|>=)", text), module.__name__
+
+
+METHODS = "('cif_self_influence', 'tracin_self_influence', 'reconstruction_error')"
+# every fixed-name membership check, and its message byte for byte
+CHOICES = {
+    "ModelSpec.architecture": (
+        lambda: models.ModelSpec("cnn", 4, 2),
+        "unknown architecture 'cnn', expected one of ('linear_ci', 'mlp_ci', 'mlp_mix')",
+    ),
+    "ModelSpec.activation": (
+        lambda: models.ModelSpec("mlp_ci", 4, 2, hidden=3, activation="gelu"),
+        "unknown activation 'gelu', expected one of ('relu', 'tanh')",
+    ),
+    "DetectConfig.method": (
+        lambda: anomaly.DetectConfig(method="lof"),
+        f"unknown method 'lof', expected one of {METHODS}",
+    ),
+    "DetectConfig.normalization": (
+        lambda: anomaly.DetectConfig(normalization="minmax"),
+        "unknown normalization 'minmax', expected one of ('mean_std', 'median_iqr', 'best_of_both')",
+    ),
+    "DetectConfig.threshold_on": (
+        lambda: anomaly.DetectConfig(threshold_on="train"),
+        "unknown threshold_on 'train', expected one of ('val', 'test')",
+    ),
+    "ScoreSeries.method": (
+        lambda: anomaly.ScoreSeries([0.0], "lof", (0,)),
+        f"unknown method 'lof', expected one of {METHODS}",
+    ),
+    "normalize_scores.mode": (
+        lambda: anomaly.normalize_scores(
+            anomaly.ScoreSeries([0.0, 1.0], "cif_self_influence", (0, 1)), "best_of_both"
+        ),
+        "unknown normalization 'best_of_both', expected one of ('mean_std', 'median_iqr')",
+    ),
+    "AnomalySpec.kind": (
+        lambda: data.AnomalySpec("dip", (0,), ((0, 2),)),
+        "unknown anomaly kind 'dip', expected one of ('spike', 'drift', 'correlation_break')",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(CHOICES))
+def test_every_choice_has_one_wording(site):
+    build, message = CHOICES[site]
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -442,6 +442,24 @@ class TestPruneCells:
         expected = models.mean_window_mse(train(init, continuous, SMALL_CONFIG), test)
         assert result.mse_selected_model_on_all_channels == expected
 
+    def test_infinite_test_mse_raises(self):
+        # a finite 1e200 in the test split overflows both MSEs to inf
+        split = small_split()
+        values = split.test.values.copy()
+        values[-5, 2] = 1e200
+        test = MtsSeries(values, split.test.channel_names)
+        split = replace(split, test=test)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError,
+            match="^mse_selected_model_on_all_channels must be finite and non-negative, got inf$",
+        ):
+            prune_cells(split, SMALL_SPEC, SMALL_CONFIG, [(2, "continuous")])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "0.5"])
+    def test_result_mses_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="^mse_full_model must be"):
+            pruning.PruningResult("continuous", (0,), 0.5, bad, 0)
+
 
 class TestCsv:
     def test_rows_match_results(self, tmp_path):
