@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MtsSeries, Windows, _choice, _finite_number, _integral, _origin_vector
+from .core import MtsSeries, Windows, _choice, _finite, _finite_number, _integral, _origin_vector
 from .core import _readonly, _write_lines, as_window_stack, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
@@ -28,12 +28,6 @@ METHODS = ("cif_self_influence", "tracin_self_influence", "reconstruction_error"
 NORMALIZATIONS = ("mean_std", "median_iqr")
 
 _EPS = 1e-12
-
-
-def _check_finite(scores: np.ndarray) -> np.ndarray:
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    return scores
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class ScoreSeries:
         scores = _readonly(self.scores)
         if scores.ndim != 1:
             raise ValueError(f"scores must be a vector, got shape {scores.shape}")
-        _check_finite(scores)
+        _finite(scores, "scores must be finite")
         origins = tuple(_origin_vector(self.origins).tolist())
         if len(origins) != scores.size:
             raise ValueError(
@@ -261,10 +255,11 @@ def _scored_streams(state, series, config):
     windows = make_windows(series, state.spec.total_rows, config.stride)
     labels = series.timestep_labels[windows.origins]
     columns = _score_columns(state, windows, config.method, config.eta, config.selector)
-    raw = _check_finite(columns.max(axis=0))
+    raw = _finite(columns.max(axis=0), "scores must be finite")
     streams = columns if config.normalize_per_channel else [raw]
     normalized = {
-        mode: _check_finite(np.max([_normalize_raw(s, mode) for s in streams], axis=0))
+        mode: _finite(np.max([_normalize_raw(s, mode) for s in streams], axis=0),
+                      "scores must be finite")
         for mode in NORMALIZATIONS
     }
     return raw, normalized, windows.origins, labels

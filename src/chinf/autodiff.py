@@ -15,11 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _readonly
-
-
-class NonFiniteError(ValueError):
-    """A primitive produced inf or nan on the tape."""
+from .core import NonFiniteError, _finite, _readonly  # noqa: F401 (NonFiniteError re-exported)
 
 
 @dataclass(frozen=True)
@@ -47,9 +43,7 @@ class GradientVector:
         values = _readonly(self.values)
         if values.ndim != 1:
             raise ValueError(f"gradient must be a flat vector, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("gradient has non-finite entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite(values, "gradient has non-finite entries"))
 
 
 class TapeNode:
@@ -92,15 +86,13 @@ class Tape:
 
     def leaf(self, value, name: str | None = None) -> TapeNode:
         arr = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"leaf {name!r} has non-finite entries")
+        _finite(arr, f"leaf {name!r} has non-finite entries")
         return self._record(arr, (), None, name)
 
     def _record(self, value, parents, vjp, name=None) -> TapeNode:
-        if parents and not np.isfinite(value).all():
-            raise NonFiniteError(
-                f"primitive at tape position {len(self.nodes)} produced non-finite values"
-            )
+        if parents:
+            where = f"primitive at tape position {len(self.nodes)}"
+            _finite(value, f"{where} produced non-finite values")
         node = TapeNode(self, len(self.nodes), value, parents, vjp, name)
         self.nodes.append(node)
         return node

@@ -28,8 +28,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import anomaly, data, influence, models, pruning
-from .core import _choice, _float_rows, _integral, _number, _write_lines, chronological_split
-from .core import make_windows
+from .core import _choice, _finite, _float_rows, _integral, _number, _write_lines
+from .core import chronological_split, make_windows
 from .models import all_params_selector, last_layer_selector
 
 
@@ -228,7 +228,8 @@ def cmd_influence(config, out_dir):
     windows = make_windows(series, state.spec.total_rows, config.get("stride", 1))
     eta = config.get("eta")
     selector = _resolve_selector(config, state.spec)
-    mode = config.get("mode", "self")
+    with _labelled("mode"):
+        mode = _choice(config.get("mode", "self"), ("matrix", "self"), "value")
     if mode == "matrix":
         src, dst = config["src_index"], config["dst_index"]
         for label, idx in (("src_index", src), ("dst_index", dst)):
@@ -238,8 +239,6 @@ def cmd_influence(config, out_dir):
         name = config.get("out_csv", "influence_matrix.csv")
         influence.save_influence_csv(m, os.path.join(out_dir, name), series.channel_names)
         return {"matrix": name}
-    if mode != "self":
-        raise ConfigError(f"mode: unknown value {mode!r}, expected 'matrix' or 'self'")
     rows = _float_rows(influence.self_influence_rows(state, windows, eta, selector))
     lines = ["origin_t," + ",".join(series.channel_names)]
     lines += (f"{t},{row}" for t, row in zip(windows.origins.tolist(), rows))
@@ -257,8 +256,8 @@ def cmd_detect(config, out_dir):
     split = _split_from(config, series)
     report = anomaly.detect(state, split.test, detect_config, val_series=split.val)
     # flagging every window (or none) can score best, but JSON has no infinity
-    if not math.isfinite(report.threshold):
-        raise ValueError(f"threshold: the best F1 is at {report.threshold}, not a finite threshold")
+    threshold = report.threshold
+    _finite(threshold, f"threshold: the best F1 is at {threshold}, not a finite threshold")
     csv_name = config.get("out_csv", "report.csv")
     json_name = config.get("out_json", "summary.json")
     anomaly.save_report_csv(report, os.path.join(out_dir, csv_name))
@@ -276,11 +275,9 @@ def cmd_prune(config, out_dir):
     split = _split_from(config, series)
     m = _in_range("m", config["m"], 1, series.n_channels)
     strategies = config.get("strategies", pruning.STRATEGIES)
-    for s in strategies:
-        if s not in pruning.STRATEGIES:
-            raise ConfigError(
-                f"strategies: unknown value {s!r}, expected from {pruning.STRATEGIES}"
-            )
+    with _labelled("strategies"):
+        for strategy in strategies:
+            _choice(strategy, pruning.STRATEGIES, "value")
     seeds = config.get("seeds", (train_config.seed,))
     for label, items in (("strategies", strategies), ("seeds", seeds)):
         if not items:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GradientVector, NonFiniteError, ParamSelector
-from .core import MtsWindow, Windows, _finite_number, _float_rows, _readonly, _write_lines
+from .autodiff import GradientVector, ParamSelector
+from .core import MtsWindow, Windows, _finite, _finite_number, _float_rows, _readonly, _write_lines
 from .core import as_window_stack
 from .models import (
     ModelState,
@@ -56,8 +56,7 @@ class InfluenceMatrix:
         values = _readonly(self.values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"influence matrix must be square, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("influence matrix has non-finite entries")
+        _finite(values, "influence matrix has non-finite entries")
         object.__setattr__(self, "values", values)
 
     @property
@@ -66,13 +65,6 @@ class InfluenceMatrix:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-
-def _finite(value: float) -> float:
-    """value, or a NonFiniteError when a product of finite gradients overflowed."""
-    if not math.isfinite(value):
-        raise NonFiniteError("influence overflowed")
-    return value
 
 
 def _resolve_eta(trained_lr: float, eta: float | None) -> float:
@@ -94,7 +86,8 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
         raise ValueError(
             f"gradient lengths differ: {g_src.values.size} vs {g_dst.values.size}"
         )
-    return _finite(_finite_number(eta, "eta", positive=True) * float(g_src.values @ g_dst.values))
+    eta = _finite_number(eta, "eta", positive=True)
+    return _finite(eta * float(g_src.values @ g_dst.values), "influence overflowed")
 
 
 def influence_matrix(
@@ -148,7 +141,7 @@ def tracin(
         a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
     else:
         a, b = (whole_gradient_rows(state, [z], selector)[0] for z in (z_src, z_dst))
-    return _finite(eta * float(a @ b))
+    return _finite(eta * float(a @ b), "influence overflowed")
 
 
 def self_influence_per_channel(
@@ -174,7 +167,8 @@ def self_influence_rows(
     eta times models.channel_gradient_norms, which forms each squared norm
     from the forward pass's factors without writing a gradient row."""
     eta = _resolve_eta(state.trained_lr, eta)
-    return _checked_scores(eta * channel_gradient_norms(state, windows, selector))
+    scores = eta * channel_gradient_norms(state, windows, selector)
+    return _finite(scores, "self-influence overflowed")
 
 
 def tracin_self_scores(
@@ -200,14 +194,7 @@ def tracin_self_scores(
     for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
         rows = whole_gradient_rows(state, chunk, selector)
         parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    return _checked_scores(eta * np.concatenate(parts))
-
-
-def _checked_scores(scores: np.ndarray) -> np.ndarray:
-    """scores, or a NonFiniteError when a squared gradient norm overflowed."""
-    if not np.isfinite(scores).all():
-        raise NonFiniteError("self-influence overflowed")
-    return scores
+    return _finite(eta * np.concatenate(parts), "self-influence overflowed")
 
 
 def save_influence_csv(

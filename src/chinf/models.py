@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad  # noqa: F401 (perfbench wraps chinf.models.ad.backward)
 from .autodiff import GradientVector, ParamSelector
-from .core import MtsWindow, Windows, WindowStack, _choice, _finite_number, _integral, _number
-from .core import _readonly, _write_lines, as_window_stack
+from .core import MtsWindow, NonFiniteError, Windows, WindowStack, _choice, _finite
+from .core import _finite_number, _integral, _number, _readonly, _write_lines, as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -103,9 +103,7 @@ class ModelState:
                 raise ValueError(
                     f"parameter {name!r} has shape {arr.shape}, expected {shape}"
                 )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"parameter {name!r} has non-finite entries")
-            frozen[name] = arr
+            frozen[name] = _finite(arr, f"parameter {name!r} has non-finite entries")
         object.__setattr__(self, "params", frozen)
         object.__setattr__(self, "trained_lr", _finite_number(self.trained_lr, "trained_lr"))
 
@@ -269,12 +267,6 @@ def _act_grad_np(spec: ModelSpec, a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return a > 0
 
 
-def _check_finite(what: str, *arrays) -> None:
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            raise ad.NonFiniteError(f"{what} produced non-finite values")
-
-
 def _selection(
     spec: ModelSpec, selector: ParamSelector | None
 ) -> tuple[ParamSelector, dict[str, tuple[int, ...]]]:
@@ -321,7 +313,8 @@ def _channel_factors(spec: ModelSpec, params, x, target, names) -> dict[str, tup
     adjoint is r = 2 (y - t), after the forward pass is checked."""
     y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     # an overflow in the mixed input reaches a (or y) too
-    _check_finite("forward pass", a, y)
+    for part in (a, y):
+        _finite(part, "forward pass produced non-finite values")
     r = np.subtract(y, target, out=y)
     r *= 2.0
     return _factors(spec, params, r, x_rows, xm, a, h, names)
@@ -366,8 +359,7 @@ def channel_gradient_rows(
             block[:, cols, :, cols] = (u.mT @ v).transpose(2, 0, 1)
         else:
             np.multiply(u.mT[..., None], v.mT[..., None, :], out=block)
-    _check_finite("channel gradients", rows)
-    return rows
+    return _finite(rows, "channel gradients produced non-finite values")
 
 
 def _column_norms(u: np.ndarray) -> np.ndarray:
@@ -463,20 +455,14 @@ def whole_gradient_rows(
     spec = state.spec
     selector = _selection(spec, selector)[0]
     x, target = _split_xy(spec, as_window_stack(windows))
-    grads = _batch_gradients(spec, state.params, x, target, selector.names, 1.0)
+    adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
+    grads = _batch_gradients(spec, state.params, adjoint, selector.names)
     return np.concatenate([grads[name].reshape(len(x), -1) for name in selector.names], -1)
 
 
-def _batch_gradients(
-    spec: ModelSpec,
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    t: np.ndarray,
-    names: tuple[str, ...],
-    scale: float,
-) -> dict[str, np.ndarray]:
-    """Gradients of scale times one batch's sum of squared errors: the
-    _factors pairs contracted over every column.
+def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float):
+    """The checked forward pass of scale times one batch's sum of squared
+    errors, as the _factors arguments (g, x_rows, xm, a, h), g = 2 scale (y - t).
 
     A batch of b windows comes column-stacked, x (window, b*N) and t
     (out_rows, b*N) with window k in columns kN to (k+1)N; a leading axis on
@@ -487,8 +473,8 @@ def _batch_gradients(
     so the gradients are bit-identical to it.
 
     Raises NonFiniteError for any non-finite forward value the tape would
-    have recorded, and ValueError for a non-finite gradient. Parameters are
-    not checked here: a ModelState's are finite, and train checks its own.
+    have recorded. Parameters are not checked here: a ModelState's are
+    finite, and train checks its own.
     """
     y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     d = np.subtract(y, t, out=y)
@@ -496,18 +482,23 @@ def _batch_gradients(
     # squared-error total non-finite; the activation can hide a non-finite
     # pre-activation, and the hidden layer a non-finite mixed input
     total = (d * d).sum(axis=(-2, -1))
-    _check_finite("forward pass", xm if spec.architecture == "mlp_mix" else None, a, total)
+    for part in (xm if spec.architecture == "mlp_mix" else None, a, total):
+        _finite(part, "forward pass produced non-finite values")
     g = np.multiply(d, 2.0, out=d)
     g *= scale
+    return g, x_rows, xm, a, h
 
+
+def _batch_gradients(spec: ModelSpec, params, adjoint, names) -> dict[str, np.ndarray]:
+    """The gradients of a _batch_adjoint: its _factors pairs contracted
+    over every column, each checked like the tape's GradientVector."""
     grads = {}
-    for name, (u, v) in _factors(spec, params, g, x_rows, xm, a, h, names).items():
+    for name, (u, v) in _factors(spec, params, *adjoint, names).items():
         if v is None:
             grads[name] = u.sum(axis=-1)
         else:
             grads[name] = u.mT @ v if name == "mix" else u @ v.mT
-        if not np.isfinite(grads[name]).all():
-            raise ValueError("gradient has non-finite entries")
+        _finite(grads[name], "gradient has non-finite entries")
     return grads
 
 
@@ -522,7 +513,7 @@ def train(
     Deterministic: shuffling comes only from config.seed. The stack is laid
     out once as (rows, B, N), so each step's one take is a column-stacked
     batch whose row views are its inputs and targets; the step's gradient is
-    closed-form (_batch_gradients), with no tape. ``trainable`` restricts
+    closed-form (_batch_adjoint, _batch_gradients), no tape. ``trainable`` restricts
     updates to a parameter subset; the default is every parameter.
     """
     spec = state.spec
@@ -540,15 +531,17 @@ def train(
             batch = perm[start : start + config.batch_size]
             block = np.take(cols, batch, axis=1).reshape(spec.total_rows, -1)
             x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
+            # as on the tape route, a non-finite gradient is no RuntimeError
             try:
                 # the only parameters that change, and an update can overflow
-                _check_finite("parameters", *(params[name] for name in names))
-                grads = _batch_gradients(spec, params, x, t, names, 1.0 / t.size)
-            except ad.NonFiniteError as e:
+                for name in names:
+                    _finite(params[name], "parameters produced non-finite values")
+                adjoint = _batch_adjoint(spec, params, x, t, 1.0 / t.size)
+            except NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
                 ) from e
-            for name, g in grads.items():
+            for name, g in _batch_gradients(spec, params, adjoint, names).items():
                 params[name] = params[name] - config.learning_rate * g
     return ModelState(spec, params, trained_lr=config.learning_rate)
 

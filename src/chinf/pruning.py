@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamSelector
-from .core import DatasetSplit, Windows, WindowStack, _finite_number, _integral, _readonly
-from .core import MtsSeries, _write_lines, make_windows
+from .core import DatasetSplit, Windows, WindowStack, _finite, _finite_number, _integral
+from .core import MtsSeries, _readonly, _write_lines, make_windows
 # self_influence_per_channel stays bound here: perfbench/test_perfbench.py
 # checks that the tracer wraps this module's binding of it
 from .influence import self_influence_per_channel, self_influence_rows  # noqa: F401
@@ -49,9 +49,7 @@ class ChannelScoreTable:
         scores = _readonly(self.scores)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError(f"scores must be a nonempty vector, got shape {scores.shape}")
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", _finite(scores, "scores must be finite"))
         ranking = tuple(int(i) for i in np.argsort(scores, kind="stable"))
         object.__setattr__(self, "ranking", ranking)
 
@@ -176,7 +174,8 @@ def prune_cells(
     train_windows = make_windows(split.train, rows, stride)
     test_windows = make_windows(split.test, rows, stride)
     full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
-    mse_full = mean_window_mse(full_state, test_windows)
+    # a test MSE that overflows fails here, before any cell trains
+    mse_full = _finite_number(mean_window_mse(full_state, test_windows), "mse_full_model")
     if any(strategy in ("influence_equidistant", "most_influence") for _, strategy in cells):
         val_windows = make_windows(split.val, rows, stride)
         table = accumulate_channel_scores(full_state, val_windows, 1.0)

@@ -228,6 +228,13 @@ class TestInfluence:
         assert run("influence", "--config", cfg, "--out", tmp_path) == 2
         assert "src_index: window index 9999 out of range" in capsys.readouterr().err
 
+    def test_unknown_mode(self, pipeline, tmp_path, capsys):
+        cfg = self.influence_config(pipeline, tmp_path, mode="x")
+        assert run("influence", "--config", cfg, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "config error: mode: unknown value 'x', expected one of ('matrix', 'self')\n"
+        )
+
     def test_unknown_selector(self, pipeline, tmp_path, capsys):
         cfg = self.influence_config(pipeline, tmp_path, selector="bogus")
         assert run("influence", "--config", cfg, "--out", tmp_path) == 2
@@ -446,7 +453,10 @@ class TestPrune:
     def test_unknown_strategy_rejected(self, prune_series, tmp_path, capsys):
         cfg = self.prune_config(prune_series, tmp_path, strategies=["pca"])
         assert run("prune", "--config", cfg, "--out", tmp_path) == 2
-        assert "strategies: unknown value 'pca'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: strategies: unknown value 'pca', expected one of "
+            f"{pruning.STRATEGIES}\n"
+        )
 
     def test_seed_flag_replaces_the_seeds_list(self, prune_series, tmp_path):
         flagged, listed = tmp_path / "flagged", tmp_path / "listed"
@@ -473,7 +483,7 @@ class TestPrune:
         out = tmp_path / "out"
         assert run("prune", "--config", cfg, "--out", out) == 1
         assert capsys.readouterr().err == (
-            "error: mse_selected_model_on_all_channels must be finite and non-negative, got inf\n"
+            "error: mse_full_model must be finite and non-negative, got inf\n"
         )
         assert list(out.iterdir()) == []
 

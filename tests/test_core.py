@@ -1,5 +1,7 @@
+import ast
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,31 @@ def test_no_hand_written_bound_wording_is_left():
     for module in (anomaly, core, data, influence, models, pruning):
         text = open(module.__file__, encoding="utf-8").read()
         assert not re.search(r"must be (positive|non-negative|>=)", text), module.__name__
+
+
+def test_only_core_finite_tests_finiteness():
+    """core._finite is the one finiteness rule: nothing else in src/chinf
+    names np.isfinite, and math.isfinite appears only there and in
+    cli._typed, which makes a non-finite config number a ConfigError."""
+    uses = set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth first, so an inner function overwrites its nodes
+        scope = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else getattr(node, "id", getattr(node, "name", None)))
+            if name == "isfinite":
+                owner = getattr(getattr(node, "value", None), "id", "")
+                uses.add((f"{owner}.isfinite", f"{path.stem}.{scope.get(node, '<module>')}"))
+    assert uses == {
+        ("np.isfinite", "core._finite"),
+        ("math.isfinite", "core._finite"),
+        ("math.isfinite", "cli._typed"),
+    }
 
 
 METHODS = "('cif_self_influence', 'tracin_self_influence', 'reconstruction_error')"

@@ -1,10 +1,12 @@
 import json
+import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
-from chinf import core, influence, models
+from chinf import anomaly, cli, core, data, influence, models, pruning
 from chinf import autodiff as ad
 from chinf import (
     ModelSpec,
@@ -812,46 +814,203 @@ def sum_overflow_case():
 
 
 NOT_FINITE_AT_0_0 = (RuntimeError, "training loss is not finite at epoch 0, batch 0")
-GRADIENT_NOT_FINITE = (ValueError, "gradient has non-finite entries")
+GRADIENT_NOT_FINITE = (ad.NonFiniteError, "gradient has non-finite entries")
+
+
+def params_overflow_case():
+    """A learning rate that sends the first update past the float range, so
+    the next step finds a non-finite parameter before its forward pass."""
+    spec = ModelSpec("linear_ci", 2, 1)
+    wins = training_windows(np.random.default_rng(2), spec, 4)
+    return init_params(spec, 0), wins, TrainConfig(2, 1e308, 4, 0), None
+
+
+# each way training fails, with the exception both routes raise
+TRAIN_FAILURES = {
+    "relu_hides_nan": (lambda: hidden_overflow_case("relu", [[1e10], [-1e10]]), NOT_FINITE_AT_0_0),
+    "tanh_hides_inf": (
+        lambda: hidden_overflow_case("tanh", [[1e10], [1e10]]),
+        (RuntimeError, "training loss is not finite at epoch 0, batch 1"),
+    ),
+    "lr_blowup": (
+        lr_blowup_case, (RuntimeError, "training loss is not finite at epoch 13, batch 0"),
+    ),
+    "output_gradient": (lambda: gradient_overflow_case(False), GRADIENT_NOT_FINITE),
+    "mixing_gradient": (lambda: gradient_overflow_case(True), GRADIENT_NOT_FINITE),
+    "mixing_forward": (mixing_overflow_case, NOT_FINITE_AT_0_0),
+    "squares_sum_overflows": (sum_overflow_case, NOT_FINITE_AT_0_0),
+    "parameters_overflow": (
+        params_overflow_case, (RuntimeError, "training loss is not finite at epoch 1, batch 0"),
+    ),
+}
 
 
 class TestTrainFailuresMatchTape:
     """train rejects exactly what the tape route rejected, with the same
-    exception type and message."""
+    exception type and message. Behind each is one NonFiniteError: the
+    gradient's own, or the cause of the RuntimeError that a non-finite
+    forward pass or parameter becomes on both routes."""
 
-    @pytest.mark.parametrize(
-        "case, expected",
-        [
-            (lambda: hidden_overflow_case("relu", [[1e10], [-1e10]]), NOT_FINITE_AT_0_0),
-            (
-                lambda: hidden_overflow_case("tanh", [[1e10], [1e10]]),
-                (RuntimeError, "training loss is not finite at epoch 0, batch 1"),
-            ),
-            (lr_blowup_case, (RuntimeError, "training loss is not finite at epoch 13, batch 0")),
-            (lambda: gradient_overflow_case(False), GRADIENT_NOT_FINITE),
-            (lambda: gradient_overflow_case(True), GRADIENT_NOT_FINITE),
-            (mixing_overflow_case, NOT_FINITE_AT_0_0),
-            (sum_overflow_case, NOT_FINITE_AT_0_0),
-        ],
-        ids=[
-            "relu_hides_nan",
-            "tanh_hides_inf",
-            "lr_blowup",
-            "output_gradient",
-            "mixing_gradient",
-            "mixing_forward",
-            "squares_sum_overflows",
-        ],
-    )
-    def test_same_exception_as_tape(self, case, expected):
-        state, wins, config, trainable = case()
+    @pytest.mark.parametrize("case", list(TRAIN_FAILURES))
+    def test_same_exception_as_tape(self, case):
+        build, expected = TRAIN_FAILURES[case]
+        state, wins, config, trainable = build()
         raised = []
         for trainer in (train, tape_train):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises((RuntimeError, ValueError)) as info:
                     trainer(state, wins, config, trainable)
+            assert type(info.value.__cause__ or info.value) is core.NonFiniteError
             raised.append((info.type, str(info.value)))
         assert raised[0] == raised[1] == expected
+
+
+def huge_bias_state():
+    """linear_ci whose loss (2e300) and gradient rows (up to 2e250) are finite
+    on HUGE_WINDOW while every product of two rows overflows."""
+    spec = ModelSpec("linear_ci", 2, 1)
+    return ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.full(2, 1e150)})
+
+
+def raise_train_cause(case):
+    """Train on a case and re-raise the cause of train's RuntimeError."""
+    with pytest.raises(RuntimeError) as caught:
+        train(*case()[:3])
+    raise caught.value.__cause__
+
+
+def square_on_tape(value):
+    tape = ad.Tape()
+    return ad.square(tape.leaf(value, "w"))
+
+
+def labelled_series(values, anomalous_t):
+    labels = np.zeros(len(values), dtype=np.int64)
+    labels[anomalous_t] = 1
+    return core.MtsSeries(values, [f"c{j}" for j in range(values.shape[1])], labels)
+
+
+def detect_tied_scores():
+    """cmd_detect on a model that reconstructs every window exactly: every
+    score ties at 0, so the best F1 flags every window, at h = -inf."""
+    spec = ModelSpec("linear_ci", 2, 1)
+    state = ModelState(spec, {"weight": np.eye(2), "bias": np.zeros(2)})
+    series = labelled_series(np.random.default_rng(0).normal(size=(40, 1)), 35)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"series_csv": f"{tmp}/s.csv", "checkpoint": f"{tmp}/m.json"}
+        data.save_csv(series, paths["series_csv"])
+        save_checkpoint(state, paths["checkpoint"])
+        config = dict(paths, method="reconstruction_error", threshold_on="test")
+        cli.cmd_detect(cli._read(config, cli.SCHEMAS["detect"]), tmp)
+
+
+def detect_overflowing_losses():
+    spec = ModelSpec("linear_ci", 2, 1)
+    state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.zeros(2)})
+    values = np.ones((10, 1))
+    values[4] = 1e200
+    config = anomaly.DetectConfig("reconstruction_error", threshold_on="test")
+    anomaly.detect(state, labelled_series(values, 4), config)
+
+
+NAN = float("nan")
+HUGE_WINDOW = window_of([[1e100], [1e100]])
+# every finiteness site, fed a NaN or an overflow, and its message byte for byte
+FINITENESS_SITES = {
+    "MtsSeries": (lambda: core.MtsSeries([[NAN]], ("a",)), "series values must be finite"),
+    "MtsWindow": (lambda: MtsWindow([[math.inf]], 0), "window values must be finite"),
+    "WindowStack": (
+        lambda: core.WindowStack([[[NAN]]], [0]), "window values must be finite",
+    ),
+    "GradientVector": (
+        lambda: ad.GradientVector([NAN], "s"), "gradient has non-finite entries",
+    ),
+    "Tape.leaf": (lambda: ad.Tape().leaf([NAN], "w"), "leaf 'w' has non-finite entries"),
+    "Tape._record": (
+        lambda: square_on_tape([1e200]),
+        "primitive at tape position 1 produced non-finite values",
+    ),
+    "ModelState.params": (
+        lambda: ModelState(ModelSpec("linear_ci", 2, 1),
+                           {"weight": np.full((2, 2), NAN), "bias": np.zeros(2)}),
+        "parameter 'weight' has non-finite entries",
+    ),
+    "channel_gradient_rows.forward": (
+        lambda: channel_gradient_rows(
+            ModelState(ModelSpec("linear_ci", 2, 1),
+                       {"weight": np.full((2, 2), 1e200), "bias": np.zeros(2)}),
+            [window_of([[1e200], [1e200]])],
+        ),
+        "forward pass produced non-finite values",
+    ),
+    "channel_gradient_rows.rows": (
+        lambda: channel_gradient_rows(
+            ModelState(ModelSpec("linear_ci", 2, 1),
+                       {"weight": np.zeros((2, 2)), "bias": np.full(2, 3e200)}),
+            [window_of([[1e200], [1e200]])],
+        ),
+        "channel gradients produced non-finite values",
+    ),
+    "whole_gradient_rows": (
+        lambda: whole_gradient_rows(*gradient_overflow_case(False)[:2]),
+        "gradient has non-finite entries",
+    ),
+    "train.forward": (
+        lambda: raise_train_cause(mixing_overflow_case), "forward pass produced non-finite values",
+    ),
+    "train.parameters": (
+        lambda: raise_train_cause(params_overflow_case), "parameters produced non-finite values",
+    ),
+    "train.gradient": (
+        lambda: train(*gradient_overflow_case(False)[:3]), "gradient has non-finite entries",
+    ),
+    "InfluenceMatrix": (
+        lambda: influence.InfluenceMatrix([[NAN]], 1.0, "s"),
+        "influence matrix has non-finite entries",
+    ),
+    "influence_matrix": (
+        lambda: influence.influence_matrix(huge_bias_state(), HUGE_WINDOW, HUGE_WINDOW, 1.0),
+        "influence matrix has non-finite entries",
+    ),
+    "cif": (
+        lambda: influence.cif(ad.GradientVector([1e200], "s"), ad.GradientVector([1e200], "s"), 1.0),
+        "influence overflowed",
+    ),
+    "tracin": (
+        lambda: influence.tracin(huge_bias_state(), HUGE_WINDOW, HUGE_WINDOW, 1.0),
+        "influence overflowed",
+    ),
+    "self_influence_rows": (
+        lambda: influence.self_influence_rows(huge_bias_state(), [HUGE_WINDOW], 1.0),
+        "self-influence overflowed",
+    ),
+    "tracin_self_scores": (
+        lambda: influence.tracin_self_scores(huge_bias_state(), [HUGE_WINDOW], 1.0),
+        "self-influence overflowed",
+    ),
+    "ScoreSeries": (
+        lambda: anomaly.ScoreSeries([NAN], "cif_self_influence", (0,)), "scores must be finite",
+    ),
+    "detect.scores": (detect_overflowing_losses, "scores must be finite"),
+    "ChannelScoreTable": (lambda: pruning.ChannelScoreTable([math.inf]), "scores must be finite"),
+    "cmd_detect.threshold": (
+        detect_tied_scores, "threshold: the best F1 is at -inf, not a finite threshold",
+    ),
+}
+
+
+class TestOneFinitenessRule:
+    @pytest.mark.parametrize("site", list(FINITENESS_SITES))
+    def test_every_site_raises_non_finite_error(self, site):
+        build, message = FINITENESS_SITES[site]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(core.NonFiniteError) as caught:
+                build()
+        assert type(caught.value) is core.NonFiniteError and str(caught.value) == message
+
+    def test_non_finite_error_is_one_value_error(self):
+        assert ad.NonFiniteError is core.NonFiniteError
+        assert issubclass(core.NonFiniteError, ValueError)
 
 
 class TestWholeGradientMatchesTape:
@@ -1137,6 +1296,17 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"malformed checkpoint .*{re.escape(message)}"):
             load_checkpoint(str(path))
+
+    def test_nan_parameter_is_a_non_finite_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(ModelSpec("linear_ci", 4, 2), seed=0), str(path))
+        doc = json.loads(path.read_text())
+        doc["params"]["weight"]["data"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(str(path))
+        assert str(caught.value) == (f"{path}: malformed checkpoint (NonFiniteError: "
+                                     "parameter 'weight' has non-finite entries)")
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

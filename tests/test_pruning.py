@@ -450,10 +450,29 @@ class TestPruneCells:
         test = MtsSeries(values, split.test.channel_names)
         split = replace(split, test=test)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError,
-            match="^mse_selected_model_on_all_channels must be finite and non-negative, got inf$",
+            ValueError, match="^mse_full_model must be finite and non-negative, got inf$",
         ):
             prune_cells(split, SMALL_SPEC, SMALL_CONFIG, [(2, "continuous")])
+
+    def test_infinite_full_mse_fails_before_any_cell_trains(self, monkeypatch):
+        # TestPrune::test_infinite_test_mse_exits_1 in tests/test_cli.py, with two cells
+        t = np.arange(200, dtype=np.float64)[:, None]
+        values = np.sin(t / 7 + np.arange(4))
+        values[190, 2] = 1e200
+        split = chronological_split(MtsSeries(values, ("a", "b", "c", "d")), 0.5, 0.25)
+        spec = ModelSpec("linear_ci", window=8, channels=4, horizon=2)
+        calls = []
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pruning, "train", counting_train)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^mse_full_model must be finite and non-negative, got inf$",
+        ):
+            prune_cells(split, spec, TrainConfig(epochs=2), [(2, "continuous"), (3, "random")])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "0.5"])
     def test_result_mses_must_be_finite_and_non_negative(self, bad):
