@@ -457,7 +457,8 @@ def whole_gradient_rows(
     x, target = _split_xy(spec, as_window_stack(windows))
     adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
     grads = _batch_gradients(spec, state.params, adjoint, selector.names)
-    return np.concatenate([grads[name].reshape(len(x), -1) for name in selector.names], -1)
+    rows = np.concatenate([grads[name].reshape(len(x), -1) for name in selector.names], -1)
+    return _finite(rows, "gradient has non-finite entries")
 
 
 def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float):
@@ -473,32 +474,43 @@ def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale:
     so the gradients are bit-identical to it.
 
     Raises NonFiniteError for any non-finite forward value the tape would
-    have recorded. Parameters are not checked here: a ModelState's are
-    finite, and train checks its own.
+    have recorded: a non-finite prediction, residual or square makes a
+    batch's squared-error total non-finite. The one dot product q of all
+    residuals accepts a batch when q < 1e300: then no entry is a NaN or an
+    infinity and no total can overflow. Only a NaN, infinite or huge q
+    falls back to the exact test, each total (d * d).sum over its batch,
+    so a stack of batches whose totals are finite passes though its q
+    overflows, and the batches rejected are those the tape rejects.
+    Parameters are not checked here: a ModelState's are finite, and train
+    checks its own. Gradients are not checked either; their callers do.
+
+    g is formed in one pass as d times 2 scale: doubling is exact, so it
+    rounds the real product 2 scale d once, as (2 d) scale does.
     """
     y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     d = np.subtract(y, t, out=y)
-    # a non-finite prediction, residual or square makes a batch's
-    # squared-error total non-finite; the activation can hide a non-finite
-    # pre-activation, and the hidden layer a non-finite mixed input
-    total = (d * d).sum(axis=(-2, -1))
+    # vdot, unlike matmul, warns of no overflow: an overflowing q only
+    # sends the batch to the exact test
+    total = None if np.vdot(d, d) < 1e300 else (d * d).sum(axis=(-2, -1))
+    # the activation can hide a non-finite pre-activation, and the hidden
+    # layer a non-finite mixed input
     for part in (xm if spec.architecture == "mlp_mix" else None, a, total):
         _finite(part, "forward pass produced non-finite values")
-    g = np.multiply(d, 2.0, out=d)
-    g *= scale
-    return g, x_rows, xm, a, h
+    return np.multiply(d, 2.0 * scale, out=d), x_rows, xm, a, h
 
 
 def _batch_gradients(spec: ModelSpec, params, adjoint, names) -> dict[str, np.ndarray]:
-    """The gradients of a _batch_adjoint: its _factors pairs contracted
-    over every column, each checked like the tape's GradientVector."""
+    """The gradients of a _batch_adjoint, in names order: its _factors
+    pairs contracted over every column, each a new array. They are not
+    checked here: train checks each before its update, and
+    whole_gradient_rows its concatenated rows, like the tape's
+    GradientVector."""
     grads = {}
     for name, (u, v) in _factors(spec, params, *adjoint, names).items():
         if v is None:
             grads[name] = u.sum(axis=-1)
         else:
             grads[name] = u.mT @ v if name == "mix" else u @ v.mT
-        _finite(grads[name], "gradient has non-finite entries")
     return grads
 
 
@@ -515,21 +527,30 @@ def train(
     batch whose row views are its inputs and targets; the step's gradient is
     closed-form (_batch_adjoint, _batch_gradients), no tape. ``trainable`` restricts
     updates to a parameter subset; the default is every parameter.
+
+    Every step gathers into the C-contiguous prefix of one buffer, allocated
+    once per call for the widest batch. The take uses mode="clip" because
+    with out= the default mode="raise" copies through a temporary; the
+    indices are a permutation of the windows, so clipping moves none. No
+    view of the buffer outlives its step: each gradient is a new array.
     """
     spec = state.spec
     stack = as_window_stack(train_windows)
     _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
     cols = np.ascontiguousarray(stack.values.transpose(1, 0, 2))
+    rows, count, n = cols.shape
+    buffer = np.empty(rows * min(config.batch_size, count) * n)
     w = spec.window
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
     params = dict(state.params)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
-        perm = rng.permutation(len(stack))
-        for batch_idx, start in enumerate(range(0, len(perm), config.batch_size)):
+        perm = rng.permutation(count)
+        for batch_idx, start in enumerate(range(0, count, config.batch_size)):
             batch = perm[start : start + config.batch_size]
-            block = np.take(cols, batch, axis=1).reshape(spec.total_rows, -1)
+            gathered = buffer[: rows * len(batch) * n].reshape(rows, len(batch), n)
+            block = np.take(cols, batch, axis=1, out=gathered, mode="clip").reshape(rows, -1)
             x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
             # as on the tape route, a non-finite gradient is no RuntimeError
             try:
@@ -541,7 +562,11 @@ def train(
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
                 ) from e
-            for name, g in _batch_gradients(spec, params, adjoint, names).items():
+            grads = _batch_gradients(spec, params, adjoint, names)
+            # in selector order, like the tape's one GradientVector
+            for g in grads.values():
+                _finite(g, "gradient has non-finite entries")
+            for name, g in grads.items():
                 params[name] = params[name] - config.learning_rate * g
     return ModelState(spec, params, trained_lr=config.learning_rate)
 

@@ -29,17 +29,19 @@ def summary_rows(text):
     return {line.split()[0]: line for line in text.splitlines() if line.split()[0] in METRICS}
 
 
-def test_old_runs_first_and_the_gain_rule_is_applied(monkeypatch, capsys):
+def test_run_order_alternates_and_the_gain_rule_is_applied(monkeypatch, capsys):
     old = [1.0 + 0.01 * k for k in range(10)]
     new = [1.5] + [0.8] * 9  # the change loses the first pair only
     run_once, calls = scripted(old, new)
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     argv = [str(ROOT), "NEW", "--workload", "detect_cif", "--seed", "7", "--pairs", "10"]
     assert ab_pairs.main(argv + ["--seconds", "2"]) == 0
-    assert [c[0] for c in calls] == [str(ROOT), "NEW"] * 10
+    # OLD first in pairs 1, 3, ..., NEW first in pairs 2, 4, ...
+    assert [c[0] for c in calls] == [str(ROOT), "NEW", "NEW", str(ROOT)] * 5
     assert {c[1:] for c in calls} == {("detect_cif", 7, 2.0)}
     text = capsys.readouterr().out
     assert text.count("\npair ") == 9 and text.startswith("pair 1: ")
+    assert "10 pairs of 2 s, OLD first in odd pairs, NEW first in even pairs\n" in text
     rows = summary_rows(text)
     # 9 of 10 won and a median gap far beyond the parent's quartile distance
     for name in ("wall_s", "items_per_s"):

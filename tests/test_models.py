@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -813,6 +814,15 @@ def sum_overflow_case():
     return ModelState(spec, params), wins, TrainConfig(1, 1e-3, 1, 0), None
 
 
+def nan_residual_case():
+    """A prediction of inf - inf = NaN (linear_ci has no hidden layer to
+    catch it), so the residuals' dot is NaN and only the loss check sees it."""
+    spec = ModelSpec("linear_ci", 2, 1)
+    params = {"weight": [[1e300, -1e300], [0.0, 0.0]], "bias": [0.0, 0.0]}
+    wins = training_windows(np.random.default_rng(0), spec, 3) + [window_of([[1e10], [1e10]])]
+    return ModelState(spec, params), wins, TrainConfig(1, 1e-3, 2, 0), None
+
+
 NOT_FINITE_AT_0_0 = (RuntimeError, "training loss is not finite at epoch 0, batch 0")
 GRADIENT_NOT_FINITE = (ad.NonFiniteError, "gradient has non-finite entries")
 
@@ -839,6 +849,7 @@ TRAIN_FAILURES = {
     "mixing_gradient": (lambda: gradient_overflow_case(True), GRADIENT_NOT_FINITE),
     "mixing_forward": (mixing_overflow_case, NOT_FINITE_AT_0_0),
     "squares_sum_overflows": (sum_overflow_case, NOT_FINITE_AT_0_0),
+    "nan_residual": (nan_residual_case, NOT_FINITE_AT_0_0),
     "parameters_overflow": (
         params_overflow_case, (RuntimeError, "training loss is not finite at epoch 1, batch 0"),
     ),
@@ -863,6 +874,80 @@ class TestTrainFailuresMatchTape:
             assert type(info.value.__cause__ or info.value) is core.NonFiniteError
             raised.append((info.type, str(info.value)))
         assert raised[0] == raised[1] == expected
+
+
+def zero_linear_state():
+    spec = ModelSpec("linear_ci", 2, 1)
+    return ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.zeros(2)})
+
+
+def residual_dot(residuals):
+    """The dot of all residuals that the loss check tests against 1e300."""
+    flat = np.ravel(residuals)
+    with np.errstate(over="ignore"):
+        return flat @ flat
+
+
+class TestLossCheckFastAccept:
+    """The loss check accepts on the residuals' one dot product below 1e300
+    and runs the exact per-batch totals only above it; the batches rejected
+    stay those the tape rejects."""
+
+    def test_stack_dot_overflows_while_each_window_total_is_finite(self):
+        state = zero_linear_state()
+        # totals 9.8e307 and 8.5e307: each finite, their sum past the float range
+        wins = [window_of([[7e153], [7e153]]), window_of([[-7e153], [6e153]])]
+        assert residual_dot([w.values for w in wins]) == math.inf
+        rows = whole_gradient_rows(state, wins)
+        for row, win in zip(rows, wins):
+            assert np.array_equal(row, whole_gradient_rows(state, [win])[0])
+
+    def test_dot_above_the_fast_bound_trains_like_the_tape(self):
+        state = zero_linear_state()
+        wins = [window_of([[1e150], [2e150]]), window_of([[-1e150], [3e150]]),
+                window_of([[1e150], [1e150]])]
+        # a 1e-300 step keeps the model finite while every loss stays huge
+        config = TrainConfig(epochs=3, learning_rate=1e-300, batch_size=2, seed=0)
+        # the zero model's residuals are the windows, so the first batch's
+        # dot lies between one window's and the whole stack's
+        assert min(residual_dot(w.values) for w in wins) >= 1e300
+        assert residual_dot([w.values for w in wins]) < sys.float_info.max
+        got = train(state, wins, config)
+        want = tape_train(state, wins, config)
+        for name in state.params:
+            assert np.array_equal(got.params[name], want.params[name]), name
+
+
+class TestTrainBatchBuffer:
+    """train gathers every batch into one buffer per call; each batch shape
+    it meets trains bit-identically to the tape."""
+
+    @pytest.mark.parametrize(
+        "batch_size, count, trainable",
+        [(40, 7, None), (1, 6, None), (4, 11, None),
+         (4, 11, ParamSelector("mlp_mix/mixing", ("mix",)))],
+        ids=["batch_above_window_count", "batch_of_one", "partial_last_batch", "mix_only_refit"],
+    )
+    def test_bit_identical_to_tape(self, batch_size, count, trainable):
+        rng = np.random.default_rng(73)
+        spec = ModelSpec("mlp_mix", 5, 3, hidden=4, horizon=2)
+        state = perturbed_state(spec, rng)
+        wins = training_windows(rng, spec, count)
+        config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=batch_size, seed=5)
+        got = train(state, wins, config, trainable)
+        want = tape_train(state, wins, config, trainable)
+        for name in state.params:
+            assert np.array_equal(got.params[name], want.params[name]), name
+
+    def test_a_second_call_leaves_the_first_result_unchanged(self):
+        rng = np.random.default_rng(74)
+        spec = ModelSpec("linear_ci", 4, 2, horizon=1)
+        config = TrainConfig(epochs=2, learning_rate=0.05, batch_size=3, seed=0)
+        first = train(init_params(spec, 0), training_windows(rng, spec, 7), config)
+        kept = {name: value.copy() for name, value in first.params.items()}
+        train(init_params(spec, 1), training_windows(rng, spec, 7), config)
+        for name in kept:
+            assert np.array_equal(first.params[name], kept[name]), name
 
 
 def huge_bias_state():

@@ -5,9 +5,11 @@ Usage:
     python3 tools/ab_pairs.py OLD NEW --workload W --seed S --pairs N [--seconds T]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-from the OLD checkout and then from the NEW one, one process at a time, each
-in its own checkout directory. For every pair it prints the four end-to-end
-metrics of both sides and the failed-operation counts; then each side's
+once from the OLD checkout and once from the NEW one, one process at a time,
+each in its own checkout directory. OLD runs first in odd pairs and NEW in
+even pairs, so a drift between the first and the second run of a pair
+favours neither side. For every pair it prints the four end-to-end metrics of both sides and the
+failed-operation counts; then each side's
 median and quartiles, the median per-pair ratio NEW / OLD, and how many
 pairs NEW won (ties count for neither side). A gain is claimed only when NEW
 wins at least nine tenths of the pairs and the medians differ by more than
@@ -62,7 +64,7 @@ def main(argv=None) -> int:
 
     runs = {"old": [], "new": []}
     for k in range(args.pairs):
-        for side in ("old", "new"):
+        for side in ("old", "new") if k % 2 == 0 else ("new", "old"):
             result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
             runs[side].append(result)
         row = "  ".join(
@@ -73,7 +75,8 @@ def main(argv=None) -> int:
         failed = f"failed {runs['old'][k]['failed']} -> {runs['new'][k]['failed']}"
         print(f"pair {k + 1}: {row}  {failed}", flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, OLD first")
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+          "OLD first in odd pairs, NEW first in even pairs")
     print(f"{'metric':<12} {'OLD median [q1, q3]':<32} {'NEW median [q1, q3]':<32} "
           f"{'ratio':>7} {'won':>6}  gain")
     for spec in specs:
