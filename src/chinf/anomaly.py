@@ -198,10 +198,10 @@ def prf1(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, float, flo
 
 
 def _vector_and_positives(scores, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Float score vector and positive-label mask; both classes must occur."""
+    """Finite score vector and positive-label mask; both classes must occur."""
     if isinstance(scores, ScoreSeries):
         scores = scores.scores
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite(np.asarray(scores, dtype=np.float64), "scores must be finite")
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError(
@@ -251,11 +251,12 @@ def _scored_streams(state, series, config):
     """Raw and per-mode normalized score vectors, window origins and labels of
     one labeled series; a normalized vector is the max over the normalized
     channel columns, or the normalized raw score. Only what detect returns
-    becomes a ScoreSeries, but every vector is held to its finiteness rule."""
+    becomes a ScoreSeries; the score kernels return finite columns or raise,
+    and each normalized vector is checked here."""
     windows = make_windows(series, state.spec.total_rows, config.stride)
     labels = series.timestep_labels[windows.origins]
     columns = _score_columns(state, windows, config.method, config.eta, config.selector)
-    raw = _finite(columns.max(axis=0), "scores must be finite")
+    raw = columns.max(axis=0)
     streams = columns if config.normalize_per_channel else [raw]
     normalized = {
         mode: _finite(np.max([_normalize_raw(s, mode) for s in streams], axis=0),

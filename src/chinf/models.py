@@ -225,9 +225,8 @@ def channel_loss(state: ModelState, window: MtsWindow, j: int) -> float:
 def window_loss(state: ModelState, window: MtsWindow) -> float:
     """Sum of squared errors over all predicted entries of one window."""
     x, target = _split_xy(state.spec, window)
-    y = _forward_parts(state.spec, state.params, x)[0]
-    d = (y - target).ravel()
-    return float(d @ d)
+    d = _residual(state.spec, state.params, x, target)[0].ravel()
+    return _finite(float(d @ d), "forward pass produced non-finite values")
 
 
 def _forward_chunks(spec: ModelSpec, windows: Windows):
@@ -243,9 +242,9 @@ def _forward_chunks(spec: ModelSpec, windows: Windows):
 
 
 def _residual_chunks(state: ModelState, windows: Windows):
-    """Prediction-minus-target (b, out_rows, N) stacks, one per forward chunk."""
+    """_residual's checked (b, out_rows, N) residuals, one per forward chunk."""
     for x, target in _forward_chunks(state.spec, windows):
-        yield _forward_parts(state.spec, state.params, x)[0] - target
+        yield _residual(state.spec, state.params, x, target)[0]
 
 
 def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
@@ -253,12 +252,13 @@ def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
 
     Each contiguous channel residual is reduced as a (1, R) @ (R, 1) product,
     which rounds like a one-window d @ d whatever the list length or chunking.
+    A refused forward pass (_residual) or an overflowing sum raises.
     """
     parts = []
     for d in _residual_chunks(state, windows):
         cols = np.ascontiguousarray(d.transpose(0, 2, 1))[:, :, None, :]
         parts.append((cols @ cols.transpose(0, 1, 3, 2))[:, :, 0, 0])
-    return np.concatenate(parts)
+    return _finite(np.concatenate(parts), "forward pass produced non-finite values")
 
 
 def _act_grad_np(spec: ModelSpec, a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -308,18 +308,6 @@ def _factors(spec: ModelSpec, params, g, x_rows, xm, a, h, names) -> dict[str, t
     return {name: table[name] for name in names}
 
 
-def _channel_factors(spec: ModelSpec, params, x, target, names) -> dict[str, tuple]:
-    """_factors of a (B, window, N) stack's per-channel losses, whose
-    adjoint is r = 2 (y - t), after the forward pass is checked."""
-    y, x_rows, xm, a, h = _forward_parts(spec, params, x)
-    # an overflow in the mixed input reaches a (or y) too
-    for part in (a, y):
-        _finite(part, "forward pass produced non-finite values")
-    r = np.subtract(y, target, out=y)
-    r *= 2.0
-    return _factors(spec, params, r, x_rows, xm, a, h, names)
-
-
 def channel_gradient_rows(
     state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
@@ -328,7 +316,9 @@ def channel_gradient_rows(
     Row [b, j] is window b's channel-j loss gradient over the selected
     parameters, in selector order and row-major within each parameter (the
     layout of autodiff.backward): channel j's contraction of each _factors
-    pair. The rows serve influence_matrix, which needs the products of two
+    pair, on the checked forward pass (_batch_adjoint at scale 1, so a
+    window whose squared-error total overflows is refused as train refuses
+    it). The rows serve influence_matrix, which needs the products of two
     channels' gradients, and channel_gradients. The tests hold them to the
     tape oracle (bit for bit for the last layer, 1e-12 otherwise) and to
     finite differences.
@@ -340,7 +330,8 @@ def channel_gradient_rows(
     spec = state.spec
     selector, shapes = _selection(spec, selector)
     x, target = _split_xy(spec, as_window_stack(windows))
-    table = _channel_factors(spec, state.params, x, target, selector.names)
+    adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
+    table = _factors(spec, state.params, *adjoint, selector.names)
     b, _, n = x.shape
 
     sizes = [math.prod(shapes[name]) for name in selector.names]
@@ -392,7 +383,7 @@ def channel_gradient_norms(
     depend on the chunking. The tests hold the result to the rows at 1e-12.
 
     A norm that overflows comes back as an infinity, not an error; the
-    forward pass is checked as in channel_gradient_rows.
+    forward pass is checked as in channel_gradient_rows (_batch_adjoint).
     """
     spec = state.spec
     selector = _selection(spec, selector)[0]
@@ -400,7 +391,8 @@ def channel_gradient_norms(
     # _norm_product puts right the NaN of 0 * inf
     with np.errstate(invalid="ignore"):
         for x, target in _forward_chunks(spec, windows):
-            table = _channel_factors(spec, state.params, x, target, selector.names)
+            adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
+            table = _factors(spec, state.params, *adjoint, selector.names)
             # a bias shares its weight's u, so each distinct factor is squared once
             distinct = {id(f): f for name, pair in table.items() if name != "mix" for f in pair}
             squares = {key: _column_norms(f) for key, f in distinct.items() if f is not None}
@@ -461,31 +453,20 @@ def whole_gradient_rows(
     return _finite(rows, "gradient has non-finite entries")
 
 
-def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float):
-    """The checked forward pass of scale times one batch's sum of squared
-    errors, as the _factors arguments (g, x_rows, xm, a, h), g = 2 scale (y - t).
+def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
+    """The checked forward pass, the one rule for refusing one: (d, x_rows,
+    xm, a, h), the residual d = y - t and the rest of the _factors arguments.
 
-    A batch of b windows comes column-stacked, x (window, b*N) and t
-    (out_rows, b*N) with window k in columns kN to (k+1)N; a leading axis on
-    both stacks batches, and the gradients carry it too (with b = 1 a window
-    stack is already in this layout). train passes scale = 1 / t.size (the
-    batch mean), whole_gradient_rows 1 (one window's sum). The arithmetic
-    and operand layouts are those of the tape oracle in tests/test_models.py,
-    so the gradients are bit-identical to it.
-
-    Raises NonFiniteError for any non-finite forward value the tape would
-    have recorded: a non-finite prediction, residual or square makes a
-    batch's squared-error total non-finite. The one dot product q of all
-    residuals accepts a batch when q < 1e300: then no entry is a NaN or an
-    infinity and no total can overflow. Only a NaN, infinite or huge q
-    falls back to the exact test, each total (d * d).sum over its batch,
-    so a stack of batches whose totals are finite passes though its q
-    overflows, and the batches rejected are those the tape rejects.
-    Parameters are not checked here: a ModelState's are finite, and train
-    checks its own. Gradients are not checked either; their callers do.
-
-    g is formed in one pass as d times 2 scale: doubling is exact, so it
-    rounds the real product 2 scale d once, as (2 d) scale does.
+    x (window, b*N) and t (out_rows, b*N) are b column-stacked windows,
+    window k in columns kN to (k+1)N, and a leading axis batches (a window
+    stack is the case b = 1); the arithmetic is the tape oracle's in
+    tests/test_models.py. Raises NonFiniteError for what the tape refuses: a
+    non-finite mixed input or pre-activation, or a batch whose squared-error
+    total is not finite. The dot q of all residuals accepts when q < 1e300
+    (no NaN, infinity or overflowing total); only otherwise does each
+    batch's exact total (d * d).sum decide, so the batches refused are the
+    tape's. Parameters are not checked: a ModelState's are finite, and train
+    checks its own.
     """
     y, x_rows, xm, a, h = _forward_parts(spec, params, x)
     d = np.subtract(y, t, out=y)
@@ -496,7 +477,16 @@ def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale:
     # layer a non-finite mixed input
     for part in (xm if spec.architecture == "mlp_mix" else None, a, total):
         _finite(part, "forward pass produced non-finite values")
-    return np.multiply(d, 2.0 * scale, out=d), x_rows, xm, a, h
+    return d, x_rows, xm, a, h
+
+
+def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float):
+    """_residual with d scaled to g = 2 scale (y - t), the adjoint of scale
+    times the squared-error sum: train passes 1 / t.size (the batch mean),
+    the gradient kernels 1. One pass, as doubling is exact: it rounds the
+    real 2 scale d once, as (2 d) scale does. Callers check the gradients."""
+    d, *parts = _residual(spec, params, x, t)
+    return np.multiply(d, 2.0 * scale, out=d), *parts
 
 
 def _batch_gradients(spec: ModelSpec, params, adjoint, names) -> dict[str, np.ndarray]:
@@ -572,7 +562,8 @@ def train(
 
 
 def mean_window_mse(state: ModelState, windows: Windows) -> float:
-    """Per-element mean squared error over a stack or window list."""
+    """Per-element mean squared error over a stack or window list. A refused
+    forward pass (_residual) or an overflowing total raises."""
     sums = []
     entries = 0
     for d in _residual_chunks(state, windows):
@@ -581,7 +572,8 @@ def mean_window_mse(state: ModelState, windows: Windows) -> float:
         entries += d.size
     # accumulate adds the window sums one by one in window order, so the
     # total rounds exactly like a running sum
-    return float(np.add.accumulate(np.concatenate(sums))[-1]) / entries
+    total = float(np.add.accumulate(np.concatenate(sums))[-1])
+    return _finite(total, "forward pass produced non-finite values") / entries
 
 
 def save_checkpoint(state: ModelState, path: str) -> None:

@@ -174,8 +174,8 @@ def prune_cells(
     train_windows = make_windows(split.train, rows, stride)
     test_windows = make_windows(split.test, rows, stride)
     full_state = train(init_params(spec, train_config.seed), train_windows, train_config)
-    # a test MSE that overflows fails here, before any cell trains
-    mse_full = _finite_number(mean_window_mse(full_state, test_windows), "mse_full_model")
+    # a test MSE that overflows raises here, before any cell trains
+    mse_full = mean_window_mse(full_state, test_windows)
     if any(strategy in ("influence_equidistant", "most_influence") for _, strategy in cells):
         val_windows = make_windows(split.val, rows, stride)
         table = accumulate_channel_scores(full_state, val_windows, 1.0)

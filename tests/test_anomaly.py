@@ -642,14 +642,38 @@ class TestDetectEqualsThePublicRoute:
 
 
 @pytest.mark.parametrize("scaled", ["val", "test"])
-def test_detect_rejects_non_finite_scores_on_either_split(trained_scenario, scaled):
-    # squared errors of a series scaled by 1e160 pass the float range
-    state, val, test = trained_scenario
-    splits = {"val": val, "test": test}
-    series = splits[scaled]
-    splits[scaled] = bench_suite.core.MtsSeries(
-        series.values * 1e160, series.channel_names, series.timestep_labels
-    )
-    config = DetectConfig(method="reconstruction_error")
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scores must be finite"):
+def test_detect_rejects_non_finite_scores_on_either_split(scaled):
+    # a zero reconstructor scores the two windows over one 7e149 entry
+    # 4.9e299 and every other window 0: finite raw scores whose median_iqr
+    # normalization (IQR 0, clamped to 1e-12) overflows
+    spec = ModelSpec("linear_ci", 2, 1)
+    state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.zeros(2)})
+    labels = np.zeros(40, dtype=np.int64)
+    labels[30] = 1
+    spiked = np.zeros((40, 1))
+    spiked[20] = 7e149
+    splits = {split: bench_suite.core.MtsSeries(np.zeros((40, 1)), ("a",), labels)
+              for split in ("val", "test")}
+    splits[scaled] = bench_suite.core.MtsSeries(spiked, ("a",), labels)
+    config = DetectConfig(method="reconstruction_error", normalization="median_iqr")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        autodiff.NonFiniteError, match="^scores must be finite$"
+    ):
         detect(state, splits["test"], config, val_series=splits["val"])
+
+
+def test_detect_refuses_an_overflowing_loss_on_either_split(trained_scenario):
+    # squared errors of a series scaled by 1e160 pass the float range, so
+    # channel_losses refuses the forward pass on whichever split has them
+    state, val, test = trained_scenario
+    for scaled in ("val", "test"):
+        splits = {"val": val, "test": test}
+        series = splits[scaled]
+        splits[scaled] = bench_suite.core.MtsSeries(
+            series.values * 1e160, series.channel_names, series.timestep_labels
+        )
+        config = DetectConfig(method="reconstruction_error")
+        with np.errstate(over="ignore"), pytest.raises(
+            autodiff.NonFiniteError, match="^forward pass produced non-finite values$"
+        ):
+            detect(state, splits["test"], config, val_series=splits["val"])

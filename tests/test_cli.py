@@ -168,15 +168,18 @@ class TestDetect:
         assert list(out.iterdir()) == []
 
     def test_gradient_row_overflow_exits_1(self, tmp_path, capsys):
-        # the forward pass, residuals (4e200) and inputs (1e200) are finite,
-        # and their outer product, the output weight's gradient rows, is not
+        # every window's squared-error total is finite (1e300 per channel:
+        # bias 1e150 against targets of 0); the test split's first window
+        # has inputs of 1e200, whose squared norm, a factor of the output
+        # weight's gradient norm, overflows
         labels = np.zeros(40, dtype=np.int64)
         labels[30:33] = 1
-        data.save_csv(core.MtsSeries(np.full((40, 2), 1e200), ("a", "b"), labels),
-                      str(tmp_path / "series.csv"))
-        spec = models.ModelSpec("linear_ci", window=4, channels=2)
+        values = np.zeros((40, 2))
+        values[30:32] = 1e200
+        data.save_csv(core.MtsSeries(values, ("a", "b"), labels), str(tmp_path / "series.csv"))
+        spec = models.ModelSpec("linear_ci", window=2, channels=2, horizon=1)
         state = models.ModelState(
-            spec, {"weight": np.zeros((4, 4)), "bias": np.full(4, 3e200)}, trained_lr=0.1
+            spec, {"weight": np.zeros((1, 2)), "bias": np.full(1, 1e150)}, trained_lr=0.1
         )
         models.save_checkpoint(state, str(tmp_path / "model.json"))
         cfg = dict(json.loads((DATA / "detect.json").read_text()),
@@ -471,7 +474,8 @@ class TestPrune:
         assert (config["seed"], config["seeds"]) == (5, [5])
 
     def test_infinite_test_mse_exits_1(self, tmp_path, capsys):
-        # the spike falls in the test split, so both MSEs overflow to inf
+        # the spike falls in the test split, whose squared errors overflow, so
+        # the full model's test MSE is refused before any cell trains
         t = np.arange(200, dtype=np.float64)[:, None]
         values = np.sin(t / 7 + np.arange(4))
         values[190, 2] = 1e200
@@ -482,9 +486,7 @@ class TestPrune:
         })
         out = tmp_path / "out"
         assert run("prune", "--config", cfg, "--out", out) == 1
-        assert capsys.readouterr().err == (
-            "error: mse_full_model must be finite and non-negative, got inf\n"
-        )
+        assert capsys.readouterr().err == "error: forward pass produced non-finite values\n"
         assert list(out.iterdir()) == []
 
 
@@ -1076,6 +1078,23 @@ def test_only_core_opens_files_for_writing():
             if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
                 writers.append(f"{path.name}:{node.lineno}")
     assert writers and all(w.startswith("core.py:") for w in writers), writers
+
+
+def test_only_residual_and_reconstruct_run_the_forward_pass():
+    """models._residual is the one checked forward pass: in src/chinf, only
+    it and reconstruct (which has no target to check) name _forward_parts."""
+    src = Path(__file__).parents[1] / "src" / "chinf"
+
+    def references(node, where):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "id", getattr(child, "attr", None)) == "_forward_parts":
+                yield where
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            yield from references(child, inner)
+
+    callers = [f"{path.name}:{where}" for path in sorted(src.glob("*.py"))
+               for where in references(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    assert sorted(callers) == ["models.py:_residual", "models.py:reconstruct"], callers
 
 
 def test_every_output_is_utf8_with_one_final_lf(pipeline, tmp_path):

@@ -6,6 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chinf import anomaly, cli, core, data, influence, models, pruning
 from chinf import autodiff as ad
@@ -428,17 +429,21 @@ class TestChannelGradientRows:
                 influence.self_influence_rows(state, [win], eta=1.0)
 
     def test_row_overflow_raises(self):
-        # finite forward pass, residual and input whose outer product, a
-        # gradient row entry, overflows
-        spec = ModelSpec("linear_ci", 2, 1)
-        state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.full(2, 3e200)})
-        win = MtsWindow(np.full((2, 1), 1e200), origin_t=1)
+        # a finite forward pass (residual 1e150, squared-error total 1e300)
+        # and input (1e200) whose outer product, a gradient row entry,
+        # overflows
+        state = overflowing_rows_state()
+        win = OVERFLOWING_ROWS_WINDOW
         with np.errstate(over="ignore"):
             with pytest.raises(ad.NonFiniteError, match="channel gradients produced non-finite"):
                 channel_gradient_rows(state, [win])
             # the kernel reports the overflow as an infinity, the caller raises
             assert np.isinf(channel_gradient_norms(state, [win])).all()
-            for _, selector in kernel_selectors(spec):
+            for _, selector in kernel_selectors(state.spec):
+                if "weight" not in selector.names:
+                    # the bias block alone is 2e150, of squared norm 4e300
+                    assert np.isfinite(influence.self_influence_rows(state, [win], 1.0, selector))
+                    continue
                 with pytest.raises(ad.NonFiniteError, match="self-influence overflowed"):
                     influence.self_influence_rows(state, [win], 1.0, selector)
 
@@ -457,10 +462,11 @@ class TestChannelGradientRows:
         assert np.array_equal(scores, got)
 
     def test_score_overflow_raises(self):
-        # finite forward pass and gradient rows whose squared norm overflows
-        spec = ModelSpec("linear_ci", 2, 1)
-        state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.full(2, 1e200)})
-        win = MtsWindow(np.ones((2, 1)), origin_t=1)
+        # finite forward pass (residual 1e154, squared-error total 1e308)
+        # and gradient rows (2e154 each) whose squared norm overflows
+        spec = ModelSpec("linear_ci", 1, 1)
+        state = ModelState(spec, {"weight": np.zeros((1, 1)), "bias": np.full(1, 1e154)})
+        win = MtsWindow(np.ones((1, 1)), origin_t=0)
         assert np.isfinite(channel_gradient_rows(state, [win])).all()
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="overflow"):
@@ -989,13 +995,26 @@ def detect_tied_scores():
         cli.cmd_detect(cli._read(config, cli.SCHEMAS["detect"]), tmp)
 
 
-def detect_overflowing_losses():
-    spec = ModelSpec("linear_ci", 2, 1)
-    state = ModelState(spec, {"weight": np.zeros((2, 2)), "bias": np.zeros(2)})
-    values = np.ones((10, 1))
-    values[4] = 1e200
-    config = anomaly.DetectConfig("reconstruction_error", threshold_on="test")
-    anomaly.detect(state, labelled_series(values, 4), config)
+def detect_overflowing_scores():
+    """A zero reconstructor's finite scores (4.9e299 over one 7e149 entry,
+    0 elsewhere) whose median_iqr normalization overflows: the IQR is 0,
+    clamped to 1e-12."""
+    values = np.zeros((40, 1))
+    values[20] = 7e149
+    config = anomaly.DetectConfig("reconstruction_error", normalization="median_iqr",
+                                  threshold_on="test")
+    anomaly.detect(zero_linear_state(), labelled_series(values, 20), config)
+
+
+def overflowing_rows_state():
+    """linear_ci (window 2, horizon 1) whose forward pass on
+    OVERFLOWING_ROWS_WINDOW is finite, residual 1e150 against a target of 0,
+    while the output weight's gradient row, 2e150 times 1e200, overflows."""
+    spec = ModelSpec("linear_ci", 2, 1, horizon=1)
+    return ModelState(spec, {"weight": np.zeros((1, 2)), "bias": np.full(1, 1e150)})
+
+
+OVERFLOWING_ROWS_WINDOW = MtsWindow(np.array([[1e200], [1e200], [0.0]]), origin_t=2)
 
 
 NAN = float("nan")
@@ -1029,12 +1048,16 @@ FINITENESS_SITES = {
         "forward pass produced non-finite values",
     ),
     "channel_gradient_rows.rows": (
-        lambda: channel_gradient_rows(
-            ModelState(ModelSpec("linear_ci", 2, 1),
-                       {"weight": np.zeros((2, 2)), "bias": np.full(2, 3e200)}),
-            [window_of([[1e200], [1e200]])],
-        ),
+        lambda: channel_gradient_rows(overflowing_rows_state(), [OVERFLOWING_ROWS_WINDOW]),
         "channel gradients produced non-finite values",
+    ),
+    "channel_losses": (
+        lambda: models.channel_losses(zero_linear_state(), [window_of([[1e200], [1.0]])]),
+        "forward pass produced non-finite values",
+    ),
+    "mean_window_mse": (
+        lambda: models.mean_window_mse(zero_linear_state(), [window_of([[1e200], [1.0]])]),
+        "forward pass produced non-finite values",
     ),
     "whole_gradient_rows": (
         lambda: whole_gradient_rows(*gradient_overflow_case(False)[:2]),
@@ -1076,7 +1099,11 @@ FINITENESS_SITES = {
     "ScoreSeries": (
         lambda: anomaly.ScoreSeries([NAN], "cif_self_influence", (0,)), "scores must be finite",
     ),
-    "detect.scores": (detect_overflowing_losses, "scores must be finite"),
+    "detect.scores": (detect_overflowing_scores, "scores must be finite"),
+    "select_threshold": (
+        lambda: anomaly.select_threshold([NAN, 0.5, 1.0], [0, 0, 1]), "scores must be finite",
+    ),
+    "auroc": (lambda: anomaly.auroc([NAN, 0.5, 1.0], [0, 1, 1]), "scores must be finite"),
     "ChannelScoreTable": (lambda: pruning.ChannelScoreTable([math.inf]), "scores must be finite"),
     "cmd_detect.threshold": (
         detect_tied_scores, "threshold: the best F1 is at -inf, not a finite threshold",
@@ -1096,6 +1123,91 @@ class TestOneFinitenessRule:
     def test_non_finite_error_is_one_value_error(self):
         assert ad.NonFiniteError is core.NonFiniteError
         assert issubclass(core.NonFiniteError, ValueError)
+
+
+def kernel_outcome(kernel):
+    """None when the kernel returns finite values, else its NonFiniteError's
+    message; any other exception propagates and fails the test."""
+    try:
+        values = kernel()
+    except core.NonFiniteError as e:
+        return str(e)
+    values = values.values if isinstance(values, influence.InfluenceMatrix) else values
+    assert np.isfinite(values).all()
+    return None
+
+
+def tape_refuses(state, window) -> bool:
+    """Whether building the tape's whole-window loss raises."""
+    try:
+        # the tape is held: a node needs its tape alive
+        tape, sq = tape_window_loss(state, window)
+        ad.reduce_sum(sq)
+    except core.NonFiniteError:
+        return True
+    return False
+
+
+@st.composite
+def extreme_cases(draw):
+    """A model of any architecture, horizon, activation and selector whose
+    parameters, and two windows whose entries, have magnitudes from 1e-300
+    to 1e300: one power of ten per array, and one sign for all its entries
+    or mixed signs, so an overflow can come out an infinity (which tanh and
+    relu can hide) as well as a NaN."""
+    spec = ModelSpec(draw(st.sampled_from(models.ARCHITECTURES)), 3, 2, hidden=2,
+                     activation=draw(st.sampled_from(models.ACTIVATIONS)),
+                     horizon=draw(st.sampled_from((0, 1, 2))))
+    shapes = param_shapes(spec)
+    kind = draw(st.sampled_from(("last_layer", "all", "single")))
+    if kind == "single":
+        selector = ParamSelector("single", (draw(st.sampled_from(tuple(shapes))),))
+    else:
+        selector = last_layer_selector(spec) if kind == "last_layer" else all_params_selector(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def array(shape):
+        values = rng.normal(size=shape)
+        sign = draw(st.sampled_from((1.0, -1.0, None)))
+        values = values if sign is None else sign * np.abs(values)
+        return values * 10.0 ** draw(st.integers(-300, 300))
+
+    params = {name: array(shape) for name, shape in shapes.items()}
+    windows = [MtsWindow(array((spec.total_rows, 2)), t)
+               for t in (spec.total_rows - 1, spec.total_rows)]
+    return ModelState(spec, params), selector, windows
+
+
+class TestKernelsFiniteOrRefused:
+    """Every kernel returns finite values or raises NonFiniteError, whatever
+    the magnitudes; and on one window, the rows and losses refuse the
+    forward pass exactly when the tape does. channel_gradient_norms is left
+    out: it returns an infinity for a norm that overflows, by design."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_cases())
+    def test_finite_or_non_finite_error(self, case):
+        state, selector, windows = case
+        kernels = {
+            "channel_gradient_rows": lambda w: channel_gradient_rows(state, w, selector),
+            "whole_gradient_rows": lambda w: whole_gradient_rows(state, w, selector),
+            "self_influence_rows": lambda w: influence.self_influence_rows(state, w, 1.0, selector),
+            "tracin_self_scores": lambda w: influence.tracin_self_scores(state, w, 1.0, selector),
+            "influence_matrix": lambda w: influence.influence_matrix(
+                state, w[0], w[-1], 1.0, selector),
+            "channel_losses": lambda w: channel_losses(state, w),
+            "mean_window_mse": lambda w: mean_window_mse(state, w),
+            "window_loss": lambda w: np.array([window_loss(state, win) for win in w]),
+        }
+        with np.errstate(all="ignore"):
+            for kernel in kernels.values():
+                kernel_outcome(lambda: kernel(windows))
+            refused = tape_refuses(state, windows[0])
+            for name in ("channel_gradient_rows", "whole_gradient_rows", "channel_losses",
+                         "mean_window_mse", "window_loss"):
+                outcome = kernel_outcome(lambda: kernels[name](windows[:1]))
+                forward = outcome == "forward pass produced non-finite values"
+                assert forward == refused, (name, outcome)
 
 
 class TestWholeGradientMatchesTape:

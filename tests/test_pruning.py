@@ -443,14 +443,15 @@ class TestPruneCells:
         assert result.mse_selected_model_on_all_channels == expected
 
     def test_infinite_test_mse_raises(self):
-        # a finite 1e200 in the test split overflows both MSEs to inf
+        # a finite 1e200 in the test split overflows its windows' squared
+        # errors, which mean_window_mse refuses
         split = small_split()
         values = split.test.values.copy()
         values[-5, 2] = 1e200
         test = MtsSeries(values, split.test.channel_names)
         split = replace(split, test=test)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="^mse_full_model must be finite and non-negative, got inf$",
+            autodiff.NonFiniteError, match="^forward pass produced non-finite values$",
         ):
             prune_cells(split, SMALL_SPEC, SMALL_CONFIG, [(2, "continuous")])
 
@@ -469,7 +470,7 @@ class TestPruneCells:
 
         monkeypatch.setattr(pruning, "train", counting_train)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="^mse_full_model must be finite and non-negative, got inf$",
+            autodiff.NonFiniteError, match="^forward pass produced non-finite values$",
         ):
             prune_cells(split, spec, TrainConfig(epochs=2), [(2, "continuous"), (3, "random")])
         assert len(calls) == 1
