@@ -39,6 +39,9 @@ CHECKPOINT_VERSION = 1
 # 2^20. Chunking changes no value.
 _FORWARD_CHUNK_ENTRIES = 1 << 17
 
+# the smallest normal float64: a squared norm below it has lost bits
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -358,12 +361,35 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
     return np.einsum("bkn,bkn->bn", u, u)
 
 
-def _norm_product(u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """u2 * v2, but 0 where either is 0, as a zero factor makes its block of
-    the rows 0, where 0 * inf gives NaN."""
+def _scaled_column_norms(f: np.ndarray, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns f[b, :, j] of a (B, k, N) factor at the picked (b, j),
+    each written as m 2^e with e the np.frexp exponent of its largest entry:
+    (||m||^2, e). Scaling by a power of two rounds no entry that counts at
+    float precision, and ||m||^2 <= k cannot overflow; an infinite entry
+    gives e = 0 and an infinite ||m||^2."""
+    cols = f.transpose(0, 2, 1)[picked]
+    e = np.frexp(np.abs(cols).max(axis=-1))[1]
+    m = np.ldexp(cols, -e[:, None])
+    return np.einsum("mk,mk->m", m, m), e
+
+
+def _norm_product(u: np.ndarray, v: np.ndarray, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """(B, N) products u2 * v2 of the squared column norms of two factors:
+    the squared norms of their channel blocks u_j v_j^T. Such a product is
+    exact to rounding when both norms are normal numbers and it is finite.
+    Elsewhere (a squared norm that overflowed, 0 * inf, or one below the
+    normal range, which has lost bits) it is formed again from the scaled
+    columns (_scaled_column_norms), as ||m_u||^2 ||m_v||^2 2^(2 e_u + 2 e_v):
+    finite wherever the block's squared norm is, and 0 where a factor column
+    is 0, as that block of the rows is."""
     product = u2 * v2
-    if np.isnan(product).any():
-        product[(u2 == 0) | (v2 == 0)] = 0.0
+    # min and max pass over NaN as False; with no NaN, max < inf means finite
+    if min(u2.min(), v2.min()) >= _TINY and product.max() < math.inf:
+        return product
+    redo = ~((u2 >= _TINY) & (v2 >= _TINY) & (product < math.inf))
+    (mu2, eu), (mv2, ev) = (_scaled_column_norms(f, redo) for f in (u, v))
+    zero = (mu2 == 0) | (mv2 == 0)
+    product[redo] = np.where(zero, 0.0, np.ldexp(mu2 * mv2, 2 * (eu + ev)))
     return product
 
 
@@ -382,8 +408,10 @@ def channel_gradient_norms(
     memory stays that of the forward pass and each window's value does not
     depend on the chunking. The tests hold the result to the rows at 1e-12.
 
-    A norm that overflows comes back as an infinity, not an error; the
-    forward pass is checked as in channel_gradient_rows (_batch_adjoint).
+    A product of two column norms is formed again from scaled columns where
+    it is not finite, so a norm comes back finite wherever the rows' is; one
+    that overflows comes back as an infinity, not an error. The forward pass
+    is checked as in channel_gradient_rows (_batch_adjoint).
     """
     spec = state.spec
     selector = _selection(spec, selector)[0]
@@ -399,7 +427,7 @@ def channel_gradient_norms(
             terms = [
                 _column_norms(u.mT @ v) if name == "mix"
                 else squares[id(u)] if v is None
-                else _norm_product(squares[id(u)], squares[id(v)])
+                else _norm_product(u, v, squares[id(u)], squares[id(v)])
                 for name, (u, v) in table.items()
             ]
             parts.append(sum(terms))
@@ -461,11 +489,11 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
     window k in columns kN to (k+1)N, and a leading axis batches (a window
     stack is the case b = 1); the arithmetic is the tape oracle's in
     tests/test_models.py. Raises NonFiniteError for what the tape refuses: a
-    non-finite mixed input or pre-activation, or a batch whose squared-error
-    total is not finite. The dot q of all residuals accepts when q < 1e300
-    (no NaN, infinity or overflowing total); only otherwise does each
-    batch's exact total (d * d).sum decide, so the batches refused are the
-    tape's. Parameters are not checked: a ModelState's are finite, and train
+    non-finite pre-activation (which a non-finite mixed input becomes), or a
+    batch whose squared-error total is not finite. The dot q of all
+    residuals accepts when q < 1e300 (no NaN, infinity or overflowing
+    total); only otherwise does each batch's exact total (d * d).sum
+    decide, so the batches refused are the tape's. Parameters are not checked: a ModelState's are finite, and train
     checks its own.
     """
     y, x_rows, xm, a, h = _forward_parts(spec, params, x)
@@ -473,9 +501,10 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
     # vdot, unlike matmul, warns of no overflow: an overflowing q only
     # sends the batch to the exact test
     total = None if np.vdot(d, d) < 1e300 else (d * d).sum(axis=(-2, -1))
-    # the activation can hide a non-finite pre-activation, and the hidden
-    # layer a non-finite mixed input
-    for part in (xm if spec.architecture == "mlp_mix" else None, a, total):
+    # the activation can hide a non-finite pre-activation; a non-finite
+    # mixed input reaches it as an infinity or a NaN (0 * inf), as every
+    # mlp_mix model has a hidden layer, so a needs no xm check before it
+    for part in (a, total):
         _finite(part, "forward pass produced non-finite values")
     return d, x_rows, xm, a, h
 

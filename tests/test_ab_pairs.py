@@ -29,6 +29,11 @@ def summary_rows(text):
     return {line.split()[0]: line for line in text.splitlines() if line.split()[0] in METRICS}
 
 
+def verdicts(row):
+    """The gain and worse columns of a summary row."""
+    return row.split()[-2:]
+
+
 def test_run_order_alternates_and_the_gain_rule_is_applied(monkeypatch, capsys):
     old = [1.0 + 0.01 * k for k in range(10)]
     new = [1.5] + [0.8] * 9  # the change loses the first pair only
@@ -45,12 +50,12 @@ def test_run_order_alternates_and_the_gain_rule_is_applied(monkeypatch, capsys):
     rows = summary_rows(text)
     # 9 of 10 won and a median gap far beyond the parent's quartile distance
     for name in ("wall_s", "items_per_s"):
-        assert " 9/10" in rows[name] and rows[name].endswith("yes")
+        assert " 9/10" in rows[name] and verdicts(rows[name]) == ["yes", "no"]
     ratio = statistics.median(b / a for a, b in zip(old, new))
     assert f" {ratio:.4f} " in rows["wall_s"]
     # equal values are ties, which count for neither side
     for name in ("setup_s", "peak_rss_mb"):
-        assert " 0/10" in rows[name] and rows[name].endswith("no")
+        assert " 0/10" in rows[name] and verdicts(rows[name]) == ["no", "no"]
 
 
 def test_eight_of_ten_wins_claim_nothing(monkeypatch, capsys):
@@ -59,4 +64,22 @@ def test_eight_of_ten_wins_claim_nothing(monkeypatch, capsys):
     monkeypatch.setattr(ab_pairs, "run_once", scripted(old, new)[0])
     ab_pairs.main([str(ROOT), "NEW", "--workload", "w", "--seed", "0", "--pairs", "10"])
     row = summary_rows(capsys.readouterr().out)["wall_s"]
-    assert " 8/10" in row and row.endswith("no")
+    assert " 8/10" in row and verdicts(row) == ["no", "no"]
+
+
+def test_the_worse_column_mirrors_the_gain_rule(monkeypatch, capsys):
+    old = [1.0 + 0.01 * k for k in range(10)]
+    argv = [str(ROOT), "NEW", "--workload", "w", "--seed", "0", "--pairs", "10"]
+    # NEW slower in 9 of 10 pairs, by far more than OLD's quartile distance
+    monkeypatch.setattr(ab_pairs, "run_once", scripted(old, [0.5] + [1.5] * 9)[0])
+    ab_pairs.main(argv)
+    text = capsys.readouterr().out
+    assert "  gain  worse\n" in text
+    rows = summary_rows(text)
+    for name in ("wall_s", "items_per_s"):
+        assert " 1/10" in rows[name] and verdicts(rows[name]) == ["no", "yes"]
+    # 8 losses of 10 flag nothing, nor 10 losses by less than the quartile distance
+    for new in ([0.5, 0.5] + [1.5] * 8, [w + 0.001 for w in old]):
+        monkeypatch.setattr(ab_pairs, "run_once", scripted(old, new)[0])
+        ab_pairs.main(argv)
+        assert verdicts(summary_rows(capsys.readouterr().out)["wall_s"]) == ["no", "no"]

@@ -116,6 +116,36 @@ class TestNormalize:
             want = (scores - np.median(scores)) / max(float(scale), anomaly._EPS)
             assert same_bits(anomaly._normalize_raw(scores, "median_iqr"), want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_both_modes_keep_the_bits_of_the_numpy_formulas(self, data):
+        """_normalize_raw against np.mean/np.std and np.median with
+        np.percentile(x, (75, 25)), which it replaces, for odd and even n up
+        to 2000, ties, constant vectors (the 1e-12 clamp) and magnitudes from
+        1e-300 to 1e300. Raw scores are sums of squares, so they are
+        nonnegative and +0.0 at least: a signed zero is out of scope, as
+        np.partition (inside np.median) and np.sort may order -0.0 and 0.0
+        differently and so give a median of the other sign."""
+        n = data.draw(st.integers(2, 2000), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(("spread", "ties", "constant")), label="kind")
+        if kind == "spread":
+            scores = rng.exponential(size=n) ** 2
+        elif kind == "ties":
+            scores = rng.choice(np.append(rng.random(3), 0.0), size=n)
+        else:
+            scores = np.full(n, rng.random())
+        scores = scores * 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
+        # the squared deviations of 1e300 scores overflow in both forms alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper, lower = np.percentile(scores, (75, 25))
+            want = {
+                "mean_std": (scores - scores.mean()) / max(float(scores.std()), anomaly._EPS),
+                "median_iqr": (scores - np.median(scores)) / max(float(upper - lower), anomaly._EPS),
+            }
+            for mode, expected in want.items():
+                assert same_bits(anomaly._normalize_raw(scores, mode), expected), mode
+
     def test_preserves_order(self):
         rng = np.random.default_rng(0)
         raw = series_of(rng.normal(size=40))

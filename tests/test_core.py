@@ -194,6 +194,69 @@ class TestWindowStack:
         pruning.prune_and_eval(split, spec, config, 2, "influence_equidistant")
 
 
+class TestCheckedStacks:
+    """make_windows, as_window_stack and slicing copy values that a series,
+    a window or a stack has already checked, through WindowStack._of_checked:
+    no finiteness scan, every other check kept."""
+
+    def test_empty_mixed_and_too_long_still_raise(self):
+        wins = core.make_windows(series(t=12), 4)
+        five, six = core.MtsWindow(np.zeros((5, 2)), 4), core.MtsWindow(np.zeros((6, 2)), 5)
+        for build, message in (
+            (lambda: core.as_window_stack([]), "nonempty and 3-D"),
+            (lambda: wins[4:4], "nonempty and 3-D"),
+            (lambda: core.WindowStack._of_checked(np.zeros((0, 4, 3)), []), "nonempty and 3-D"),
+            (lambda: core.WindowStack._of_checked(np.zeros((4, 3)), np.arange(4)),
+             "nonempty and 3-D"),
+            (lambda: core.as_window_stack([five, six]), r"one shape, got \(5, 2\) and \(6, 2\)"),
+            (lambda: core.make_windows(series(t=3), 4), "window exceeds series length"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_origins_are_still_checked(self):
+        window = core.MtsWindow(np.zeros((4, 3)), 1.7)
+        with pytest.raises(ValueError, match="origins must be a vector of integers"):
+            core.as_window_stack([window])
+        with pytest.raises(ValueError, match="origins must be a vector of integers"):
+            core.WindowStack._of_checked(np.zeros((1, 4, 3)), [1.7])
+        with pytest.raises(ValueError, match="2 origins for 3 windows"):
+            core.WindowStack._of_checked(np.zeros((3, 4, 3)), [1, 2])
+
+    def test_the_public_constructor_still_scans(self):
+        with pytest.raises(core.NonFiniteError, match="^window values must be finite$"):
+            core.WindowStack(np.full((1, 2, 2), np.nan), [1])
+
+    def test_copies_are_private_read_only_and_c_ordered(self):
+        wins = core.make_windows(series(t=30), 5)
+        for stack, source in ((wins[3:9:2], wins.values), (core.as_window_stack(list(wins)), None)):
+            assert stack.values.flags.c_contiguous and not stack.values.flags.writeable
+            assert stack.origins.dtype == np.int64 and not stack.origins.flags.writeable
+            if source is not None:
+                assert not np.shares_memory(stack.values, source)
+        listed = core.as_window_stack(list(wins))
+        assert np.array_equal(listed.values, wins.values)
+        assert np.array_equal(listed.origins, wins.origins)
+
+    def test_no_internal_site_scans_the_window_values(self, monkeypatch):
+        s = series(t=40)
+        windows = list(core.make_windows(s, 6))
+        scanned = []
+
+        def counting(values, message):
+            scanned.append(message)
+            return values
+
+        monkeypatch.setattr(core, "_finite", counting)
+        stack = core.make_windows(s, 6)
+        stack[2:9]
+        core.as_window_stack(windows)
+        assert scanned == []
+        # the public constructor still goes through the patched rule
+        core.WindowStack(stack.values, stack.origins)
+        assert scanned == ["window values must be finite"]
+
+
 class TestWindowLabel:
     def test_label_of_last_timestep(self):
         labels = np.zeros(20, dtype=np.int64)

@@ -461,6 +461,25 @@ class TestChannelGradientRows:
         assert want[0, 0] > 0 and np.abs(got - want).max() <= 1e-12 * want.max()
         assert np.array_equal(scores, got)
 
+    @pytest.mark.parametrize(
+        "bias, values",
+        [(1e154, [[1e-10], [1e-10], [1e-10]]), (1e-160, [[1e150], [1e150], [0.0]])],
+        ids=["factor_norm_overflows", "factor_norm_subnormal"],
+    )
+    def test_weight_norm_from_scaled_factors(self, bias, values):
+        # weight-only blocks g x^T of a linear_ci forecaster (weight 0): g is
+        # 2e154, whose squared norm overflows against ||x||^2 = 2e-20, or
+        # 2e-160, whose squared norm 4e-320 has lost most of its bits
+        spec = ModelSpec("linear_ci", 2, 1, horizon=1)
+        state = ModelState(spec, {"weight": np.zeros((1, 2)), "bias": np.full(1, bias)})
+        win = MtsWindow(np.array(values), origin_t=2)
+        selector = ParamSelector("linear_ci/weight", ("weight",))
+        rows = channel_gradient_rows(state, [win], selector)
+        want = np.einsum("bnp,bnp->bn", rows, rows)
+        got = channel_gradient_norms(state, [win], selector)
+        assert 0 < want[0, 0] < math.inf and np.abs(got - want).max() <= 1e-12 * want.max()
+        assert np.array_equal(influence.self_influence_rows(state, [win], 1.0, selector), got)
+
     def test_score_overflow_raises(self):
         # finite forward pass (residual 1e154, squared-error total 1e308)
         # and gradient rows (2e154 each) whose squared norm overflows
@@ -809,6 +828,50 @@ def mixing_overflow_case():
     wins = training_windows(np.random.default_rng(0), spec, 3)
     wins.append(window_of([[1e10, 1e10], [1e10, 1e10]]))
     return ModelState(spec, params), wins, TrainConfig(2, 1e-3, 2, 1), None
+
+
+def mixed_input_case(mix, w1):
+    """mlp_mix (window 2, 2 channels) on one window of 1e10s whose mixed
+    input x @ mix is not finite: inf for mix entries 1e300, NaN (inf - inf)
+    for a column of mix holding 1e300 and -1e300."""
+    spec = ModelSpec("mlp_mix", 2, 2, hidden=2, activation="tanh")
+    params = dict(init_params(spec, 0).params, mix=np.array(mix), w1=np.array(w1))
+    wins = [window_of([[1e10, 1e10], [1e10, 1e10]])]
+    return ModelState(spec, params), wins, TrainConfig(1, 1e-3, 1, 0), None
+
+
+MIXED_INPUT_CASES = {
+    "infinite": lambda: mixed_input_case(np.full((2, 2), 1e300), [[1.0, -1.0], [0.5, 0.5]]),
+    "nan": lambda: mixed_input_case([[1e300, 1e300], [-1e300, -1e300]], [[1.0, -1.0], [0.5, 0.5]]),
+    # a zero weight: the pre-activation is 0 * inf = NaN
+    "infinite_zero_weight": lambda: mixed_input_case(np.full((2, 2), 1e300), np.zeros((2, 2))),
+}
+
+
+class TestNonFiniteMixedInput:
+    """The forward-pass check tests the pre-activation a, not the mixed
+    input xm: every mlp_mix model has a hidden layer, and a NaN or an
+    infinity in xm reaches a = w1 @ xm + b1 as one, so a refuses it. The
+    tape refuses the same windows, and train and the tape route fail alike."""
+
+    @pytest.mark.parametrize("case", list(MIXED_INPUT_CASES))
+    def test_pre_activation_refuses_it_as_the_tape_does(self, case):
+        state, wins, config, _ = MIXED_INPUT_CASES[case]()
+        x, t = models._split_xy(state.spec, wins[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, xm, a, _ = models._forward_parts(state.spec, state.params, x)
+            assert not np.isfinite(xm).all() and not np.isfinite(a).all()
+            with pytest.raises(core.NonFiniteError) as caught:
+                models._residual(state.spec, state.params, x, t)
+            assert str(caught.value) == "forward pass produced non-finite values"
+            assert tape_refuses(state, wins[0])
+            raised = []
+            for trainer in (train, tape_train):
+                with pytest.raises(RuntimeError) as info:
+                    trainer(state, wins, config)
+                assert type(info.value.__cause__) is core.NonFiniteError
+                raised.append(str(info.value))
+        assert raised == ["training loss is not finite at epoch 0, batch 0"] * 2
 
 
 def sum_overflow_case():
@@ -1181,8 +1244,9 @@ def extreme_cases(draw):
 class TestKernelsFiniteOrRefused:
     """Every kernel returns finite values or raises NonFiniteError, whatever
     the magnitudes; and on one window, the rows and losses refuse the
-    forward pass exactly when the tape does. channel_gradient_norms is left
-    out: it returns an infinity for a norm that overflows, by design."""
+    forward pass exactly when the tape does. channel_gradient_norms returns
+    an infinity for a norm that overflows, by design, so it is held to the
+    rows instead: finite wherever their einsum is, and within 1e-12 of it."""
 
     @settings(max_examples=300, deadline=None)
     @given(extreme_cases())
@@ -1208,6 +1272,28 @@ class TestKernelsFiniteOrRefused:
                 outcome = kernel_outcome(lambda: kernels[name](windows[:1]))
                 forward = outcome == "forward pass produced non-finite values"
                 assert forward == refused, (name, outcome)
+            assert_norms_match_rows(state, selector, windows)
+
+
+def assert_norms_match_rows(state, selector, windows):
+    """channel_gradient_norms refuses the forward pass when the rows do, and
+    is finite, within 1e-12 relative, wherever the rows' einsum is finite.
+    Below the smallest normal float the einsum itself has no such precision,
+    so there the bound is 1e-12 of that number."""
+    try:
+        rows = channel_gradient_rows(state, windows, selector)
+    except core.NonFiniteError as e:
+        if str(e) != "forward pass produced non-finite values":
+            return  # a row entry overflowed, so the rows' einsum is not finite
+        with pytest.raises(core.NonFiniteError, match="^forward pass produced"):
+            channel_gradient_norms(state, windows, selector)
+        return
+    want = np.einsum("bnp,bnp->bn", rows, rows)
+    got = channel_gradient_norms(state, windows, selector)
+    bounded = np.isfinite(want)
+    assert np.isfinite(got[bounded]).all(), (got, want)
+    err = np.abs(got - want)[bounded]
+    assert (err <= 1e-12 * np.maximum(want[bounded], models._TINY)).all(), (got, want)
 
 
 class TestWholeGradientMatchesTape:

@@ -13,7 +13,10 @@ failed-operation counts; then each side's
 median and quartiles, the median per-pair ratio NEW / OLD, and how many
 pairs NEW won (ties count for neither side). A gain is claimed only when NEW
 wins at least nine tenths of the pairs and the medians differ by more than
-OLD's quartile distance; the last column says whether both hold. Passing the
+OLD's quartile distance; the ``gain`` column says whether both hold. The
+``worse`` column applies the same rule the other way: NEW loses at least
+nine tenths of the pairs and its median is worse by more than OLD's quartile
+distance, so one table shows both a claimed gain and a regression. Passing the
 same directory as OLD and NEW runs a null pair, which shows the noise of the
 protocol itself. The metric names, units and directions are read from OLD's
 BENCHMARK.json.
@@ -78,22 +81,26 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           "OLD first in odd pairs, NEW first in even pairs")
     print(f"{'metric':<12} {'OLD median [q1, q3]':<32} {'NEW median [q1, q3]':<32} "
-          f"{'ratio':>7} {'won':>6}  gain")
+          f"{'ratio':>7} {'won':>6}  gain  worse")
     for spec in specs:
         name, higher = spec["name"], spec["better"] == "higher"
         old = [r["metrics"][name]["value"] for r in runs["old"]]
         new = [r["metrics"][name]["value"] for r in runs["new"]]
         ratio = statistics.median(b / a for a, b in zip(old, new))
         won = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+        lost = sum((b < a) if higher else (b > a) for a, b in zip(old, new))
         q1, q3 = quartiles(old)
+        # the median move in the better direction
         gap = statistics.median(new) - statistics.median(old)
-        gain = won >= 0.9 * args.pairs and (gap if higher else -gap) > q3 - q1
+        better = gap if higher else -gap
+        gain = won >= 0.9 * args.pairs and better > q3 - q1
+        worse = lost >= 0.9 * args.pairs and -better > q3 - q1
         cells = []
         for values in (old, new):
             lo, hi = quartiles(values)
             cells.append(f"{statistics.median(values):.6g} [{lo:.6g}, {hi:.6g}]")
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f} "
-              f"{won:>3}/{args.pairs:<2}  {'yes' if gain else 'no'}")
+              f"{won:>3}/{args.pairs:<2}  {'yes' if gain else 'no':<4}  {'yes' if worse else 'no'}")
     return 0
 
 
