@@ -11,6 +11,7 @@ per window origin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,20 +157,36 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """values minus their mean, and their population std, by np.std's own
+    steps: the pairwise sum of squared deviations over n."""
+    centered = values - np.add.reduce(values) / values.size
+    return centered, float(np.sqrt(np.add.reduce(centered * centered) / values.size))
+
+
 def _normalize_raw(scores: np.ndarray, mode: str) -> np.ndarray:
     """(scores - centre) / scale with the bits of numpy's reductions
     (scores.mean() and scores.std(); np.median and np.percentile(scores,
     (75, 25))), without their Python-level overhead: on a 491-score split
-    numpy's median and quartiles took 115 us, against 7 us for one sort. The tests hold both
-    modes to the numpy formulas bit for bit."""
+    numpy's median and quartiles took 115 us, against 7 us for one sort.
+    The tests hold both modes to the numpy formulas bit for bit, except
+    where numpy's mean or std overflows (scores of about 1e154 and up).
+    There mean_std follows models._norm_product: it runs the same steps on
+    the scores divided by the power of two of their largest magnitude,
+    which rounds no step differently and cannot overflow, so the strict
+    order of the scores holds."""
     n = scores.size
     if n < 2:
         raise ValueError(f"need at least 2 scores to normalize, got {n}")
     if mode == "mean_std":
-        # np.std's own steps: the pairwise sum of squared deviations over n
-        centered = scores - np.add.reduce(scores) / n
-        scale = np.sqrt(np.add.reduce(centered * centered) / n)
-        return centered / max(float(scale), _EPS)
+        # a non-finite mean makes the std non-finite too; NaN < inf is False
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered, scale = _centered_and_std(scores)
+            if scale < math.inf:
+                return centered / max(scale, _EPS)
+            e = int(np.frexp(np.abs(scores).max())[1])
+            centered, scale = _centered_and_std(np.ldexp(scores, -e))
+            return centered / max(scale, math.ldexp(_EPS, -e))
     ordered = np.sort(scores)
     # np.median averages the two middle values of an even-length vector,
     # which the 50th percentile's interpolation may round differently

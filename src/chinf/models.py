@@ -24,7 +24,8 @@ import numpy as np
 from . import autodiff as ad  # noqa: F401 (perfbench wraps chinf.models.ad.backward)
 from .autodiff import GradientVector, ParamSelector
 from .core import MtsWindow, NonFiniteError, Windows, WindowStack, _choice, _finite
-from .core import _finite_number, _integral, _number, _readonly, _write_lines, as_window_stack
+from .core import _aligned_empty, _finite_number, _integral, _number, _readonly, _write_lines
+from .core import as_window_stack
 
 ARCHITECTURES = ("linear_ci", "mlp_ci", "mlp_mix")
 ACTIVATIONS = ("relu", "tanh")
@@ -184,9 +185,11 @@ def _row_stacked(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(*lead, w, -1, n).swapaxes(-3, -2).reshape(*lead, -1, n)
 
 
-def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray):
+def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, out=None):
     """Forward pass on column-stacked windows (..., window, b*N); one
-    (window, N) window and a (B, window, N) stack are the case b = 1.
+    (window, N) window and a (B, window, N) stack are the case b = 1. The
+    prediction is written to out when given (train's aligned residual
+    buffer), else to a new array.
 
     Returns the prediction and the parts that _factors reuses: the input as
     mixed (x, or its _row_stacked copy), the mixed input in x's layout, and
@@ -206,7 +209,7 @@ def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray
         a = params["w1"] @ xm
         a += params["b1"][:, None]
         h = _act_np(spec, a)
-    y = params[weight] @ (xm if h is None else h)
+    y = np.matmul(params[weight], xm if h is None else h, out=out)
     y += params[bias][:, None]
     return y, x_rows, xm, a, h
 
@@ -481,7 +484,7 @@ def whole_gradient_rows(
     return _finite(rows, "gradient has non-finite entries")
 
 
-def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
+def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None):
     """The checked forward pass, the one rule for refusing one: (d, x_rows,
     xm, a, h), the residual d = y - t and the rest of the _factors arguments.
 
@@ -493,10 +496,11 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
     batch whose squared-error total is not finite. The dot q of all
     residuals accepts when q < 1e300 (no NaN, infinity or overflowing
     total); only otherwise does each batch's exact total (d * d).sum
-    decide, so the batches refused are the tape's. Parameters are not checked: a ModelState's are finite, and train
-    checks its own.
+    decide, so the batches refused are the tape's. Parameters are not
+    checked: a ModelState's are finite, and train checks its own. d is
+    written to out when given (_forward_parts).
     """
-    y, x_rows, xm, a, h = _forward_parts(spec, params, x)
+    y, x_rows, xm, a, h = _forward_parts(spec, params, x, out)
     d = np.subtract(y, t, out=y)
     # vdot, unlike matmul, warns of no overflow: an overflowing q only
     # sends the batch to the exact test
@@ -509,12 +513,13 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray):
     return d, x_rows, xm, a, h
 
 
-def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float):
+def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float, out=None):
     """_residual with d scaled to g = 2 scale (y - t), the adjoint of scale
-    times the squared-error sum: train passes 1 / t.size (the batch mean),
-    the gradient kernels 1. One pass, as doubling is exact: it rounds the
-    real 2 scale d once, as (2 d) scale does. Callers check the gradients."""
-    d, *parts = _residual(spec, params, x, t)
+    times the squared-error sum: train passes 1 / t.size (the batch mean)
+    and its residual buffer as out, the gradient kernels 1. One pass, as
+    doubling is exact: it rounds the real 2 scale d once, as (2 d) scale
+    does. Callers check the gradients."""
+    d, *parts = _residual(spec, params, x, t, out)
     return np.multiply(d, 2.0 * scale, out=d), *parts
 
 
@@ -547,18 +552,22 @@ def train(
     closed-form (_batch_adjoint, _batch_gradients), no tape. ``trainable`` restricts
     updates to a parameter subset; the default is every parameter.
 
-    Every step gathers into the C-contiguous prefix of one buffer, allocated
-    once per call for the widest batch. The take uses mode="clip" because
+    Every step gathers into the C-contiguous prefix of one buffer, and its
+    output layer writes the residual into the prefix of another; both are
+    allocated once per call for the widest batch and start on a 64-byte
+    boundary (core._aligned_empty), so x and the residual g, the gemm
+    operands of the step, are aligned. The take uses mode="clip" because
     with out= the default mode="raise" copies through a temporary; the
     indices are a permutation of the windows, so clipping moves none. No
-    view of the buffer outlives its step: each gradient is a new array.
+    view of either buffer outlives its step: each gradient is a new array.
     """
     spec = state.spec
     stack = as_window_stack(train_windows)
     _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
     cols = np.ascontiguousarray(stack.values.transpose(1, 0, 2))
     rows, count, n = cols.shape
-    buffer = np.empty(rows * min(config.batch_size, count) * n)
+    widest = min(config.batch_size, count) * n
+    buffer, residual = _aligned_empty(rows * widest), _aligned_empty(spec.out_rows * widest)
     w = spec.window
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
@@ -571,12 +580,13 @@ def train(
             gathered = buffer[: rows * len(batch) * n].reshape(rows, len(batch), n)
             block = np.take(cols, batch, axis=1, out=gathered, mode="clip").reshape(rows, -1)
             x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
+            out = residual[: t.size].reshape(t.shape)
             # as on the tape route, a non-finite gradient is no RuntimeError
             try:
                 # the only parameters that change, and an update can overflow
                 for name in names:
                     _finite(params[name], "parameters produced non-finite values")
-                adjoint = _batch_adjoint(spec, params, x, t, 1.0 / t.size)
+                adjoint = _batch_adjoint(spec, params, x, t, 1.0 / t.size, out)
             except NonFiniteError as e:
                 raise RuntimeError(
                     f"training loss is not finite at epoch {epoch}, batch {batch_idx}"

@@ -83,3 +83,16 @@ def test_the_worse_column_mirrors_the_gain_rule(monkeypatch, capsys):
         monkeypatch.setattr(ab_pairs, "run_once", scripted(old, new)[0])
         ab_pairs.main(argv)
         assert verdicts(summary_rows(capsys.readouterr().out)["wall_s"]) == ["no", "no"]
+
+
+def test_fewer_than_ten_pairs_give_no_verdict(monkeypatch, capsys):
+    # at 6 pairs nine tenths is 6 of 6, and a null pair of 6 read worse
+    old = [1.0 + 0.01 * k for k in range(9)]
+    for pairs in (1, 6, 9):
+        for new in ([0.5] * pairs, [1.5] * pairs):
+            monkeypatch.setattr(ab_pairs, "run_once", scripted(old, new)[0])
+            ab_pairs.main([str(ROOT), "NEW", "--workload", "w", "--seed", "0", "--pairs", str(pairs)])
+            rows = summary_rows(capsys.readouterr().out)
+            assert f" {0 if new[0] > 1 else pairs}/{pairs}" in rows["wall_s"]
+            for name in METRICS:
+                assert verdicts(rows[name]) == ["n/a", "n/a"], (pairs, name)

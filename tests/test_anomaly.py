@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,7 +127,13 @@ class TestNormalize:
         1e-300 to 1e300. Raw scores are sums of squares, so they are
         nonnegative and +0.0 at least: a signed zero is out of scope, as
         np.partition (inside np.median) and np.sort may order -0.0 and 0.0
-        differently and so give a median of the other sign."""
+        differently and so give a median of the other sign.
+
+        Where numpy's std overflows (its squared deviations pass the float
+        range), mean_std is held instead to numpy's formula on the scores
+        times 2^-600: scaling by a power of two that keeps every entry
+        normal rounds no step differently, so the bits are those of any
+        such scaling. No numpy warning escapes _normalize_raw."""
         n = data.draw(st.integers(2, 2000), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(("spread", "ties", "constant")), label="kind")
@@ -136,15 +144,36 @@ class TestNormalize:
         else:
             scores = np.full(n, rng.random())
         scores = scores * 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
-        # the squared deviations of 1e300 scores overflow in both forms alike
-        with np.errstate(over="ignore", invalid="ignore"):
-            upper, lower = np.percentile(scores, (75, 25))
-            want = {
-                "mean_std": (scores - scores.mean()) / max(float(scores.std()), anomaly._EPS),
-                "median_iqr": (scores - np.median(scores)) / max(float(upper - lower), anomaly._EPS),
-            }
-            for mode, expected in want.items():
-                assert same_bits(anomaly._normalize_raw(scores, mode), expected), mode
+        upper, lower = np.percentile(scores, (75, 25))
+        # a zero quartile spread against the 1e-12 clamp can overflow
+        # median_iqr's quotient in both forms alike: a true overflow
+        with np.errstate(over="ignore"):
+            want = (scores - np.median(scores)) / max(float(upper - lower), anomaly._EPS)
+            assert same_bits(anomaly._normalize_raw(scores, "median_iqr"), want)
+            std = float(scores.std())
+        if std < np.inf:
+            want = (scores - scores.mean()) / max(std, anomaly._EPS)
+        else:
+            scaled = scores * 2.0**-600
+            assert scaled.std() > 0 and np.array_equal(scaled * 2.0**600, scores)
+            want = (scaled - scaled.mean()) / scaled.std()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(anomaly._normalize_raw(scores, "mean_std"), want)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_mean_std_keeps_the_strict_order_where_numpy_overflows(self, scale):
+        """numpy's std of these scores overflows, and the plain formula gave
+        [-0, -0, -0, 0]: a constant vector that detect thresholded."""
+        scores = np.array([1.0, 2.0, 3.0, 9.0]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = anomaly._normalize_raw(scores, "mean_std")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                scores.std()
+        assert np.all(np.diff(got) > 0)
+        assert same_bits(got, anomaly._normalize_raw(scores * 2.0**-500, "mean_std"))
+        assert np.allclose(got, [-0.88354126, -0.56225353, -0.2409658, 1.68676059])
 
     def test_preserves_order(self):
         rng = np.random.default_rng(0)

@@ -257,6 +257,22 @@ class TestCheckedStacks:
         assert scanned == ["window values must be finite"]
 
 
+# 1 and odd sizes leave the vector's end off every boundary; 40,000 floats
+# are past glibc's 128 KiB mmap threshold, where np.empty starts at 16 mod 64
+@pytest.mark.parametrize("size", [0, 1, 7, 12_345, 40_000])
+def test_aligned_empty_starts_on_a_64_byte_boundary(size):
+    buffers = [core._aligned_empty(size) for _ in range(8)]
+    for buffer in buffers:
+        # numpy leaves an empty slice's data pointer at its base array's
+        assert buffer.ctypes.data % 64 == 0 or size == 0
+        assert buffer.shape == (size,) and buffer.dtype == np.float64
+        assert buffer.flags.writeable and buffer.flags.c_contiguous
+        buffer[:] = np.arange(size)
+    # live buffers do not overlap
+    for k, buffer in enumerate(buffers):
+        assert np.array_equal(buffer, np.arange(size)), k
+
+
 class TestWindowLabel:
     def test_label_of_last_timestep(self):
         labels = np.zeros(20, dtype=np.int64)

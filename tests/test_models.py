@@ -778,6 +778,15 @@ class TestTrainMatchesTapeAtBenchmarkScale:
         config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=32, seed=0)
         self.assert_same(init_params(spec, 0), wins, config)
 
+    def test_buffers_past_the_mmap_threshold(self):
+        # 16 rows x 32 windows x 40 channels: 163,840-byte gather and residual
+        # buffers, which glibc serves by mmap rather than from the heap
+        rng = np.random.default_rng(92)
+        spec = ModelSpec("linear_ci", 16, 40)
+        wins = training_windows(rng, spec, 70)
+        config = TrainConfig(epochs=2, learning_rate=1e-2, batch_size=32, seed=2)
+        self.assert_same(perturbed_state(spec, rng), wins, config)
+
     def test_mixing_model(self):
         # b*N = 16 * 16 = 256 columns per full batch
         rng = np.random.default_rng(91)
@@ -1005,6 +1014,45 @@ class TestTrainBatchBuffer:
         config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=batch_size, seed=5)
         got = train(state, wins, config, trainable)
         want = tape_train(state, wins, config, trainable)
+        for name in state.params:
+            assert np.array_equal(got.params[name], want.params[name]), name
+
+    @pytest.mark.parametrize(
+        "architecture, horizon, batch_size, count",
+        [("linear_ci", 0, 4, 12), ("mlp_ci", 0, 5, 12), ("mlp_mix", 2, 5, 12),
+         ("linear_ci", 1, 40, 7), ("mlp_mix", 0, 40, 7)],
+        ids=["full_batches", "partial_last_batch", "partial_last_batch_horizon",
+             "batch_above_window_count_horizon", "batch_above_window_count"],
+    )
+    def test_step_operands_start_on_a_64_byte_boundary(
+        self, monkeypatch, architecture, horizon, batch_size, count
+    ):
+        """x and the residual, the gemm operands of every step, are 64-byte
+        aligned. t is the view of the gather buffer right after x, so it is
+        aligned when window * batch * N is a multiple of 8; it feeds no gemm."""
+        steps = []
+        batch_adjoint = models._batch_adjoint
+
+        def spy(spec, params, x, t, scale, out=None):
+            adjoint = batch_adjoint(spec, params, x, t, scale, out)
+            steps.append((x, t, adjoint[0]))
+            return adjoint
+
+        monkeypatch.setattr(models, "_batch_adjoint", spy)
+        rng = np.random.default_rng(75)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        wins = training_windows(rng, spec, count)
+        config = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, seed=6)
+        got = train(state, wins, config)
+        widths = [len(range(count)[s : s + batch_size]) for s in range(0, count, batch_size)]
+        assert [x.shape[1] // 3 for x, _, _ in steps] == widths * 2
+        for x, t, residual in steps:
+            assert x.ctypes.data % 64 == 0 and residual.ctypes.data % 64 == 0
+            assert residual.shape == t.shape
+            assert t.ctypes.data - x.ctypes.data == (x.nbytes if horizon else 0)
+        monkeypatch.undo()
+        want = tape_train(state, wins, config)
         for name in state.params:
             assert np.array_equal(got.params[name], want.params[name]), name
 

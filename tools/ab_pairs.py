@@ -16,7 +16,9 @@ wins at least nine tenths of the pairs and the medians differ by more than
 OLD's quartile distance; the ``gain`` column says whether both hold. The
 ``worse`` column applies the same rule the other way: NEW loses at least
 nine tenths of the pairs and its median is worse by more than OLD's quartile
-distance, so one table shows both a claimed gain and a regression. Passing the
+distance, so one table shows both a claimed gain and a regression. Below
+10 pairs both columns read ``n/a``: nine tenths of fewer pairs is all of
+them, and a null pair of 6 read ``worse`` on setup_s. Passing the
 same directory as OLD and NEW runs a null pair, which shows the noise of the
 protocol itself. The metric names, units and directions are read from OLD's
 BENCHMARK.json.
@@ -95,12 +97,13 @@ def main(argv=None) -> int:
         better = gap if higher else -gap
         gain = won >= 0.9 * args.pairs and better > q3 - q1
         worse = lost >= 0.9 * args.pairs and -better > q3 - q1
+        verdicts = ["yes" if v else "no" for v in (gain, worse)] if args.pairs >= 10 else ["n/a"] * 2
         cells = []
         for values in (old, new):
             lo, hi = quartiles(values)
             cells.append(f"{statistics.median(values):.6g} [{lo:.6g}, {hi:.6g}]")
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f} "
-              f"{won:>3}/{args.pairs:<2}  {'yes' if gain else 'no':<4}  {'yes' if worse else 'no'}")
+              f"{won:>3}/{args.pairs:<2}  {verdicts[0]:<4}  {verdicts[1]}")
     return 0
 
 
