@@ -172,9 +172,10 @@ def _normalize_raw(scores: np.ndarray, mode: str) -> np.ndarray:
     The tests hold both modes to the numpy formulas bit for bit, except
     where numpy's mean or std overflows (scores of about 1e154 and up).
     There mean_std follows models._norm_product: it runs the same steps on
-    the scores divided by the power of two of their largest magnitude,
-    which rounds no step differently and cannot overflow, so the strict
-    order of the scores holds."""
+    the scores times 2^-e, e the exponent of their largest magnitude. These
+    steps cannot overflow, and while every nonzero scaled entry stays
+    normal the scaling is exact, so they round as the plain steps would in
+    an unbounded exponent range and the strict order of the scores holds."""
     n = scores.size
     if n < 2:
         raise ValueError(f"need at least 2 scores to normalize, got {n}")

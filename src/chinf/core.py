@@ -45,8 +45,8 @@ def _readonly(value, dtype=np.float64) -> np.ndarray:
 def _aligned_empty(size: int) -> np.ndarray:
     """An uninitialised float64 vector of size entries whose data starts on a
     64-byte boundary: 8 floats more than asked for, sliced at the first
-    boundary. OpenBLAS's gemm took 21 us on a 64-byte aligned (48, 1024)
-    operand against 32-33 us at offsets of 8 to 56 bytes (2-core Xeon), and
+    boundary. OpenBLAS's gemm took 23.6 us on a 64-byte aligned (48, 1024)
+    operand against 33-38 us at offsets of 8 to 56 bytes (2-core Xeon), and
     np.empty's large buffers, which glibc serves by mmap, start at 16 mod 64.
     The offset changes no bit of a product."""
     raw = np.empty(size + 8)

@@ -131,9 +131,9 @@ class TestNormalize:
 
         Where numpy's std overflows (its squared deviations pass the float
         range), mean_std is held instead to numpy's formula on the scores
-        times 2^-600: scaling by a power of two that keeps every entry
-        normal rounds no step differently, so the bits are those of any
-        such scaling. No numpy warning escapes _normalize_raw."""
+        times 2^-e, e the exponent of their largest magnitude, as the code
+        scales them; every nonzero scaled entry is asserted normal, so the
+        scaling is exact. No numpy warning escapes _normalize_raw."""
         n = data.draw(st.integers(2, 2000), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(("spread", "ties", "constant")), label="kind")
@@ -154,8 +154,10 @@ class TestNormalize:
         if std < np.inf:
             want = (scores - scores.mean()) / max(std, anomaly._EPS)
         else:
-            scaled = scores * 2.0**-600
-            assert scaled.std() > 0 and np.array_equal(scaled * 2.0**600, scores)
+            e = int(np.frexp(scores.max())[1])
+            scaled = np.ldexp(scores, -e)
+            assert np.all((scaled == 0) | (scaled >= np.finfo(float).tiny))
+            assert scaled.std() > 0 and np.array_equal(np.ldexp(scaled, e), scores)
             want = (scaled - scaled.mean()) / scaled.std()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
