@@ -3,7 +3,9 @@
 A series is a dense (T, N) float64 matrix, time-major: row t is the
 observation at timestep t, column j is channel j. All containers are
 frozen after construction: each holds private read-only copies of its
-arrays (core._readonly), so they can be shared freely across threads.
+arrays (core._readonly), or read-only views of another container's (a
+stack windowed out of a series), so they can be shared freely across
+threads.
 core is also the one module that writes a file (_write_lines) and the one
 that tests a value for finiteness (_finite).
 """
@@ -33,10 +35,11 @@ def _finite(values, message: str):
 
 
 def _readonly(value, dtype=np.float64) -> np.ndarray:
-    """The one way a container holds an array: a private read-only copy, so
+    """The one way a container copies an array: a private read-only copy, so
     the caller's array stays writable and the container's cannot change.
     The copy is C-ordered whatever the input's layout (a column subset of a
-    series is F-ordered), so a window stack is always C-contiguous."""
+    series is F-ordered), so a series and a copied stack are C-contiguous
+    and every window of a stack windowed out of a series is too."""
     out = np.array(value, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -127,13 +130,18 @@ def _origin_vector(origins) -> np.ndarray:
     return ints
 
 
+def _nonempty(values: np.ndarray, ndim: int) -> np.ndarray:
+    """values, or a ValueError when they are empty or not ndim-D."""
+    if values.ndim != ndim or values.size == 0:
+        raise ValueError(f"window values must be nonempty and {ndim}-D, got shape {values.shape}")
+    return values
+
+
 def _window_values(values, ndim: int, checked: bool = False) -> np.ndarray:
     """Read-only copy of one window's (w, N) or a stack's (B, w, N) values.
     checked=True skips the finiteness scan, for values that a container
     (a series, a window or a stack) has already checked."""
-    values = _readonly(values)
-    if values.ndim != ndim or values.size == 0:
-        raise ValueError(f"window values must be nonempty and {ndim}-D, got shape {values.shape}")
+    values = _nonempty(_readonly(values), ndim)
     return values if checked else _finite(values, "window values must be finite")
 
 
@@ -226,9 +234,16 @@ class DatasetSplit:
 class WindowStack:
     """Equal-shape windows as one read-only (B, w, N) array; ``origins[b]``
     is window b's origin_t. An int index gives that window as an MtsWindow,
-    a slice gives a smaller stack. Stacks copied out of a series, a window
-    list or a stack (make_windows, as_window_stack, slicing) are not scanned
-    for finiteness again; the constructor scans what it is given."""
+    a slice gives a smaller stack.
+
+    A stack from make_windows, and any slice of a stack, views the rows it
+    was cut from and copies nothing. Built from values (the constructor) or
+    from a window list (as_window_stack), it holds one private C-contiguous
+    copy of them. Either way _layout gives the (T, N) rows it views (the
+    series' values, or its own copy as (B*w, N)) and each window's first
+    row in them, so that train gathers a batch straight from the rows.
+    Stacks cut from a series, a window list or a stack are not scanned for
+    finiteness again; the constructor scans what it is given."""
 
     values: np.ndarray
     origins: np.ndarray
@@ -238,27 +253,51 @@ class WindowStack:
 
     @classmethod
     def _of_checked(cls, values, origins) -> WindowStack:
-        """A stack of values that a container has already checked as finite:
-        the constructor without its finiteness scan, which took 29 us of a
-        50-60 us make_windows call on a 491-window detect split. The values
-        are still copied, and the shape and origins still checked."""
+        """A stack of a copy of values that a container has already checked as
+        finite: the constructor without its finiteness scan, which took 29 us
+        of a 50-60 us make_windows call on a 491-window detect split. The
+        shape and origins are still checked."""
         stack = object.__new__(cls)
         stack._hold(_window_values(values, 3, checked=True), origins)
         return stack
 
-    def _hold(self, values: np.ndarray, origins) -> None:
+    @classmethod
+    def _of_view(cls, values, origins, rows, starts) -> WindowStack:
+        """A stack that views checked, read-only values: window b is
+        rows[starts[b] : starts[b] + w]. Nothing is copied or scanned; the
+        shape and origins are still checked."""
+        stack = object.__new__(cls)
+        stack._hold(_nonempty(values, 3), origins, rows, starts)
+        return stack
+
+    def _hold(self, values: np.ndarray, origins, rows=None, starts=None) -> None:
         origins = _origin_vector(origins)
         if origins.shape != values.shape[:1]:
             raise ValueError(f"{origins.size} origins for {len(values)} windows")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "origins", origins)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_starts", starts)
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, N) rows the stack views and each window's first row in
+        them: window b is rows[starts[b] : starts[b] + w]. A stack holding
+        its own copy (no rows recorded) works them out of that copy when
+        asked; building them for every stack cost 2% of the benchmark's
+        influence_pairs, whose two-window stacks never train."""
+        if self._rows is None:
+            count, w, n = self.values.shape
+            return self.values.reshape(count * w, n), np.arange(count) * w
+        return self._rows, self._starts
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return WindowStack._of_checked(self.values[index], self.origins[index])
+            rows, starts = self._layout()
+            values, origins = self.values[index], self.origins[index]
+            return WindowStack._of_view(values, origins, rows, starts[index])
         return MtsWindow(self.values[index], int(self.origins[index]))
 
 
@@ -280,8 +319,9 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
 
     Window k covers rows [k*stride, k*stride + w); its origin_t is the
     index of its last row. Returns floor((T - w) / stride) + 1 windows as
-    one stack, copied once out of the series and not scanned again for
-    finiteness (the series was).
+    one stack: a read-only (B, w, N) view of the series' private values,
+    whose windows are each C-contiguous. Nothing is copied, and nothing is
+    scanned again for finiteness (the series was).
     """
     w = _integral(w, "window length", 1)
     stride = _integral(stride, "stride", 1)
@@ -292,7 +332,8 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
     stride = min(stride, series.n_timesteps)
     # (count, N, w) read-only view of the series, one row per window start
     view = np.lib.stride_tricks.sliding_window_view(series.values, w, axis=0)[::stride]
-    return WindowStack._of_checked(view.transpose(0, 2, 1), np.arange(len(view)) * stride + w - 1)
+    starts = np.arange(len(view)) * stride
+    return WindowStack._of_view(view.transpose(0, 2, 1), starts + w - 1, series.values, starts)
 
 
 def window_label(window: MtsWindow, series: MtsSeries) -> int:

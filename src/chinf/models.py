@@ -546,28 +546,31 @@ def train(
 ) -> ModelState:
     """Plain minibatch gradient descent on mean squared error.
 
-    Deterministic: shuffling comes only from config.seed. The stack is laid
-    out once as (rows, B, N), so each step's one take is a column-stacked
-    batch whose row views are its inputs and targets; the step's gradient is
-    closed-form (_batch_adjoint, _batch_gradients), no tape. ``trainable`` restricts
-    updates to a parameter subset; the default is every parameter.
+    Deterministic: shuffling comes only from config.seed. Each step's one
+    take gathers its batch straight from the rows the stack views (a
+    series' values, or a listed stack's own copy) as (rows, b, N): a
+    column-stacked batch whose row views are its inputs and targets; the
+    step's gradient is closed-form (_batch_adjoint, _batch_gradients), no
+    tape. ``trainable`` restricts updates to a parameter subset; the default
+    is every parameter.
 
     Every step gathers into the C-contiguous prefix of one buffer, and its
     output layer writes the residual into the prefix of another; both are
     allocated once per call for the widest batch and start on a 64-byte
     boundary (core._aligned_empty), so x and the residual g, the gemm
     operands of the step, are aligned. The take uses mode="clip" because
-    with out= the default mode="raise" copies through a temporary; the
-    indices are a permutation of the windows, so clipping moves none. No
-    view of either buffer outlives its step: each gradient is a new array.
+    with out= the default mode="raise" copies through a temporary; every
+    index is a row of a window, so clipping moves none. No view of either
+    buffer outlives its step: each gradient is a new array.
     """
     spec = state.spec
     stack = as_window_stack(train_windows)
     _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
-    cols = np.ascontiguousarray(stack.values.transpose(1, 0, 2))
-    rows, count, n = cols.shape
+    count, rows, n = stack.values.shape
     widest = min(config.batch_size, count) * n
     buffer, residual = _aligned_empty(rows * widest), _aligned_empty(spec.out_rows * widest)
+    source, starts = stack._layout()
+    offsets = np.arange(rows)[:, None]
     w = spec.window
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
@@ -578,7 +581,8 @@ def train(
         for batch_idx, start in enumerate(range(0, count, config.batch_size)):
             batch = perm[start : start + config.batch_size]
             gathered = buffer[: rows * len(batch) * n].reshape(rows, len(batch), n)
-            block = np.take(cols, batch, axis=1, out=gathered, mode="clip").reshape(rows, -1)
+            index = starts[batch] + offsets
+            block = source.take(index, axis=0, out=gathered, mode="clip").reshape(rows, -1)
             x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
             out = residual[: t.size].reshape(t.shape)
             # as on the tape route, a non-finite gradient is no RuntimeError

@@ -106,30 +106,40 @@ class TestMakeWindows:
 
 
 class TestWindowStack:
-    def test_values_are_one_read_only_contiguous_stack(self):
-        s = series(t=30)
+    def test_values_are_a_read_only_view_of_the_series(self):
+        raw = np.random.default_rng(0).normal(size=(30, 3))
+        s = core.MtsSeries(raw, ("a", "b", "c"))
         wins = core.make_windows(s, 5, stride=2)
         assert isinstance(wins, core.WindowStack)
         assert wins.values.shape == (13, 5, 3)
-        assert wins.values.dtype == np.float64 and wins.values.flags.c_contiguous
+        assert wins.values.dtype == np.float64
+        assert all(window.flags.c_contiguous for window in wins.values)
         assert wins.origins.dtype == np.int64
         assert np.array_equal(wins.origins, np.arange(13) * 2 + 4)
         with pytest.raises(ValueError):
             wins.values[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
+            wins.values.setflags(write=True)
+        with pytest.raises(ValueError):
             wins.origins[0] = 0
-        # the stack owns a copy: it does not alias the series
-        assert not np.shares_memory(wins.values, s.values)
+        # the stack views the series' private copy, not the caller's array
+        assert np.shares_memory(wins.values, s.values)
+        assert not np.shares_memory(wins.values, raw)
+        assert not np.shares_memory(wins.origins, s.values)
 
-    def test_column_subset_series_windows_to_a_contiguous_stack(self):
-        # numpy gives values[:, [0, 4, 9]] in F order; the containers copy to C order
+    def test_column_subset_series_windows_to_contiguous_windows(self):
+        # numpy gives values[:, [0, 4, 9]] in F order; the series copies to C order
         full = series(t=40, n=10)
         columns = [0, 4, 9]
         subset = core.MtsSeries(full.values[:, columns], [full.channel_names[j] for j in columns])
         assert subset.values.flags.c_contiguous
         for stride in (1, 3):
             wins = core.make_windows(subset, 6, stride)
-            assert wins.values.flags.c_contiguous
+            # window k starts k * stride rows into the series, its rows one under another
+            assert wins.values.strides == (stride * 3 * 8, 3 * 8, 8)
+            assert all(window.flags.c_contiguous for window in wins.values)
+            assert np.shares_memory(wins.values, subset.values)
+            assert not np.shares_memory(wins.values, full.values)
             want = core.make_windows(full, 6, stride).values[..., columns]
             assert np.array_equal(wins.values, want)
 
@@ -195,9 +205,10 @@ class TestWindowStack:
 
 
 class TestCheckedStacks:
-    """make_windows, as_window_stack and slicing copy values that a series,
-    a window or a stack has already checked, through WindowStack._of_checked:
-    no finiteness scan, every other check kept."""
+    """make_windows and slicing view, and as_window_stack copies, values
+    that a series, a window or a stack has already checked, through
+    WindowStack._of_view and _of_checked: no finiteness scan, every other
+    check kept."""
 
     def test_empty_mixed_and_too_long_still_raise(self):
         wins = core.make_windows(series(t=12), 4)
@@ -227,16 +238,35 @@ class TestCheckedStacks:
         with pytest.raises(core.NonFiniteError, match="^window values must be finite$"):
             core.WindowStack(np.full((1, 2, 2), np.nan), [1])
 
-    def test_copies_are_private_read_only_and_c_ordered(self):
-        wins = core.make_windows(series(t=30), 5)
-        for stack, source in ((wins[3:9:2], wins.values), (core.as_window_stack(list(wins)), None)):
-            assert stack.values.flags.c_contiguous and not stack.values.flags.writeable
+    def test_views_are_read_only_and_copies_private(self):
+        s = series(t=30)
+        wins = core.make_windows(s, 5)
+        windows = list(wins)
+        listed = core.as_window_stack(windows)
+        built = core.WindowStack(wins.values, wins.origins)
+        callers = [s.values, *(w.values for w in windows)]
+        # stack -> the one array it may share memory with
+        for stack, source in ((wins, s.values), (wins[3:9:2], s.values), (listed, listed.values),
+                              (listed[1:6:2], listed.values), (built, built.values)):
+            assert not stack.values.flags.writeable
             assert stack.origins.dtype == np.int64 and not stack.origins.flags.writeable
-            if source is not None:
-                assert not np.shares_memory(stack.values, source)
-        listed = core.as_window_stack(list(wins))
+            assert np.shares_memory(stack.values, source)
+            for other in callers:
+                assert np.shares_memory(stack.values, other) == (other is source), stack
+            # the rows it gathers from hold each window at its start
+            rows, starts = stack._layout()
+            for b, start in enumerate(starts):
+                assert np.array_equal(rows[start : start + 5], stack.values[b])
+            assert np.shares_memory(rows, source)
+        for stack in (wins, wins[3:9:2], listed[1:6:2]):
+            with pytest.raises(ValueError):
+                stack.values.setflags(write=True)
+        for stack in (listed, built):
+            assert stack.values.flags.c_contiguous
+            assert not np.shares_memory(stack.values, wins.values)
         assert np.array_equal(listed.values, wins.values)
         assert np.array_equal(listed.origins, wins.origins)
+        assert np.array_equal(wins[3:9:2].values, listed.values[3:9:2])
 
     def test_no_internal_site_scans_the_window_values(self, monkeypatch):
         s = series(t=40)

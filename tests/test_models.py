@@ -591,8 +591,17 @@ class TestChannelLosses:
         assert mean_window_mse(state, windows) == total / entries
 
 
-def training_windows(rng, spec, count):
-    return [random_window(rng, spec.total_rows, spec.channels) for _ in range(count)]
+def training_windows(rng, spec, count, stride=None, step=None):
+    """count random windows of spec's shape: a window list by default; with a
+    stride, make_windows' view of a random series, sliced from window 1 on
+    with step when one is given."""
+    if stride is None:
+        return [random_window(rng, spec.total_rows, spec.channels) for _ in range(count)]
+    cut = count * step if step else count - 1
+    names = tuple(f"c{j}" for j in range(spec.channels))
+    series = core.MtsSeries(rng.normal(size=(cut * stride + spec.total_rows, spec.channels)), names)
+    stack = core.make_windows(series, spec.total_rows, stride)
+    return stack[1::step] if step else stack
 
 
 class TestTrain:
@@ -1001,31 +1010,44 @@ class TestTrainBatchBuffer:
     it meets trains bit-identically to the tape."""
 
     @pytest.mark.parametrize(
-        "batch_size, count, trainable",
-        [(40, 7, None), (1, 6, None), (4, 11, None),
-         (4, 11, ParamSelector("mlp_mix/mixing", ("mix",)))],
-        ids=["batch_above_window_count", "batch_of_one", "partial_last_batch", "mix_only_refit"],
+        "batch_size, count, trainable, stride, step",
+        [(40, 7, None, None, None), (1, 6, None, None, None), (4, 11, None, None, None),
+         (4, 11, ParamSelector("mlp_mix/mixing", ("mix",)), None, None),
+         (4, 11, None, 1, None), (4, 11, None, 2, None), (4, 11, None, 2, 3),
+         (40, 7, None, 1, None)],
+        ids=["batch_above_window_count", "batch_of_one", "partial_last_batch", "mix_only_refit",
+             "view_stride_1", "view_stride_2", "view_slice_with_step",
+             "view_batch_above_window_count"],
     )
-    def test_bit_identical_to_tape(self, batch_size, count, trainable):
+    def test_bit_identical_to_tape(self, batch_size, count, trainable, stride, step):
         rng = np.random.default_rng(73)
         spec = ModelSpec("mlp_mix", 5, 3, hidden=4, horizon=2)
         state = perturbed_state(spec, rng)
-        wins = training_windows(rng, spec, count)
+        wins = training_windows(rng, spec, count, stride, step)
+        assert len(wins) == count
         config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=batch_size, seed=5)
         got = train(state, wins, config, trainable)
         want = tape_train(state, wins, config, trainable)
+        # a view stack trains as the window list of its windows does
+        listed = train(state, list(wins), config, trainable) if stride else got
         for name in state.params:
             assert np.array_equal(got.params[name], want.params[name]), name
+            assert np.array_equal(got.params[name], listed.params[name]), name
 
     @pytest.mark.parametrize(
-        "architecture, horizon, batch_size, count",
-        [("linear_ci", 0, 4, 12), ("mlp_ci", 0, 5, 12), ("mlp_mix", 2, 5, 12),
-         ("linear_ci", 1, 40, 7), ("mlp_mix", 0, 40, 7)],
+        "architecture, horizon, batch_size, count, stride, step",
+        [("linear_ci", 0, 4, 12, None, None), ("mlp_ci", 0, 5, 12, None, None),
+         ("mlp_mix", 2, 5, 12, None, None), ("linear_ci", 1, 40, 7, None, None),
+         ("mlp_mix", 0, 40, 7, None, None), ("mlp_ci", 0, 5, 12, 1, None),
+         ("linear_ci", 1, 4, 12, 2, None), ("mlp_mix", 2, 5, 12, 2, 3),
+         ("mlp_mix", 2, 40, 7, 1, None)],
         ids=["full_batches", "partial_last_batch", "partial_last_batch_horizon",
-             "batch_above_window_count_horizon", "batch_above_window_count"],
+             "batch_above_window_count_horizon", "batch_above_window_count",
+             "view_stride_1", "view_stride_2_horizon", "view_slice_with_step_horizon",
+             "view_batch_above_window_count_horizon"],
     )
     def test_step_operands_start_on_a_64_byte_boundary(
-        self, monkeypatch, architecture, horizon, batch_size, count
+        self, monkeypatch, architecture, horizon, batch_size, count, stride, step
     ):
         """x and the residual, the gemm operands of every step, are 64-byte
         aligned. t is the view of the gather buffer right after x, so it is
@@ -1042,7 +1064,7 @@ class TestTrainBatchBuffer:
         rng = np.random.default_rng(75)
         spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
         state = perturbed_state(spec, rng)
-        wins = training_windows(rng, spec, count)
+        wins = training_windows(rng, spec, count, stride, step)
         config = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, seed=6)
         got = train(state, wins, config)
         widths = [len(range(count)[s : s + batch_size]) for s in range(0, count, batch_size)]
