@@ -167,7 +167,10 @@ def self_influence_rows(
     eta times models.channel_gradient_norms, which forms each squared norm
     from the forward pass's factors without writing a gradient row."""
     eta = _resolve_eta(state.trained_lr, eta)
-    scores = eta * channel_gradient_norms(state, windows, selector)
+    norms = channel_gradient_norms(state, windows, selector)
+    # a score past the float range is refused below, with no warning first
+    with np.errstate(over="ignore"):
+        scores = eta * norms
     return _finite(scores, "self-influence overflowed")
 
 

@@ -34,10 +34,13 @@ CHECKPOINT_FORMAT = "chinf-checkpoint"
 CHECKPOINT_VERSION = 1
 
 # Forward-pass entries held at once by channel_losses, mean_window_mse and
-# channel_gradient_norms: 2^17 float64 entries, 1 MB per chunk. On a
-# 491-window detect split (mlp_ci, h = 16, 8 channels) channel_gradient_norms
-# ran about as fast at 2^16 to 2^18 and up to 2.5x slower at 2^14, 2^15 or
-# 2^20. Chunking changes no value.
+# channel_gradient_norms: 2^17 float64 entries, 1 MB per chunk, which is
+# 199 windows of detect's model (mlp_ci, h = 16, 8 channels) and 31 of the
+# pruning scenario's (linear_ci, window 48, horizon 12, 32 channels).
+# Measured on the column-stacked chunks with tools/ab_pairs.py against
+# 2^17 (detect_cif, seed 3, 10 pairs of 4 s, 2-core Xeon): 2^16 read
+# items_per_s 0.932 (0 of 10 pairs won) and 2^18 1.012 (7 of 10, no
+# gain); prune_sweep read 1.002 at 2^16. Chunking changes no value.
 _FORWARD_CHUNK_ENTRIES = 1 << 17
 
 # the smallest normal float64: a squared norm below it has lost bits
@@ -186,8 +189,11 @@ def _row_stacked(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray, out=None):
-    """Forward pass on column-stacked windows (..., window, b*N); one
-    (window, N) window and a (B, window, N) stack are the case b = 1. The
+    """Forward pass on column-stacked windows (..., window, b*N). train's
+    batches and the scoring kernels' chunks (_forward_chunks) are 2-D
+    (window, b*N) blocks, so each layer is one gemm and each bias add runs
+    along rows of b*N entries; one (window, N) window and the (B, window,
+    N) stacks of the gradient-row kernels are the case b = 1. The
     prediction is written to out when given (train's aligned residual
     buffer), else to a new array.
 
@@ -235,36 +241,82 @@ def window_loss(state: ModelState, window: MtsWindow) -> float:
     return _finite(float(d @ d), "forward pass produced non-finite values")
 
 
-def _forward_chunks(spec: ModelSpec, windows: Windows):
-    """(inputs, targets) views of a stack or window list, a chunk of windows
-    at a time, so inputs, activations and residuals stay in a fixed budget."""
-    inputs, targets = _split_xy(spec, as_window_stack(windows))
+def _gatherer(spec: ModelSpec, stack: WindowStack, width: int):
+    """gather(picked): the stack's windows at picked, copied into the
+    prefix of one buffer as a column-stacked (rows, b*N) block, window k in
+    columns kN to (k+1)N. Returns the block's row views (inputs, targets),
+    the gemm layout of _forward_parts.
+
+    A slice (a chunk) is copied from the stack's strided view of it, an
+    index array (a shuffled batch) taken straight from the rows the stack
+    views (WindowStack._layout); both write the same bytes. At detect's
+    199-window chunk the copy took 3.8 us against 10.0 for the take, and
+    at the pruning scenario's 31-window one 13.0 against 18.0 (2-core
+    Xeon). The take uses mode="clip" because with out= the default
+    mode="raise" copies through a temporary; every index is a row of a
+    window, so clipping moves none.
+
+    The buffer holds width windows, is allocated once and starts on a
+    64-byte boundary (core._aligned_empty), so every block's x is aligned.
+    Each gather overwrites the last block."""
+    _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
+    count, rows, n = stack.values.shape
+    buffer = _aligned_empty(rows * min(width, count) * n)
+    source, starts = stack._layout()
+    offsets = np.arange(rows)[:, None]
+
+    def gather(picked) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(picked, slice):
+            windows = stack.values[picked].swapaxes(0, 1)
+            out = buffer[: windows.size].reshape(windows.shape)
+            np.copyto(out, windows)
+        else:
+            index = starts[picked] + offsets
+            out = buffer[: index.size * n].reshape(*index.shape, n)
+            source.take(index, axis=0, out=out, mode="clip")
+        block = out.reshape(rows, -1)
+        return (block[: spec.window], block[spec.window :]) if spec.horizon > 0 else (block, block)
+
+    return gather
+
+
+def _forward_chunks(spec: ModelSpec, stack: WindowStack):
+    """(inputs, targets) of a stack, a chunk of windows at a time, as
+    column-stacked (rows, b*N) blocks (_gatherer), so each layer of the
+    forward pass is one gemm per chunk and inputs, activations and residuals
+    stay in a fixed budget. The blocks share one buffer: each is valid
+    until the next is yielded."""
     # x and mixed x, hidden a and h, then prediction, target and residual
     rows_per_channel = 2 * spec.window + 2 * spec.hidden + 3 * spec.out_rows
-    step = max(1, _FORWARD_CHUNK_ENTRIES // (inputs.shape[2] * rows_per_channel))
-    for start in range(0, len(inputs), step):
-        chunk = slice(start, start + step)
-        yield inputs[chunk], targets[chunk]
+    step = max(1, _FORWARD_CHUNK_ENTRIES // (stack.values.shape[2] * rows_per_channel))
+    gather = _gatherer(spec, stack, step)
+    for start in range(0, len(stack), step):
+        yield gather(slice(start, start + step))
 
 
-def _residual_chunks(state: ModelState, windows: Windows):
-    """_residual's checked (b, out_rows, N) residuals, one per forward chunk."""
-    for x, target in _forward_chunks(state.spec, windows):
-        yield _residual(state.spec, state.params, x, target)[0]
+def _residual_chunks(state: ModelState, stack: WindowStack):
+    """_residual's checked (out_rows, b*N) residuals, one per forward chunk,
+    each window judged on its own."""
+    n = stack.values.shape[2]
+    for x, target in _forward_chunks(state.spec, stack):
+        yield _residual(state.spec, state.params, x, target, channels=n)[0]
 
 
 def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
     """(B, N) per-channel sums of squared errors of a stack or window list.
 
-    Each contiguous channel residual is reduced as a (1, R) @ (R, 1) product,
-    which rounds like a one-window d @ d whatever the list length or chunking.
-    A refused forward pass (_residual) or an overflowing sum raises.
+    Each (window, channel) residual column is copied out contiguous and
+    reduced as a (1, R) @ (R, 1) product, which rounds like a one-window
+    d @ d whatever the list length or chunking. A refused forward pass
+    (_residual, which judges each window alone) or an overflowing sum raises.
     """
+    stack = as_window_stack(windows)
     parts = []
-    for d in _residual_chunks(state, windows):
-        cols = np.ascontiguousarray(d.transpose(0, 2, 1))[:, :, None, :]
-        parts.append((cols @ cols.transpose(0, 1, 3, 2))[:, :, 0, 0])
-    return _finite(np.concatenate(parts), "forward pass produced non-finite values")
+    for d in _residual_chunks(state, stack):
+        cols = np.ascontiguousarray(d.T)[:, None, :]
+        parts.append((cols @ cols.mT)[:, 0, 0])
+    losses = np.concatenate(parts).reshape(len(stack), -1)
+    return _finite(losses, "forward pass produced non-finite values")
 
 
 def _act_grad_np(spec: ModelSpec, a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -360,31 +412,32 @@ def channel_gradient_rows(
 
 
 def _column_norms(u: np.ndarray) -> np.ndarray:
-    """(B, N) squared norms of the channel columns of a (B, k, N) stack."""
-    return np.einsum("bkn,bkn->bn", u, u)
+    """Squared norms of the columns of u (..., k, c), summed over k."""
+    return np.einsum("...kc,...kc->...c", u, u)
 
 
 def _scaled_column_norms(f: np.ndarray, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns f[b, :, j] of a (B, k, N) factor at the picked (b, j),
-    each written as m 2^e with e the np.frexp exponent of its largest entry:
+    """The columns of a (k, c) factor at the picked column indices, each
+    written as m 2^e with e the np.frexp exponent of its largest entry:
     (||m||^2, e). Scaling by a power of two rounds no entry that counts at
     float precision, and ||m||^2 <= k cannot overflow; an infinite entry
     gives e = 0 and an infinite ||m||^2."""
-    cols = f.transpose(0, 2, 1)[picked]
+    cols = f.T[picked]
     e = np.frexp(np.abs(cols).max(axis=-1))[1]
     m = np.ldexp(cols, -e[:, None])
     return np.einsum("mk,mk->m", m, m), e
 
 
 def _norm_product(u: np.ndarray, v: np.ndarray, u2: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """(B, N) products u2 * v2 of the squared column norms of two factors:
-    the squared norms of their channel blocks u_j v_j^T. Such a product is
+    """Products u2 * v2 of the squared column norms of two (k, c) factors:
+    the squared norms of their column blocks u_j v_j^T. Such a product is
     exact to rounding when both norms are normal numbers and it is finite.
     Elsewhere (a squared norm that overflowed, 0 * inf, or one below the
     normal range, which has lost bits) it is formed again from the scaled
     columns (_scaled_column_norms), as ||m_u||^2 ||m_v||^2 2^(2 e_u + 2 e_v):
     finite wherever the block's squared norm is, and 0 where a factor column
-    is 0, as that block of the rows is."""
+    is 0, as that block of the rows is. The caller silences the overflow
+    and the 0 * inf this puts right."""
     product = u2 * v2
     # min and max pass over NaN as False; with no NaN, max < inf means finite
     if min(u2.min(), v2.min()) >= _TINY and product.max() < math.inf:
@@ -394,6 +447,13 @@ def _norm_product(u: np.ndarray, v: np.ndarray, u2: np.ndarray, v2: np.ndarray) 
     zero = (mu2 == 0) | (mv2 == 0)
     product[redo] = np.where(zero, 0.0, np.ldexp(mu2 * mv2, 2 * (eu + ev)))
     return product
+
+
+def _mix_norms(spec: ModelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The b*N squared norms of the columns of each window's u^T v, the mix
+    blocks, from the row-stacked (b*window, N) factors of a chunk."""
+    u, v = (f.reshape(-1, spec.window, spec.channels) for f in (u, v))
+    return _column_norms(u.mT @ v).ravel()
 
 
 def channel_gradient_norms(
@@ -406,34 +466,40 @@ def channel_gradient_norms(
     columns j, and ||u v^T||^2 = ||u||^2 ||v||^2 (the per-example gradient
     norm trick, applied per channel), so each selected parameter adds a
     product of column norms (_norm_product); a bias adds ||u_j||^2, and mix
-    the squared norm of column j of u^T v. The terms are summed in
-    selector order, a chunk of windows at a time (_forward_chunks), so
-    memory stays that of the forward pass and each window's value does not
-    depend on the chunking. The tests hold the result to the rows at 1e-12.
+    the squared norm of column j of u^T v, formed per window from its
+    row-stacked factors. The factors are column-stacked chunks of windows
+    (_forward_chunks), so every term is reduced per (window, channel)
+    column and the sum, in selector order, reshaped to (b, N) at the end of
+    each chunk; memory stays that of the forward pass and each window's
+    value does not depend on the chunking. The tests hold the result to the
+    rows at 1e-12.
 
     A product of two column norms is formed again from scaled columns where
     it is not finite, so a norm comes back finite wherever the rows' is; one
-    that overflows comes back as an infinity, not an error. The forward pass
-    is checked as in channel_gradient_rows (_batch_adjoint).
+    that overflows comes back as an infinity, not an error or a warning.
+    The forward pass is checked as in channel_gradient_rows (_batch_adjoint),
+    each window on its own.
     """
     spec = state.spec
     selector = _selection(spec, selector)[0]
+    stack = as_window_stack(windows)
+    n = stack.values.shape[2]
     parts = []
-    # _norm_product puts right the NaN of 0 * inf
-    with np.errstate(invalid="ignore"):
-        for x, target in _forward_chunks(spec, windows):
-            adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
+    # _norm_product puts right an overflowed norm and the NaN of 0 * inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, target in _forward_chunks(spec, stack):
+            adjoint = _batch_adjoint(spec, state.params, x, target, 1.0, channels=n)
             table = _factors(spec, state.params, *adjoint, selector.names)
             # a bias shares its weight's u, so each distinct factor is squared once
             distinct = {id(f): f for name, pair in table.items() if name != "mix" for f in pair}
             squares = {key: _column_norms(f) for key, f in distinct.items() if f is not None}
             terms = [
-                _column_norms(u.mT @ v) if name == "mix"
+                _mix_norms(spec, u, v) if name == "mix"
                 else squares[id(u)] if v is None
                 else _norm_product(u, v, squares[id(u)], squares[id(v)])
                 for name, (u, v) in table.items()
             ]
-            parts.append(sum(terms))
+            parts.append(sum(terms).reshape(-1, n))
     return np.concatenate(parts)
 
 
@@ -484,7 +550,7 @@ def whole_gradient_rows(
     return _finite(rows, "gradient has non-finite entries")
 
 
-def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None):
+def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None, channels=None):
     """The checked forward pass, the one rule for refusing one: (d, x_rows,
     xm, a, h), the residual d = y - t and the rest of the _factors arguments.
 
@@ -493,18 +559,21 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None):
     stack is the case b = 1); the arithmetic is the tape oracle's in
     tests/test_models.py. Raises NonFiniteError for what the tape refuses: a
     non-finite pre-activation (which a non-finite mixed input becomes), or a
-    batch whose squared-error total is not finite. The dot q of all
-    residuals accepts when q < 1e300 (no NaN, infinity or overflowing
-    total); only otherwise does each batch's exact total (d * d).sum
-    decide, so the batches refused are the tape's. Parameters are not
-    checked: a ModelState's are finite, and train checks its own. d is
-    written to out when given (_forward_parts).
+    batch whose squared-error total is not finite. A batch is one (window,
+    b*N) block, judged as one unit as train's loss is, unless channels
+    names a window's column count N: then each window of the block is
+    judged alone, as a one-window call would judge it (the scoring kernels'
+    chunks). The dot q of all residuals accepts when q < 1e300 (no NaN,
+    infinity or overflowing total); only otherwise does each batch's exact
+    total (d * d).sum decide, so the batches refused are the tape's.
+    Parameters are not checked: a ModelState's are finite, and train checks
+    its own. d is written to out when given (_forward_parts).
     """
     y, x_rows, xm, a, h = _forward_parts(spec, params, x, out)
     d = np.subtract(y, t, out=y)
     # vdot, unlike matmul, warns of no overflow: an overflowing q only
     # sends the batch to the exact test
-    total = None if np.vdot(d, d) < 1e300 else (d * d).sum(axis=(-2, -1))
+    total = None if np.vdot(d, d) < 1e300 else _exact_totals(d, channels)
     # the activation can hide a non-finite pre-activation; a non-finite
     # mixed input reaches it as an infinity or a NaN (0 * inf), as every
     # mlp_mix model has a hidden layer, so a needs no xm check before it
@@ -513,13 +582,29 @@ def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None):
     return d, x_rows, xm, a, h
 
 
-def _batch_adjoint(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float, out=None):
+def _exact_totals(d: np.ndarray, channels=None) -> np.ndarray:
+    """The squared-error totals _residual judges: one per (rows, b*N) batch,
+    or with channels = N one per window of it, each summed over the same
+    C-ordered (rows, N) layout as the window alone. A square that overflows
+    is an infinity the caller refuses, with no warning."""
+    with np.errstate(over="ignore"):
+        squares = d * d
+    if channels is not None:
+        rows = squares.shape[-2]
+        squares = np.ascontiguousarray(squares.reshape(rows, -1, channels).swapaxes(0, 1))
+    return squares.sum(axis=(-2, -1))
+
+
+def _batch_adjoint(
+    spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, scale: float, out=None, channels=None
+):
     """_residual with d scaled to g = 2 scale (y - t), the adjoint of scale
     times the squared-error sum: train passes 1 / t.size (the batch mean)
-    and its residual buffer as out, the gradient kernels 1. One pass, as
-    doubling is exact: it rounds the real 2 scale d once, as (2 d) scale
-    does. Callers check the gradients."""
-    d, *parts = _residual(spec, params, x, t, out)
+    and its residual buffer as out, the gradient kernels 1 (and channels,
+    so each window is judged alone). One pass, as doubling is exact: it
+    rounds the real 2 scale d once, as (2 d) scale does. Callers check the
+    gradients."""
+    d, *parts = _residual(spec, params, x, t, out, channels)
     return np.multiply(d, 2.0 * scale, out=d), *parts
 
 
@@ -548,30 +633,25 @@ def train(
 
     Deterministic: shuffling comes only from config.seed. Each step's one
     take gathers its batch straight from the rows the stack views (a
-    series' values, or a listed stack's own copy) as (rows, b, N): a
-    column-stacked batch whose row views are its inputs and targets; the
-    step's gradient is closed-form (_batch_adjoint, _batch_gradients), no
-    tape. ``trainable`` restricts updates to a parameter subset; the default
-    is every parameter.
+    series' values, or a listed stack's own copy) as a column-stacked
+    block whose row views are its inputs and targets (_gatherer, shared
+    with the scoring kernels' chunks); the step's gradient is closed-form
+    (_batch_adjoint, _batch_gradients), no tape. ``trainable`` restricts
+    updates to a parameter subset; the default is every parameter.
 
-    Every step gathers into the C-contiguous prefix of one buffer, and its
+    Every step gathers into the prefix of the gatherer's buffer, and its
     output layer writes the residual into the prefix of another; both are
     allocated once per call for the widest batch and start on a 64-byte
     boundary (core._aligned_empty), so x and the residual g, the gemm
-    operands of the step, are aligned. The take uses mode="clip" because
-    with out= the default mode="raise" copies through a temporary; every
-    index is a row of a window, so clipping moves none. No view of either
-    buffer outlives its step: each gradient is a new array.
+    operands of the step, are aligned. A batch is judged as one unit: its
+    loss is the batch mean. No view of either buffer outlives its step:
+    each gradient is a new array.
     """
     spec = state.spec
     stack = as_window_stack(train_windows)
-    _split_xy(spec, stack)  # rejects a row or channel count the model cannot take
-    count, rows, n = stack.values.shape
-    widest = min(config.batch_size, count) * n
-    buffer, residual = _aligned_empty(rows * widest), _aligned_empty(spec.out_rows * widest)
-    source, starts = stack._layout()
-    offsets = np.arange(rows)[:, None]
-    w = spec.window
+    gather = _gatherer(spec, stack, config.batch_size)
+    count, _, n = stack.values.shape
+    residual = _aligned_empty(spec.out_rows * min(config.batch_size, count) * n)
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
     params = dict(state.params)
@@ -579,11 +659,7 @@ def train(
     for epoch in range(config.epochs):
         perm = rng.permutation(count)
         for batch_idx, start in enumerate(range(0, count, config.batch_size)):
-            batch = perm[start : start + config.batch_size]
-            gathered = buffer[: rows * len(batch) * n].reshape(rows, len(batch), n)
-            index = starts[batch] + offsets
-            block = source.take(index, axis=0, out=gathered, mode="clip").reshape(rows, -1)
-            x, t = (block[:w], block[w:]) if spec.horizon > 0 else (block, block)
+            x, t = gather(perm[start : start + config.batch_size])
             out = residual[: t.size].reshape(t.shape)
             # as on the tape route, a non-finite gradient is no RuntimeError
             try:
@@ -605,17 +681,26 @@ def train(
 
 
 def mean_window_mse(state: ModelState, windows: Windows) -> float:
-    """Per-element mean squared error over a stack or window list. A refused
-    forward pass (_residual) or an overflowing total raises."""
+    """Per-element mean squared error over a stack or window list.
+
+    Each window's residual block is copied out of its chunk's columns into
+    its own C-ordered (R, N) rows and reduced as a (1, R*N) @ (R*N, 1)
+    product, which rounds like a one-window d @ d. A refused forward pass
+    (_residual, which judges each window alone) or an overflowing total
+    raises."""
+    stack = as_window_stack(windows)
+    n = stack.values.shape[2]
     sums = []
     entries = 0
-    for d in _residual_chunks(state, windows):
-        flat = d.reshape(d.shape[0], 1, -1)
-        sums.append((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+    for d in _residual_chunks(state, stack):
+        rows = len(d)
+        flat = np.ascontiguousarray(d.reshape(rows, -1, n).swapaxes(0, 1)).reshape(-1, 1, rows * n)
+        sums.append((flat @ flat.mT)[:, 0, 0])
         entries += d.size
     # accumulate adds the window sums one by one in window order, so the
-    # total rounds exactly like a running sum
-    total = float(np.add.accumulate(np.concatenate(sums))[-1])
+    # total rounds exactly like a running sum; one that overflows is refused
+    with np.errstate(over="ignore"):
+        total = float(np.add.accumulate(np.concatenate(sums))[-1])
     return _finite(total, "forward pass produced non-finite values") / entries
 
 

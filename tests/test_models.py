@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -560,17 +561,6 @@ class TestChannelLosses:
                 assert losses[b, j] == d @ d
                 assert channel_loss(state, w, j) == losses[b, j]
 
-    def test_chunked_list_equals_per_window_results(self, monkeypatch):
-        rng = np.random.default_rng(72)
-        spec = ModelSpec("mlp_mix", 6, 4, hidden=5, horizon=2)
-        state = perturbed_state(spec, rng)
-        windows = [random_window(rng, spec.total_rows, 4) for _ in range(23)]
-        one_by_one = np.array([channel_losses(state, [w])[0] for w in windows])
-        # one window's forward entries: 4 channels x (2*6 + 2*5 + 3*2) rows;
-        # chunks of 5 windows, the last one short
-        monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", 5 * 4 * 28 + 1)
-        assert np.array_equal(channel_losses(state, windows), one_by_one)
-
     def test_empty_window_list_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             channel_losses(identity_linear(3, 2), [])
@@ -589,6 +579,141 @@ class TestChannelLosses:
             total += float(d @ d)
             entries += d.size
         assert mean_window_mse(state, windows) == total / entries
+
+
+def chunk_entries(spec, n, width):
+    """A _FORWARD_CHUNK_ENTRIES that makes the scoring kernels' chunks width
+    windows of n channels wide: one window's forward entries are n channels
+    times 2 * window + 2 * hidden + 3 * out_rows rows."""
+    return width * n * (2 * spec.window + 2 * spec.hidden + 3 * spec.out_rows)
+
+
+def spy_residual(monkeypatch):
+    """Record (x, t) of every checked forward pass the kernels run."""
+    calls = []
+    residual = models._residual
+
+    def spy(spec, params, x, t, out=None, channels=None):
+        calls.append((x, t))
+        return residual(spec, params, x, t, out, channels)
+
+    monkeypatch.setattr(models, "_residual", spy)
+    return calls
+
+
+def zero_linear_windows(scale, bad=None):
+    """A linear_ci model with zero weights, whose residuals are minus its
+    windows, and the 37 windows of a (40, 2) series of scale, with one
+    entry made bad when given: each window of 1e153 totals 8e306 while a
+    chunk of them overflows."""
+    spec = ModelSpec("linear_ci", 4, 2)
+    state = ModelState(spec, {"weight": np.zeros((4, 4)), "bias": np.zeros(4)})
+    values = np.full((40, 2), scale)
+    if bad is not None:
+        values[20, 0] = bad
+    return state, core.make_windows(core.MtsSeries(values, ("a", "b")), 4)
+
+
+class TestScoringChunks:
+    """channel_losses, channel_gradient_norms and mean_window_mse run the
+    forward pass on column-stacked chunks gathered into one aligned buffer;
+    each window's result is that of a one-window call."""
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("architecture", models.ARCHITECTURES)
+    @pytest.mark.parametrize("stride", [None, 2], ids=["window_list", "view_stride_2"])
+    def test_chunked_equals_per_window(self, monkeypatch, architecture, horizon, stride):
+        rng = np.random.default_rng(76)
+        hidden = 0 if architecture == "linear_ci" else 5
+        spec = ModelSpec(architecture, 6, 4, hidden=hidden, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = training_windows(rng, spec, 23, stride)
+        listed = [windows[b] for b in range(23)]
+        selectors = (last_layer_selector(spec), all_params_selector(spec))
+        one_by_one = {
+            "losses": np.array([channel_losses(state, [w])[0] for w in listed]),
+            **{s.selector_id: np.array([channel_gradient_norms(state, [w], s)[0] for w in listed])
+               for s in selectors},
+        }
+        total, entries = 0.0, 0
+        for w in listed:
+            total += window_loss(state, w)
+            entries += spec.out_rows * 4
+        # chunks of 5 windows, the last one short
+        monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", chunk_entries(spec, 4, 5) + 1)
+        calls = spy_residual(monkeypatch)
+        assert np.array_equal(channel_losses(state, windows), one_by_one["losses"])
+        assert [x.shape[1] // 4 for x, _ in calls] == [5, 5, 5, 5, 3]
+        for selector in selectors:
+            got = channel_gradient_norms(state, windows, selector)
+            assert np.array_equal(got, one_by_one[selector.selector_id]), selector.selector_id
+        assert mean_window_mse(state, windows) == total / entries
+
+    @pytest.mark.parametrize(
+        "architecture, horizon, stride, step",
+        [("linear_ci", 0, None, None), ("mlp_ci", 0, 1, None), ("mlp_mix", 2, 2, None),
+         ("linear_ci", 1, 2, 3), ("mlp_mix", 0, 1, None)],
+        ids=["window_list", "view_stride_1", "view_stride_2_horizon",
+             "view_slice_with_step_horizon", "view_stride_1_mixing"],
+    )
+    def test_chunk_operands_start_on_a_64_byte_boundary(
+        self, monkeypatch, architecture, horizon, stride, step
+    ):
+        """x, the first gemm operand of every chunk, is 64-byte aligned, and
+        t is x itself (horizon 0) or the rows right after it."""
+        rng = np.random.default_rng(77)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        windows = training_windows(rng, spec, 11, stride, step)
+        # chunks of 4 windows, the last one short
+        monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", chunk_entries(spec, 3, 4))
+        calls = spy_residual(monkeypatch)
+        for kernel in (lambda: channel_losses(state, windows),
+                       lambda: channel_gradient_norms(state, windows, all_params_selector(spec)),
+                       lambda: mean_window_mse(state, windows)):
+            calls.clear()
+            kernel()
+            assert [x.shape[1] // 3 for x, _ in calls] == [4, 4, 3]
+            for x, t in calls:
+                assert x.ctypes.data % 64 == 0
+                assert t.ctypes.data - x.ctypes.data == (x.nbytes if horizon else 0)
+
+    def test_each_window_is_judged_alone(self):
+        state, stack = zero_linear_windows(1e153)
+        # each window's squared-error total is finite, the whole stack's is not
+        assert len(stack) == 37 and residual_dot(stack.values) == math.inf
+        listed = [stack[b] for b in range(len(stack))]
+        losses = channel_losses(state, stack)
+        assert (losses == 4e306).all()
+        assert np.array_equal(losses, np.array([channel_losses(state, [w])[0] for w in listed]))
+        for _, selector in kernel_selectors(state.spec):
+            want = np.array([channel_gradient_norms(state, [w], selector)[0] for w in listed])
+            assert np.array_equal(channel_gradient_norms(state, stack, selector), want)
+        # a window whose own total overflows is still refused
+        state, stack = zero_linear_windows(1e153, bad=1e155)
+        for kernel in (channel_losses, channel_gradient_norms):
+            for windows in (stack, [stack[20]]):
+                with pytest.raises(core.NonFiniteError, match="^forward pass produced"):
+                    kernel(state, windows)
+
+    def test_no_warning_before_the_error(self):
+        """With warnings as errors, the checked paths raise NonFiniteError or
+        return their finite (or, for the norms, infinite) result."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, stack = zero_linear_windows(1e153)
+            assert (channel_losses(state, stack) == 4e306).all()
+            assert np.isinf(channel_gradient_norms(state, stack)).all()
+            with pytest.raises(core.NonFiniteError, match="self-influence overflowed"):
+                influence.self_influence_rows(state, stack, 1.0)
+            with pytest.raises(core.NonFiniteError, match="^forward pass produced"):
+                mean_window_mse(state, stack)
+            # squares of 1e160 overflow in every window
+            state, stack = zero_linear_windows(1e160)
+            for kernel in (channel_losses, channel_gradient_norms, mean_window_mse,
+                           lambda s, w: influence.self_influence_rows(s, w, 1.0)):
+                with pytest.raises(core.NonFiniteError, match="^forward pass produced"):
+                    kernel(state, stack)
 
 
 def training_windows(rng, spec, count, stride=None, step=None):
