@@ -22,14 +22,36 @@ class NonFiniteError(ValueError):
     """A NaN or an infinity where a finite value is required."""
 
 
+# a sum of squares below this bound has no NaN or infinity among its
+# terms, and the dot that forms it is the fast accept of _finite and of
+# models._residual's loss check
+_FINITE_DOT_BOUND = 1e300
+
+
 def _finite(values, message: str):
     """values, or a NonFiniteError(message) when any entry is a NaN or an
     infinity: the package's one finiteness rule. None passes, for a layer
     the model lacks. A float (cif, tracin, the detect threshold) takes
-    math.isfinite, 20 ns against 2.4 us for np.isfinite (timeit, 2-core Xeon)."""
-    if values is not None and not (
-        math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()
-    ):
+    math.isfinite, 20 ns against 2.4 us for np.isfinite (timeit, 2-core Xeon).
+    A C-contiguous float64 array is accepted when its one dot v . v is below
+    _FINITE_DOT_BOUND, which no NaN or infinity passes (BLAS's ddot raises no
+    warning, whatever it overflows to); only otherwise, and for any other
+    array, does the exact np.isfinite(v).all() scan decide, so an array of
+    1e200s (whose dot overflows) still passes and the arrays refused are the
+    scan's. The dot took 1.1 to 4.7 us where the scan took 2.5 to 7.5 us,
+    from a (12,) bias to a (16, 1592) block (timeit best of 5, 2-core Xeon)."""
+    if values is None:
+        return values
+    if isinstance(values, float):
+        finite = math.isfinite(values)
+    else:
+        finite = (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and values.flags.c_contiguous
+            and np.vdot(values, values) < _FINITE_DOT_BOUND
+        ) or np.isfinite(values).all()
+    if not finite:
         raise NonFiniteError(message)
     return values
 

@@ -64,7 +64,11 @@ class InfluenceMatrix:
         return self.values.shape[0]
 
     def total(self) -> float:
-        return float(self.values.sum())
+        """The whole-sample influence the matrix decomposes; a sum past the
+        float range is refused, with no warning first."""
+        with np.errstate(over="ignore"):
+            total = float(self.values.sum())
+        return _finite(total, "influence overflowed")
 
 
 def _resolve_eta(trained_lr: float, eta: float | None) -> float:
@@ -87,7 +91,8 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
             f"gradient lengths differ: {g_src.values.size} vs {g_dst.values.size}"
         )
     eta = _finite_number(eta, "eta", positive=True)
-    return _finite(eta * float(g_src.values @ g_dst.values), "influence overflowed")
+    # vdot, unlike matmul, warns of no overflow; the product is refused below
+    return _finite(eta * float(np.vdot(g_src.values, g_dst.values)), "influence overflowed")
 
 
 def influence_matrix(
@@ -114,7 +119,11 @@ def influence_matrix(
         g_src = g_dst = channel_gradient_rows(state, [z_src], selector)[0]
     else:
         g_src, g_dst = channel_gradient_rows(state, [z_src, z_dst], selector)
-    return InfluenceMatrix(eta * (g_src @ g_dst.T), eta, selector.selector_id)
+    # a product past the float range is refused by InfluenceMatrix, with no
+    # warning first
+    with np.errstate(over="ignore"):
+        values = eta * (g_src @ g_dst.T)
+    return InfluenceMatrix(values, eta, selector.selector_id)
 
 
 def tracin(
@@ -141,7 +150,8 @@ def tracin(
         a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
     else:
         a, b = (whole_gradient_rows(state, [z], selector)[0] for z in (z_src, z_dst))
-    return _finite(eta * float(a @ b), "influence overflowed")
+    # the dot of cif, which warns of no overflow
+    return _finite(eta * float(np.vdot(a, b)), "influence overflowed")
 
 
 def self_influence_per_channel(
@@ -196,8 +206,12 @@ def tracin_self_scores(
     parts = []
     for chunk in (windows[start : start + step] for start in range(0, len(windows), step)):
         rows = whole_gradient_rows(state, chunk, selector)
-        parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    return _finite(eta * np.concatenate(parts), "self-influence overflowed")
+        # a score past the float range is refused below, with no warning first
+        with np.errstate(over="ignore"):
+            parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        scores = eta * np.concatenate(parts)
+    return _finite(scores, "self-influence overflowed")
 
 
 def save_influence_csv(

@@ -11,8 +11,9 @@ spec.loader.exec_module(ab_pairs)
 METRICS = ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")
 
 
-def scripted(old_walls, new_walls):
-    """A run_once stand-in: wall_s from the scripts, one call at a time."""
+def scripted(old_walls, new_walls, new_failed=0):
+    """A run_once stand-in: wall_s from the scripts, one call at a time;
+    each NEW run reports new_failed failed ops, each OLD run none."""
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
@@ -20,7 +21,8 @@ def scripted(old_walls, new_walls):
         k = sum(c[0] == checkout for c in calls) - 1
         wall = (new_walls if checkout == "NEW" else old_walls)[k]
         values = {"setup_s": 0.05, "wall_s": wall, "items_per_s": 1.0 / wall, "peak_rss_mb": 50.0}
-        return {"failed": 0, "metrics": {m: {"value": values[m]} for m in METRICS}}
+        failed = new_failed if checkout == "NEW" else 0
+        return {"failed": failed, "metrics": {m: {"value": values[m]} for m in METRICS}}
 
     return run_once, calls
 
@@ -96,3 +98,17 @@ def test_fewer_than_ten_pairs_give_no_verdict(monkeypatch, capsys):
             assert f" {0 if new[0] > 1 else pairs}/{pairs}" in rows["wall_s"]
             for name in METRICS:
                 assert verdicts(rows[name]) == ["n/a", "n/a"], (pairs, name)
+
+
+def test_no_gain_when_new_fails_more_ops(monkeypatch, capsys):
+    # a side whose ops raise at once runs fast; its speed is no gain
+    old = [1.0 + 0.01 * k for k in range(10)]
+    argv = [str(ROOT), "NEW", "--workload", "w", "--seed", "0", "--pairs", "10"]
+    for new_failed, gain in ((0, "yes"), (37, "no")):
+        monkeypatch.setattr(ab_pairs, "run_once", scripted(old, [0.5] * 10, new_failed)[0])
+        ab_pairs.main(argv)
+        text = capsys.readouterr().out
+        rows = summary_rows(text)
+        for name in ("wall_s", "items_per_s"):
+            assert " 10/10" in rows[name] and verdicts(rows[name]) == [gain, "no"]
+        assert text.splitlines()[-1].split() == ["failed", "0", str(10 * new_failed)]

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 import types
 from pathlib import Path
@@ -455,6 +456,49 @@ def test_no_hand_written_bound_wording_is_left():
     for module in (anomaly, core, data, influence, models, pruning):
         text = open(module.__file__, encoding="utf-8").read()
         assert not re.search(r"must be (positive|non-negative|>=)", text), module.__name__
+
+
+def finite_rule_cases():
+    """Arrays and values for core._finite: squares that overflow, the
+    smallest subnormal and -0.0, NaN and infinities at random positions in
+    C-ordered, F-ordered and strided layouts, and the inputs that bypass
+    the dot (0-d, empty, int, bool, a float, None)."""
+    rng = np.random.default_rng(31)
+    yield np.array([1e200, -1e300, np.finfo(np.float64).max, 1.0])
+    yield np.array([[5e-324, -0.0], [0.0, -5e-324]])
+    for shape in ((7,), (4, 9), (3, 4, 5)):
+        for bad in (None, np.nan, np.inf, -np.inf, 1e200):
+            values = rng.normal(size=shape)
+            if bad is not None:
+                values.flat[rng.integers(values.size)] = bad
+            yield values
+            yield np.asfortranarray(values)
+            yield values[..., ::2]
+    yield from (np.array(np.nan), np.array(1e300), np.empty(0), np.empty((0, 3)))
+    yield from (np.arange(5), np.array([True, False]), np.array([3e38, np.inf], dtype=np.float32))
+    yield from (1e308, math.nan, -math.inf, None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_dot_accept_refuses_what_the_scan_refuses():
+    for values in finite_rule_cases():
+        if values is None or np.isfinite(values).all():
+            assert core._finite(values, "m") is values
+        else:
+            with pytest.raises(core.NonFiniteError, match="^m$"):
+                core._finite(values, "m")
+
+
+def test_finite_c_ordered_float64_takes_no_scan(monkeypatch):
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda v: scans.append(v) or isfinite(v))
+    core._finite(np.ones((4, 9)), "m")
+    assert scans == []
+    # a dot past the bound, an F-ordered array and an int array take the scan
+    for values in (np.full(3, 1e200), np.asfortranarray(np.ones((4, 9))), np.arange(3)):
+        core._finite(values, "m")
+    assert len(scans) == 3
 
 
 def test_only_core_finite_tests_finiteness():

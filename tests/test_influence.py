@@ -97,21 +97,26 @@ class TestInfluenceMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             InfluenceMatrix(np.array([[1.0, bad], [0.0, 1.0]]), 1.0, "s")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflow_raises_in_every_route(self):
-        # finite windows and parameters whose gradient products overflow
+        # finite windows and parameters whose gradient products overflow; with
+        # warnings as errors, no route warns before it refuses
         state = init_params(ModelSpec("linear_ci", 4, 2), seed=0)
-        z = MtsWindow(np.full((4, 2), 1e150), origin_t=3)
-        g = channel_gradient(state, z, 0)
-        for route in (
-            lambda: cif(g, g, 0.1),
-            lambda: tracin(state, z, z, 0.1),
-            lambda: self_influence_per_channel(state, z, 0.1),
-        ):
-            with pytest.raises(autodiff.NonFiniteError, match="overflowed"):
-                route()
-        with pytest.raises(ValueError, match="non-finite"):
-            influence_matrix(state, z, z, 0.1)
+        for magnitude in (1e100, 1e150):
+            z = MtsWindow(np.full((4, 2), magnitude), origin_t=3)
+            g = channel_gradient(state, z, 0)
+            for route in (
+                lambda: cif(g, g, 0.1),
+                lambda: tracin(state, z, z, 0.1),
+                lambda: self_influence_per_channel(state, z, 0.1),
+                lambda: tracin_self_scores(state, [z], 0.1),
+            ):
+                with pytest.raises(autodiff.NonFiniteError, match="overflowed"):
+                    route()
+            with pytest.raises(ValueError, match="non-finite"):
+                influence_matrix(state, z, z, 0.1)
+        with pytest.raises(autodiff.NonFiniteError, match="influence overflowed"):
+            InfluenceMatrix([[1e308, 1e308], [0.0, 0.0]], 1.0, "s").total()
 
     def test_total(self):
         m = InfluenceMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), 1.0, "s")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -1047,6 +1048,22 @@ def params_overflow_case():
     return init_params(spec, 0), wins, TrainConfig(2, 1e308, 4, 0), None
 
 
+def final_step_overflow_case():
+    """params_overflow_case in one step: the overflowing update is the last,
+    so the trained ModelState refuses it."""
+    state, wins, _, trainable = params_overflow_case()
+    return state, wins, TrainConfig(1, 1e308, 4, 0), trainable
+
+
+def without_learning(build):
+    """The case build makes, at learning rate 0: every update is p - 0 g."""
+    def case():
+        state, wins, config, trainable = build()
+        return state, wins, dataclasses.replace(config, learning_rate=0.0), trainable
+
+    return case
+
+
 # each way training fails, with the exception both routes raise
 TRAIN_FAILURES = {
     "relu_hides_nan": (lambda: hidden_overflow_case("relu", [[1e10], [-1e10]]), NOT_FINITE_AT_0_0),
@@ -1065,14 +1082,24 @@ TRAIN_FAILURES = {
     "parameters_overflow": (
         params_overflow_case, (RuntimeError, "training loss is not finite at epoch 1, batch 0"),
     ),
+    "final_step_overflow": (
+        final_step_overflow_case, (ad.NonFiniteError, "parameter 'weight' has non-finite entries"),
+    ),
+    "output_gradient_lr0": (
+        without_learning(lambda: gradient_overflow_case(False)), GRADIENT_NOT_FINITE,
+    ),
+    "mixing_gradient_lr0": (
+        without_learning(lambda: gradient_overflow_case(True)), GRADIENT_NOT_FINITE,
+    ),
 }
 
 
 class TestTrainFailuresMatchTape:
     """train rejects exactly what the tape route rejected, with the same
     exception type and message. Behind each is one NonFiniteError: the
-    gradient's own, or the cause of the RuntimeError that a non-finite
-    forward pass or parameter becomes on both routes."""
+    gradient's own, the trained ModelState's (an overflow on the last
+    step), or the cause of the RuntimeError that a non-finite forward pass
+    or parameter becomes on both routes."""
 
     @pytest.mark.parametrize("case", list(TRAIN_FAILURES))
     def test_same_exception_as_tape(self, case):
@@ -1086,6 +1113,22 @@ class TestTrainFailuresMatchTape:
             assert type(info.value.__cause__ or info.value) is core.NonFiniteError
             raised.append((info.type, str(info.value)))
         assert raised[0] == raised[1] == expected
+
+    def test_each_step_checks_each_parameter_once(self, monkeypatch):
+        # a finite update proves its gradient finite, so no gradient is checked
+        messages = []
+
+        def spy(values, message):
+            messages.append(message)
+            return core._finite(values, message)
+
+        monkeypatch.setattr(models, "_finite", spy)
+        spec = ModelSpec("mlp_mix", 4, 3, hidden=3, horizon=1)
+        wins = training_windows(np.random.default_rng(9), spec, 10)
+        # 3 batches of at most 4 windows in each of 2 epochs, 5 parameters
+        train(init_params(spec, 0), wins, TrainConfig(2, 0.01, 4, 0))
+        assert messages.count("parameters produced non-finite values") == 2 * 3 * 5
+        assert "gradient has non-finite entries" not in messages
 
 
 def zero_linear_state():

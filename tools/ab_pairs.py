@@ -18,7 +18,10 @@ OLD's quartile distance; the ``gain`` column says whether both hold. The
 nine tenths of the pairs and its median is worse by more than OLD's quartile
 distance, so one table shows both a claimed gain and a regression. Below
 10 pairs both columns read ``n/a``: nine tenths of fewer pairs is all of
-them, and a null pair of 6 read ``worse`` on setup_s. Passing the
+them, and a null pair of 6 read ``worse`` on setup_s. A last ``failed``
+row gives each side's total of failed operations; when NEW failed more
+than OLD, no row reads ``gain yes``, as an op that raises at once can
+make a side look faster. Passing the
 same directory as OLD and NEW runs a null pair, which shows the noise of the
 protocol itself. The metric names, units and directions are read from OLD's
 BENCHMARK.json.
@@ -84,6 +87,7 @@ def main(argv=None) -> int:
           "OLD first in odd pairs, NEW first in even pairs")
     print(f"{'metric':<12} {'OLD median [q1, q3]':<32} {'NEW median [q1, q3]':<32} "
           f"{'ratio':>7} {'won':>6}  gain  worse")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     for spec in specs:
         name, higher = spec["name"], spec["better"] == "higher"
         old = [r["metrics"][name]["value"] for r in runs["old"]]
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
         # the median move in the better direction
         gap = statistics.median(new) - statistics.median(old)
         better = gap if higher else -gap
-        gain = won >= 0.9 * args.pairs and better > q3 - q1
+        gain = won >= 0.9 * args.pairs and better > q3 - q1 and failed["new"] <= failed["old"]
         worse = lost >= 0.9 * args.pairs and -better > q3 - q1
         verdicts = ["yes" if v else "no" for v in (gain, worse)] if args.pairs >= 10 else ["n/a"] * 2
         cells = []
@@ -104,6 +108,7 @@ def main(argv=None) -> int:
             cells.append(f"{statistics.median(values):.6g} [{lo:.6g}, {hi:.6g}]")
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {ratio:>7.4f} "
               f"{won:>3}/{args.pairs:<2}  {verdicts[0]:<4}  {verdicts[1]}")
+    print(f"{'failed':<12} {failed['old']:<32} {failed['new']:<32}")
     return 0
 
 
