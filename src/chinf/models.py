@@ -590,10 +590,10 @@ def _exact_totals(d: np.ndarray, channels=None) -> np.ndarray:
     is an infinity the caller refuses, with no warning."""
     with np.errstate(over="ignore"):
         squares = d * d
-    if channels is not None:
-        rows = squares.shape[-2]
-        squares = np.ascontiguousarray(squares.reshape(rows, -1, channels).swapaxes(0, 1))
-    return squares.sum(axis=(-2, -1))
+        if channels is not None:
+            rows = squares.shape[-2]
+            squares = np.ascontiguousarray(squares.reshape(rows, -1, channels).swapaxes(0, 1))
+        return squares.sum(axis=(-2, -1))
 
 
 def _batch_adjoint(
@@ -609,19 +609,34 @@ def _batch_adjoint(
     return np.multiply(d, 2.0 * scale, out=d), *parts
 
 
-def _batch_gradients(spec: ModelSpec, params, adjoint, names) -> dict[str, np.ndarray]:
+def _batch_gradients(spec: ModelSpec, params, adjoint, names, out=None) -> dict[str, np.ndarray]:
     """The gradients of a _batch_adjoint, in names order: its _factors
-    pairs contracted over every column, each a new array. They are not
-    checked here: train checks each before its update, and
-    whole_gradient_rows its concatenated rows, like the tape's
+    pairs contracted over every column, each written to its view in out
+    (train's gradient vector) when given, else to a new array. They are
+    not checked here: train checks them only when an update is refused,
+    and whole_gradient_rows its concatenated rows, like the tape's
     GradientVector."""
     grads = {}
     for name, (u, v) in _factors(spec, params, *adjoint, names).items():
+        into = None if out is None else out[name]
         if v is None:
-            grads[name] = u.sum(axis=-1)
+            grads[name] = np.add.reduce(u, axis=-1, out=into)
+        elif name == "mix":
+            grads[name] = np.matmul(u.mT, v, out=into)
         else:
-            grads[name] = u.mT @ v if name == "mix" else u @ v.mT
+            grads[name] = np.matmul(u, v.mT, out=into)
     return grads
+
+
+def _views(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Each named shape as a reshaped view of the next slice of vector, in
+    shapes order and row-major within each: the GradientVector layout."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        end = start + math.prod(shape)
+        views[name] = vector[start:end].reshape(shape)
+        start = end
+    return views
 
 
 def train(
@@ -645,18 +660,24 @@ def train(
     allocated once per call for the widest batch and start on a 64-byte
     boundary (core._aligned_empty), so x and the residual g, the gemm
     operands of the step, are aligned. A batch is judged as one unit: its
-    loss is the batch mean. No view of either buffer outlives its step:
-    each gradient is a new array.
+    loss is the batch mean.
 
-    Each step checks each parameter once, after its update (core._finite,
-    one dot). A finite update p - lr g proves its gradient finite, as a
-    NaN or an infinity in g makes one in the update, lr = 0 included; so
-    only a refused update sends the step's gradients to the check, in
-    selector order, and a non-finite one raises NonFiniteError("gradient
-    has non-finite entries"). An update that overflows from finite
-    gradients fails the next step with the RuntimeError of a non-finite
-    loss, or, on the last step, the ModelState built from it. A linear_ci
-    step runs 2 dots where 4 scans ran, an mlp_mix step 5 where 10 ran.
+    The trainable parameters are copied once per call into one vector in
+    the GradientVector layout (selector order, row-major within each), and
+    params holds a view of it per name; the step's gradients are written
+    into views of a second vector of that layout. So each step is three
+    calls whatever the parameter count: lr g into a third vector, p - lr g
+    in place, and one check of the parameters (core._finite, one dot). Each
+    entry is still p - (lr g), as it was one parameter at a time. A finite
+    update proves its gradient finite, as a NaN or an infinity in g makes
+    one in the update, lr = 0 included; so only a refused update sends the
+    gradient vector to the check, and a non-finite one raises
+    NonFiniteError("gradient has non-finite entries"), the one message of
+    every gradient view. An update that overflows from finite gradients
+    fails the next step with the RuntimeError of a non-finite loss, or, on
+    the last step, the ModelState built from it. The steps run under one
+    errstate, so an overflow on the way to a refusal raises no
+    RuntimeWarning.
     """
     spec = state.spec
     stack = as_window_stack(train_windows)
@@ -666,35 +687,39 @@ def train(
 
     names = _selection(spec, trainable or all_params_selector(spec))[0].names
     params = dict(state.params)
+    shapes = {name: params[name].shape for name in names}
+    flat = np.concatenate([params[name].ravel() for name in names])
+    params.update(_views(flat, shapes))
+    grad, scaled = np.empty_like(flat), np.empty_like(flat)
+    grads = _views(grad, shapes)
     rng = np.random.default_rng(config.seed)
     # the refusal of an update whose gradients were finite, which fails the
     # next step as a non-finite parameter did on the tape route
     refused = None
-    for epoch in range(config.epochs):
-        perm = rng.permutation(count)
-        for batch_idx, start in enumerate(range(0, count, config.batch_size)):
-            x, t = gather(perm[start : start + config.batch_size])
-            out = residual[: t.size].reshape(t.shape)
-            # as on the tape route, a non-finite gradient is no RuntimeError
-            try:
-                if refused is not None:
-                    raise refused
-                adjoint = _batch_adjoint(spec, params, x, t, 1.0 / t.size, out)
-            except NonFiniteError as e:
-                raise RuntimeError(
-                    f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
-                ) from e
-            grads = _batch_gradients(spec, params, adjoint, names)
-            for name, g in grads.items():
-                params[name] = params[name] - config.learning_rate * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            perm = rng.permutation(count)
+            for batch_idx, start in enumerate(range(0, count, config.batch_size)):
+                x, t = gather(perm[start : start + config.batch_size])
+                out = residual[: t.size].reshape(t.shape)
+                # as on the tape route, a non-finite gradient is no RuntimeError
                 try:
-                    _finite(params[name], "parameters produced non-finite values")
+                    if refused is not None:
+                        raise refused
+                    adjoint = _batch_adjoint(spec, params, x, t, 1.0 / t.size, out)
+                except NonFiniteError as e:
+                    raise RuntimeError(
+                        f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
+                    ) from e
+                _batch_gradients(spec, params, adjoint, names, grads)
+                np.multiply(grad, config.learning_rate, out=scaled)
+                np.subtract(flat, scaled, out=flat)
+                try:
+                    _finite(flat, "parameters produced non-finite values")
                 except NonFiniteError as e:
                     refused = e
-            if refused is not None:
-                # in selector order, like the tape's one GradientVector
-                for g in grads.values():
-                    _finite(g, "gradient has non-finite entries")
+                if refused is not None:
+                    _finite(grad, "gradient has non-finite entries")
     return ModelState(spec, params, trained_lr=config.learning_rate)
 
 
