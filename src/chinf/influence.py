@@ -8,12 +8,13 @@ the matrix total recovers the whole-sample value. The diagonal of the
 self-influence matrix (eta * squared gradient norm per channel) is what the
 anomaly and pruning pipelines consume.
 
-The two come from different kernels. The matrix needs products of two
-channels' gradients, so influence_matrix takes the gradient rows
-(models.channel_gradient_rows). The diagonal needs only each row's squared
-norm, and each channel's gradient block is an outer product whose squared
-norm is the product of its factors' squared norms, so self_influence_rows
-takes factored norms (models.channel_gradient_norms) and writes no row.
+influence_matrix takes the per-channel rows (models.channel_gradient_rows)
+and tracin the whole-window rows: two contractions of one _factors table,
+so the two on one window pair share a forward pass (_pair_table). The
+diagonal needs only each row's squared norm, and each channel's gradient
+block is an outer product whose squared norm is the product of its factors'
+squared norms, so self_influence_rows takes factored norms
+(models.channel_gradient_norms) and writes no row.
 
 eta only rescales: every ranking built on these values is invariant to it.
 It defaults to the learning rate the model was trained with.
@@ -21,6 +22,7 @@ It defaults to the learning rate the model was trained with.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,17 @@ from .core import MtsWindow, Windows, _finite, _finite_number, _float_rows, _rea
 from .core import as_window_stack
 from .models import (
     ModelState,
+    _channel_rows,
+    _gradient_table,
     _selection,
+    _whole_rows,
     channel_gradient_norms,
-    channel_gradient_rows,
     whole_gradient_rows,
 )
 
 # Gradient-row entries held at once by tracin_self_scores (8 MB of float64)
 _CHUNK_ELEMENTS = 1 << 20
+_last_pair = ((), (), None, None)  # _pair_table's (key, names, x, table)
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,22 @@ def cif(g_src: GradientVector, g_dst: GradientVector, eta: float) -> float:
     return _finite(eta * float(np.vdot(g_src.values, g_dst.values)), "influence overflowed")
 
 
+def _pair_table(state: ModelState, z_src: MtsWindow, z_dst: MtsWindow, names) -> tuple:
+    """models._gradient_table of the stack [z_src, z_dst], memoized for the
+    last pair: by identity on the state, each of its parameter arrays and
+    both windows (immutable containers all), by value on the names. The
+    entry is one tuple of strong references swapped in one assignment, so a
+    thread race costs a miss, never a wrong hit; a refused pass stores none."""
+    global _last_pair
+    key, names = (state, z_src, z_dst, *state.params.values()), tuple(names)
+    held_key, held_names, x, table = _last_pair
+    if held_names == names and len(held_key) == len(key) and all(map(operator.is_, held_key, key)):
+        return x, table
+    x, table = _gradient_table(state, [z_src, z_dst], names)
+    _last_pair = (key, names, x, table)
+    return x, table
+
+
 def influence_matrix(
     state: ModelState,
     z_src: MtsWindow,
@@ -105,8 +126,8 @@ def influence_matrix(
     """All per-channel-pair influences of z_src on z_dst.
 
     The N per-channel gradients of both windows come from one batched
-    closed-form pass and the matrix is assembled from their pairwise dot
-    products.
+    closed-form pass (_pair_table) and the matrix is assembled from their
+    pairwise dot products.
     """
     if z_src.n_channels != z_dst.n_channels:
         raise ValueError(
@@ -114,14 +135,14 @@ def influence_matrix(
         )
     eta = _resolve_eta(state.trained_lr, eta)
     selector = _selection(state.spec, selector)[0]
-    # equal windows have equal rows: one pass, and an exactly symmetric matrix
-    if np.array_equal(z_src.values, z_dst.values):
-        g_src = g_dst = channel_gradient_rows(state, [z_src], selector)[0]
-    else:
-        g_src, g_dst = channel_gradient_rows(state, [z_src, z_dst], selector)
-    # a product past the float range is refused by InfluenceMatrix, with no
-    # warning first
-    with np.errstate(over="ignore"):
+    names = selector.names
+    # an overflowing row or product is refused below, with no warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        # equal windows have equal rows: one pass, and an exactly symmetric matrix
+        if np.array_equal(z_src.values, z_dst.values):
+            g_src = g_dst = _channel_rows(state, *_gradient_table(state, [z_src], names))[0]
+        else:
+            g_src, g_dst = _channel_rows(state, *_pair_table(state, z_src, z_dst, names))
         values = eta * (g_src @ g_dst.T)
     return InfluenceMatrix(values, eta, selector.selector_id)
 
@@ -135,19 +156,20 @@ def tracin(
 ) -> float:
     """Whole-sample influence from whole-window loss gradients.
 
-    Computed directly, not by summing the per-channel matrix; the agreement
-    of the two routes is a property the tests check, not an implementation
-    shortcut. Every row comes from whole_gradient_rows, which makes row b
-    independent of the stack: windows of one shape share a two-window stack,
+    Contracted to whole-window rows, not read off the per-channel matrix's
+    total; the tests check that the two routes agree. Row b of
+    whole_gradient_rows does not depend on the stack: windows of one shape
+    share a two-window stack (_pair_table, shared with influence_matrix),
     one window paired with itself takes a one-window stack, and windows with
-    different channel counts (which channel-shared models accept) take one
-    one-window stack each.
+    different channel counts (channel-shared models) take one each.
     """
     eta = _resolve_eta(state.trained_lr, eta)
+    selector = _selection(state.spec, selector)[0]
     if z_dst is z_src:
         a = b = whole_gradient_rows(state, [z_src], selector)[0]
     elif z_src.values.shape == z_dst.values.shape:
-        a, b = whole_gradient_rows(state, [z_src, z_dst], selector)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = _whole_rows(*_pair_table(state, z_src, z_dst, selector.names))
     else:
         a, b = (whole_gradient_rows(state, [z], selector)[0] for z in (z_src, z_dst))
     # the dot of cif, which warns of no overflow

@@ -366,39 +366,25 @@ def _factors(spec: ModelSpec, params, g, x_rows, xm, a, h, names) -> dict[str, t
     return {name: table[name] for name in names}
 
 
-def channel_gradient_rows(
-    state: ModelState, windows: Windows, selector: ParamSelector | None = None
-) -> np.ndarray:
-    """(B, N, P) gradients of every channel's loss for a stack or window list.
-
-    Row [b, j] is window b's channel-j loss gradient over the selected
-    parameters, in selector order and row-major within each parameter (the
-    layout of autodiff.backward): channel j's contraction of each _factors
-    pair, on the checked forward pass (_batch_adjoint at scale 1, so a
-    window whose squared-error total overflows is refused as train refuses
-    it). The rows serve influence_matrix, which needs the products of two
-    channels' gradients, and channel_gradients. The tests hold them to the
-    tape oracle (bit for bit for the last layer, 1e-12 otherwise) and to
-    finite differences.
-
-    The rows are C-contiguous: reductions over them then run in the same
-    order for every batch size, so results do not depend on how callers
-    chunk a window list.
-    """
+def _gradient_table(state: ModelState, windows: Windows, names) -> tuple[np.ndarray, dict]:
+    """Stacked inputs x (B, window, N) and the named parameters' _factors table on the
+    checked forward pass: what _channel_rows and _whole_rows contract, writing nothing."""
     spec = state.spec
-    selector, shapes = _selection(spec, selector)
     x, target = _split_xy(spec, as_window_stack(windows))
     adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
-    table = _factors(spec, state.params, *adjoint, selector.names)
-    b, _, n = x.shape
+    return x, _factors(spec, state.params, *adjoint, names)
 
-    sizes = [math.prod(shapes[name]) for name in selector.names]
+
+def _channel_rows(state: ModelState, x: np.ndarray, table: dict) -> np.ndarray:
+    """channel_gradient_rows of a _gradient_table, checked."""
+    b, _, n = x.shape
+    sizes = [state.params[name].size for name in table]
     rows = np.empty((b, n, sum(sizes)))
     pos = 0
     for (name, (u, v)), size in zip(table.items(), sizes):
         # a (B, N, *shape) view: splitting the contiguous last axis never
         # copies, so writing the block fills the rows
-        block = rows[:, :, pos : pos + size].reshape(b, n, *shapes[name])
+        block = rows[:, :, pos : pos + size].reshape(b, n, *state.params[name].shape)
         pos += size
         if v is None:
             block[...] = u.mT
@@ -409,6 +395,27 @@ def channel_gradient_rows(
         else:
             np.multiply(u.mT[..., None], v.mT[..., None, :], out=block)
     return _finite(rows, "channel gradients produced non-finite values")
+
+
+def channel_gradient_rows(
+    state: ModelState, windows: Windows, selector: ParamSelector | None = None
+) -> np.ndarray:
+    """(B, N, P) gradients of every channel's loss for a stack or window list.
+
+    Row [b, j] is window b's channel-j loss gradient over the selected
+    parameters, in selector order and row-major within each parameter (the
+    layout of autodiff.backward): channel j's contraction of each _factors
+    pair (_gradient_table), under one errstate, so an overflow is refused
+    with no warning first. The tests hold them to the tape oracle (bit for
+    bit for the last layer, 1e-12 otherwise) and to finite differences.
+
+    The rows are C-contiguous: reductions over them then run in the same
+    order for every batch size, so results do not depend on how callers
+    chunk a window list.
+    """
+    selector = _selection(state.spec, selector)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _channel_rows(state, *_gradient_table(state, windows, selector.names))
 
 
 def _column_norms(u: np.ndarray) -> np.ndarray:
@@ -532,6 +539,13 @@ def whole_gradient(
     return GradientVector(whole_gradient_rows(state, [window], selector)[0], selector.selector_id)
 
 
+def _whole_rows(x: np.ndarray, table: dict) -> np.ndarray:
+    """whole_gradient_rows of a _gradient_table, checked."""
+    grads = _batch_gradients(table)
+    rows = np.concatenate([g.reshape(len(x), -1) for g in grads.values()], -1)
+    return _finite(rows, "gradient has non-finite entries")
+
+
 def whole_gradient_rows(
     state: ModelState, windows: Windows, selector: ParamSelector | None = None
 ) -> np.ndarray:
@@ -539,15 +553,11 @@ def whole_gradient_rows(
     their mean): train's closed-form step on B one-window batches stacked
     along a leading axis (the per-example layout), so row b does not depend
     on B. The rows and channel_gradient_rows contract the same _factors
-    table; the per-channel rows summing to a row is checked against the
-    tape oracle and finite differences in the tests."""
-    spec = state.spec
-    selector = _selection(spec, selector)[0]
-    x, target = _split_xy(spec, as_window_stack(windows))
-    adjoint = _batch_adjoint(spec, state.params, x, target, 1.0)
-    grads = _batch_gradients(spec, state.params, adjoint, selector.names)
-    rows = np.concatenate([grads[name].reshape(len(x), -1) for name in selector.names], -1)
-    return _finite(rows, "gradient has non-finite entries")
+    table (_gradient_table), under one errstate; the tests check the rows
+    against the tape oracle, finite differences and the per-channel rows."""
+    selector = _selection(state.spec, selector)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _whole_rows(*_gradient_table(state, windows, selector.names))
 
 
 def _residual(spec: ModelSpec, params, x: np.ndarray, t: np.ndarray, out=None, channels=None):
@@ -609,15 +619,13 @@ def _batch_adjoint(
     return np.multiply(d, 2.0 * scale, out=d), *parts
 
 
-def _batch_gradients(spec: ModelSpec, params, adjoint, names, out=None) -> dict[str, np.ndarray]:
-    """The gradients of a _batch_adjoint, in names order: its _factors
-    pairs contracted over every column, each written to its view in out
-    (train's gradient vector) when given, else to a new array. They are
-    not checked here: train checks them only when an update is refused,
-    and whole_gradient_rows its concatenated rows, like the tape's
-    GradientVector."""
+def _batch_gradients(table: dict, out=None) -> dict[str, np.ndarray]:
+    """The gradients of a _batch_adjoint: its _factors table contracted over
+    every column, each into its view in out (train's gradient vector) when
+    given. Unchecked: train checks them only when an update is refused, and
+    _whole_rows its concatenated rows, like the tape's GradientVector."""
     grads = {}
-    for name, (u, v) in _factors(spec, params, *adjoint, names).items():
+    for name, (u, v) in table.items():
         into = None if out is None else out[name]
         if v is None:
             grads[name] = np.add.reduce(u, axis=-1, out=into)
@@ -711,7 +719,7 @@ def train(
                     raise RuntimeError(
                         f"training loss is not finite at epoch {epoch}, batch {batch_idx}"
                     ) from e
-                _batch_gradients(spec, params, adjoint, names, grads)
+                _batch_gradients(_factors(spec, params, *adjoint, names), grads)
                 np.multiply(grad, config.learning_rate, out=scaled)
                 np.subtract(flat, scaled, out=flat)
                 try:

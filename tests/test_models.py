@@ -892,7 +892,8 @@ def per_parameter_train(state, windows, config, trainable=None):
             x, t = gather(perm[start : start + config.batch_size])
             out = residual[: t.size].reshape(t.shape)
             adjoint = models._batch_adjoint(spec, params, x, t, 1.0 / t.size, out)
-            for name, g in models._batch_gradients(spec, params, adjoint, names).items():
+            table = models._factors(spec, params, *adjoint, names)
+            for name, g in models._batch_gradients(table).items():
                 params[name] = params[name] - config.learning_rate * g
                 core._finite(params[name], "parameters produced non-finite values")
     return params
@@ -1762,13 +1763,17 @@ class TestTracinPairs:
         state = perturbed_state(spec, rng)
         src, dst = (random_window(rng, spec.total_rows, 3) for _ in range(2))
         calls = count_kernel_calls(monkeypatch)
+        previous = None
         for _, selector in kernel_selectors(spec):
             g_src = whole_gradient(state, src, selector).values
             g_dst = whole_gradient(state, dst, selector).values
             calls.clear()
             got = influence.tracin(state, src, dst, 0.1, selector)
             assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
-            assert calls == [(2, 5, 3)]
+            # linear_ci's last_layer and all selectors share names, so the
+            # second reuses the pair's forward pass
+            assert calls == ([] if selector.names == previous else [(2, 5, 3)])
+            previous = selector.names
 
     def test_same_object_takes_one_window_call(self, monkeypatch):
         rng = np.random.default_rng(87)
@@ -1806,6 +1811,156 @@ class TestTracinPairs:
             got = influence.tracin(state, src, dst, 0.1, selector)
             assert got == 0.1 * float(g_src @ g_dst), selector.selector_id
             assert calls == [(1, 5, 2), (1, 5, 4)]
+
+
+def matrix_and_tracin(state, src, dst, selector, order):
+    """influence_matrix and tracin on one pair, in either order."""
+    done = {}
+    for kind in order:
+        if kind == "matrix":
+            done[kind] = influence.influence_matrix(state, src, dst, 0.1, selector).values
+        else:
+            done[kind] = influence.tracin(state, src, dst, 0.1, selector)
+    return done["matrix"], done["tracin"]
+
+
+class TestPairTable:
+    """influence_matrix and tracin share a two-window pair's forward pass
+    through influence._pair_table's one-entry memo."""
+
+    @pytest.mark.parametrize("order", [("matrix", "tracin"), ("tracin", "matrix")])
+    def test_matrix_and_tracin_run_one_forward_pass(self, monkeypatch, order):
+        rng = np.random.default_rng(90)
+        state = perturbed_state(ModelSpec("mlp_mix", 5, 3, hidden=4, horizon=2), rng)
+        src, dst = random_window(rng, 7, 3), random_window(rng, 7, 3)
+        calls = count_kernel_calls(monkeypatch)
+        matrix_and_tracin(state, src, dst, all_params_selector(state.spec), order)
+        assert calls == [(2, 5, 3)]
+
+    def test_a_changed_key_runs_a_new_pass(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        state = perturbed_state(ModelSpec("mlp_ci", 5, 3, hidden=4, horizon=2), rng)
+        src, dst, other = (random_window(rng, 7, 3) for _ in range(3))
+        selector = all_params_selector(state.spec)
+        calls = count_kernel_calls(monkeypatch)
+
+        def passes(state, src, dst, selector):
+            calls.clear()
+            influence.tracin(state, src, dst, 0.1, selector)
+            return len(calls)
+
+        assert passes(state, src, dst, selector) == 1
+        # the same names under another selector id reuse the pass
+        assert passes(state, src, dst, ParamSelector("again", selector.names)) == 0
+        assert passes(state, src, other, selector) == 1
+        assert passes(state, other, dst, selector) == 1
+        assert passes(state, dst, src, selector) == 1
+        # a window re-created from a stack is a new object
+        stack = core.as_window_stack([src, dst])
+        assert passes(state, stack[0], stack[1], selector) == 1
+        assert passes(state, src, dst, last_layer_selector(state.spec)) == 1
+        assert passes(state, src, dst, selector) == 1
+        assert passes(ModelState(state.spec, state.params), src, dst, selector) == 1
+        assert passes(state, src, dst, selector) == 1
+        # an entry of params rebound to an equal array
+        state.params["w2"] = core._readonly(state.params["w2"])
+        assert passes(state, src, dst, selector) == 1
+        assert passes(state, src, dst, selector) == 0
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_hit_and_miss_give_the_same_bytes(self, monkeypatch, architecture, horizon):
+        rng = np.random.default_rng(92)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        src, dst = (random_window(rng, spec.total_rows, 3) for _ in range(2))
+        calls = count_kernel_calls(monkeypatch)
+        for _, selector in kernel_selectors(spec):
+            runs = []
+            for order in (("matrix", "tracin"), ("tracin", "matrix")):
+                # a pass on the swapped pair evicts the entry
+                influence.tracin(state, dst, src, 0.1, selector)
+                calls.clear()
+                runs.append(matrix_and_tracin(state, src, dst, selector, order))
+                assert calls == [(2, spec.window, 3)]
+            # each run's matrix is a miss in the first and a hit in the second
+            (m_miss, t_hit), (m_hit, t_miss) = runs
+            assert m_miss.tobytes() == m_hit.tobytes(), selector.selector_id
+            assert t_miss == t_hit, selector.selector_id
+
+    def test_a_refused_forward_pass_stores_nothing(self, monkeypatch):
+        state = ModelState(ModelSpec("linear_ci", 2, 1),
+                           {"weight": np.full((2, 2), 1e200), "bias": np.zeros(2)})
+        src, dst = window_of([[1e200], [1e200]]), window_of([[1.0], [2.0]])
+        calls = count_kernel_calls(monkeypatch)
+        for call in (influence.influence_matrix, influence.tracin, influence.influence_matrix):
+            calls.clear()
+            with pytest.raises(core.NonFiniteError, match="^forward pass produced non-finite values$"):
+                call(state, src, dst, 1.0)
+            assert calls == [(2, 2, 1)]
+
+    def test_overflowing_rows_after_a_finite_pass(self, monkeypatch):
+        state = overflowing_rows_state()
+        src, dst = OVERFLOWING_ROWS_WINDOW, window_of([[1.0], [2.0], [0.0]])
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(core.NonFiniteError) as matrix:
+            influence.influence_matrix(state, src, dst, 1.0)
+        with pytest.raises(core.NonFiniteError) as whole:
+            influence.tracin(state, src, dst, 1.0)
+        assert str(matrix.value) == "channel gradients produced non-finite values"
+        assert str(whole.value) == "gradient has non-finite entries"
+        # the accepted pass was kept, though its rows were refused
+        assert calls == [(2, 2, 1)]
+
+
+def overflow_pair():
+    """gradient_overflow_case(False)'s state and window, paired with a
+    window of modest values."""
+    state, wins, _, _ = gradient_overflow_case(False)
+    return state, wins[-1], window_of([[1.0], [2.0], [0.0]])
+
+
+def tracin_on_a_memo_hit():
+    state, src, dst = overflow_pair()
+    with pytest.raises(core.NonFiniteError):
+        influence.influence_matrix(state, src, dst, 1.0)
+    return influence.tracin(state, src, dst, 1.0)
+
+
+ROW_KERNEL_OVERFLOWS = {
+    "channel_gradient_rows": (
+        lambda: channel_gradient_rows(overflowing_rows_state(), [OVERFLOWING_ROWS_WINDOW]),
+        "channel gradients produced non-finite values",
+    ),
+    "influence_matrix": (
+        lambda: influence.influence_matrix(
+            overflowing_rows_state(), OVERFLOWING_ROWS_WINDOW, window_of([[1.0], [2.0], [0.0]]), 1.0
+        ),
+        "channel gradients produced non-finite values",
+    ),
+    "whole_gradient_rows": (
+        lambda: whole_gradient_rows(*gradient_overflow_case(False)[:2]),
+        "gradient has non-finite entries",
+    ),
+    "tracin_miss": (lambda: influence.tracin(*overflow_pair(), 1.0), "gradient has non-finite entries"),
+    "tracin_hit": (tracin_on_a_memo_hit, "gradient has non-finite entries"),
+    "tracin_self_scores": (
+        lambda: influence.tracin_self_scores(*gradient_overflow_case(False)[:2], 1.0),
+        "gradient has non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(ROW_KERNEL_OVERFLOWS))
+def test_row_kernels_refuse_an_overflow_with_no_warning(site):
+    """The gradient-row kernels silence their own overflow: with every
+    warning an error and no errstate here, each raises its NonFiniteError."""
+    build, message = ROW_KERNEL_OVERFLOWS[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core.NonFiniteError) as caught:
+            build()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
