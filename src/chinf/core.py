@@ -358,16 +358,6 @@ def make_windows(series: MtsSeries, w: int, stride: int = 1) -> WindowStack:
     return WindowStack._of_view(view.transpose(0, 2, 1), starts + w - 1, series.values, starts)
 
 
-def window_label(window: MtsWindow, series: MtsSeries) -> int:
-    """Label of the window's last timestep; this is what its score is judged
-    against."""
-    if series.timestep_labels is None:
-        raise ValueError("series has no timestep labels")
-    if not 0 <= window.origin_t < series.n_timesteps:
-        raise ValueError(f"window origin {window.origin_t} outside series of length {series.n_timesteps}")
-    return int(series.timestep_labels[window.origin_t])
-
-
 def chronological_split(series: MtsSeries, train_frac: float, val_frac: float) -> DatasetSplit:
     """Cut a series into contiguous train/val/test parts by fraction."""
     if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0 and train_frac + val_frac < 1.0):

@@ -9,11 +9,12 @@ self-influence matrix (eta * squared gradient norm per channel) is what the
 anomaly and pruning pipelines consume.
 
 influence_matrix takes the per-channel rows (models.channel_gradient_rows)
-and tracin the whole-window rows: two contractions of one _factors table,
-so the two on one window pair share a forward pass (_pair_table). The
-diagonal needs only each row's squared norm, and each channel's gradient
-block is an outer product whose squared norm is the product of its factors'
-squared norms, so self_influence_rows takes factored norms
+and tracin the whole-window rows of a window pair: two contractions of the
+one _factors table of its two-window stack (_pair_table), so the two on one
+pair share a forward pass, whether the windows are distinct, equal or one
+object. The diagonal needs only each row's squared norm, and each channel's
+gradient block is an outer product whose squared norm is the product of its
+factors' squared norms, so self_influence_rows takes factored norms
 (models.channel_gradient_norms) and writes no row.
 
 eta only rescales: every ranking built on these values is invariant to it.
@@ -35,6 +36,7 @@ from .models import (
     _channel_rows,
     _gradient_table,
     _selection,
+    _self_dots,
     _whole_rows,
     channel_gradient_norms,
     whole_gradient_rows,
@@ -127,7 +129,8 @@ def influence_matrix(
 
     The N per-channel gradients of both windows come from one batched
     closed-form pass (_pair_table) and the matrix is assembled from their
-    pairwise dot products.
+    pairwise dot products. Equal windows have equal rows, so the matrix is
+    then one operand's g @ g.T, which is exactly symmetric.
     """
     if z_src.n_channels != z_dst.n_channels:
         raise ValueError(
@@ -138,11 +141,9 @@ def influence_matrix(
     names = selector.names
     # an overflowing row or product is refused below, with no warning first
     with np.errstate(over="ignore", invalid="ignore"):
-        # equal windows have equal rows: one pass, and an exactly symmetric matrix
+        g_src, g_dst = _channel_rows(state, *_pair_table(state, z_src, z_dst, names))
         if np.array_equal(z_src.values, z_dst.values):
-            g_src = g_dst = _channel_rows(state, *_gradient_table(state, [z_src], names))[0]
-        else:
-            g_src, g_dst = _channel_rows(state, *_pair_table(state, z_src, z_dst, names))
+            g_dst = g_src
         values = eta * (g_src @ g_dst.T)
     return InfluenceMatrix(values, eta, selector.selector_id)
 
@@ -159,15 +160,13 @@ def tracin(
     Contracted to whole-window rows, not read off the per-channel matrix's
     total; the tests check that the two routes agree. Row b of
     whole_gradient_rows does not depend on the stack: windows of one shape
-    share a two-window stack (_pair_table, shared with influence_matrix),
-    one window paired with itself takes a one-window stack, and windows with
-    different channel counts (channel-shared models) take one each.
+    are contracted from their pair's two-window table (_pair_table, shared
+    with influence_matrix), and windows with different channel counts
+    (channel-shared models) take a one-window stack each.
     """
     eta = _resolve_eta(state.trained_lr, eta)
     selector = _selection(state.spec, selector)[0]
-    if z_dst is z_src:
-        a = b = whole_gradient_rows(state, [z_src], selector)[0]
-    elif z_src.values.shape == z_dst.values.shape:
+    if z_src.values.shape == z_dst.values.shape:
         with np.errstate(over="ignore", invalid="ignore"):
             a, b = _whole_rows(*_pair_table(state, z_src, z_dst, selector.names))
     else:
@@ -216,8 +215,8 @@ def tracin_self_scores(
 
     eta times the squared norm of each window's whole_gradient_rows row,
     taken a chunk of windows at a time so memory stays bounded. Each row is
-    reduced as a (1, P) @ (P, 1) product that rounds like tracin's dot,
-    whatever the chunk size, so the result equals per-window values.
+    reduced by models._self_dots, so the result does not depend on the
+    chunk size.
     """
     eta = _resolve_eta(state.trained_lr, eta)
     selector, shapes = _selection(state.spec, selector)
@@ -230,7 +229,7 @@ def tracin_self_scores(
         rows = whole_gradient_rows(state, chunk, selector)
         # a score past the float range is refused below, with no warning first
         with np.errstate(over="ignore"):
-            parts.append((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+            parts.append(_self_dots(rows))
     with np.errstate(over="ignore"):
         scores = eta * np.concatenate(parts)
     return _finite(scores, "self-influence overflowed")

@@ -220,25 +220,12 @@ def _forward_parts(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray
     return y, x_rows, xm, a, h
 
 
-def reconstruct(state: ModelState, window: MtsWindow) -> np.ndarray:
-    """Model output for one window: (window, N) or (horizon, N)."""
-    x, _ = _split_xy(state.spec, window)
-    return _forward_parts(state.spec, state.params, x)[0]
-
-
 def channel_loss(state: ModelState, window: MtsWindow, j: int) -> float:
     """Sum of squared errors on channel j over the predicted rows."""
     n = window.n_channels
     if not 0 <= j < n:
         raise ValueError(f"channel index {j} out of range for {n} channels")
     return float(channel_losses(state, [window])[0, j])
-
-
-def window_loss(state: ModelState, window: MtsWindow) -> float:
-    """Sum of squared errors over all predicted entries of one window."""
-    x, target = _split_xy(state.spec, window)
-    d = _residual(state.spec, state.params, x, target)[0].ravel()
-    return _finite(float(d @ d), "forward pass produced non-finite values")
 
 
 def _gatherer(spec: ModelSpec, stack: WindowStack, width: int):
@@ -302,19 +289,22 @@ def _residual_chunks(state: ModelState, stack: WindowStack):
         yield _residual(state.spec, state.params, x, target, channels=n)[0]
 
 
+def _self_dots(rows: np.ndarray) -> np.ndarray:
+    """r @ r for each row of a C-contiguous (k, m) block, as k (1, m) @ (m, 1)
+    products: each rounds like a one-row d @ d, whatever k, so a value does
+    not depend on how its caller chunks or batches the rows."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
 def channel_losses(state: ModelState, windows: Windows) -> np.ndarray:
     """(B, N) per-channel sums of squared errors of a stack or window list.
 
     Each (window, channel) residual column is copied out contiguous and
-    reduced as a (1, R) @ (R, 1) product, which rounds like a one-window
-    d @ d whatever the list length or chunking. A refused forward pass
-    (_residual, which judges each window alone) or an overflowing sum raises.
+    reduced by _self_dots. A refused forward pass (_residual, which judges
+    each window alone) or an overflowing sum raises.
     """
     stack = as_window_stack(windows)
-    parts = []
-    for d in _residual_chunks(state, stack):
-        cols = np.ascontiguousarray(d.T)[:, None, :]
-        parts.append((cols @ cols.mT)[:, 0, 0])
+    parts = [_self_dots(np.ascontiguousarray(d.T)) for d in _residual_chunks(state, stack)]
     losses = np.concatenate(parts).reshape(len(stack), -1)
     return _finite(losses, "forward pass produced non-finite values")
 
@@ -517,18 +507,6 @@ def channel_gradients(
     selector = _selection(state.spec, selector)[0]
     rows = channel_gradient_rows(state, [window], selector)[0]
     return [GradientVector(row, selector.selector_id) for row in rows]
-
-
-def channel_gradient(
-    state: ModelState,
-    window: MtsWindow,
-    j: int,
-    selector: ParamSelector | None = None,
-) -> GradientVector:
-    n = window.n_channels
-    if not 0 <= j < n:
-        raise ValueError(f"channel index {j} out of range for {n} channels")
-    return channel_gradients(state, window, selector)[j]
 
 
 def whole_gradient(
@@ -735,18 +713,17 @@ def mean_window_mse(state: ModelState, windows: Windows) -> float:
     """Per-element mean squared error over a stack or window list.
 
     Each window's residual block is copied out of its chunk's columns into
-    its own C-ordered (R, N) rows and reduced as a (1, R*N) @ (R*N, 1)
-    product, which rounds like a one-window d @ d. A refused forward pass
-    (_residual, which judges each window alone) or an overflowing total
-    raises."""
+    its own C-ordered (R, N) rows and reduced, as one R*N row, by
+    _self_dots. A refused forward pass (_residual, which judges each window
+    alone) or an overflowing total raises."""
     stack = as_window_stack(windows)
     n = stack.values.shape[2]
     sums = []
     entries = 0
     for d in _residual_chunks(state, stack):
         rows = len(d)
-        flat = np.ascontiguousarray(d.reshape(rows, -1, n).swapaxes(0, 1)).reshape(-1, 1, rows * n)
-        sums.append((flat @ flat.mT)[:, 0, 0])
+        flat = np.ascontiguousarray(d.reshape(rows, -1, n).swapaxes(0, 1)).reshape(-1, rows * n)
+        sums.append(_self_dots(flat))
         entries += d.size
     # accumulate adds the window sums one by one in window order, so the
     # total rounds exactly like a running sum; one that overflows is refused

@@ -31,14 +31,12 @@ from chinf import (
     tracin,
     train,
     whole_gradient,
-    window_label,
-    window_loss,
 )
 from chinf.anomaly import ScoreSeries
 from chinf.autodiff import finite_difference_gradient
 from chinf.cli import main as cli_main
 from chinf.data import AnomalySpec, SyntheticConfig, gen_synthetic, inject_anomalies
-from chinf.models import channel_gradient, channel_loss
+from chinf.models import channel_gradients, channel_loss, channel_losses
 
 import bench_suite
 
@@ -89,11 +87,11 @@ def test_criterion_02_gradients_match_finite_differences(capsys):
                 back = whole_gradient(state, win, selector)
 
                 def loss_fn(p):
-                    return window_loss(ModelState(state.spec, p), win)
+                    return channel_losses(ModelState(state.spec, p), [win]).sum()
 
             else:
                 j = int(rng.integers(win.n_channels))
-                back = channel_gradient(state, win, j, selector)
+                back = channel_gradients(state, win, selector)[j]
 
                 def loss_fn(p, _j=j):
                     return channel_loss(ModelState(state.spec, p), win, _j)
@@ -181,7 +179,7 @@ def test_criterion_04_eta_invariance(capsys):
             TrainConfig(epochs=5, learning_rate=1e-2, batch_size=32, seed=0),
         )
         windows = make_windows(test, 8)
-        labels = np.array([window_label(w, test) for w in windows])
+        labels = test.timestep_labels[windows.origins]
 
         etas = (1e-4, 1e-2, 1.0)
         rankings, aurocs, best_f1s = [], [], []

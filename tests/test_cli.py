@@ -1080,9 +1080,9 @@ def test_only_core_opens_files_for_writing():
     assert writers and all(w.startswith("core.py:") for w in writers), writers
 
 
-def test_only_residual_and_reconstruct_run_the_forward_pass():
+def test_only_residual_runs_the_forward_pass():
     """models._residual is the one checked forward pass: in src/chinf, only
-    it and reconstruct (which has no target to check) name _forward_parts."""
+    it names _forward_parts."""
     src = Path(__file__).parents[1] / "src" / "chinf"
 
     def references(node, where):
@@ -1094,7 +1094,7 @@ def test_only_residual_and_reconstruct_run_the_forward_pass():
 
     callers = [f"{path.name}:{where}" for path in sorted(src.glob("*.py"))
                for where in references(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
-    assert sorted(callers) == ["models.py:_residual", "models.py:reconstruct"], callers
+    assert callers == ["models.py:_residual"], callers
 
 
 def test_every_output_is_utf8_with_one_final_lf(pipeline, tmp_path):

@@ -1,6 +1,8 @@
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,24 @@ def test_other_files_compare_by_bytes(tmp_path):
     out = io.StringIO()
     assert contract_outputs.compare(old, new, out) == 1
     assert "changed: series.csv.labels\n  NOT A FLOAT MOVE bytes differ\n" in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["-h"], 0), (["--help"], 0), (["--out"], 2), (["-x", "dir"], 2), (["--compare", "old"], 2),
+     ([], 2)],
+)
+def test_usage_and_unknown_options_write_nothing(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert contract_outputs.run(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ((contract_outputs.USAGE + "\n", "") if code == 0
+                          else ("", contract_outputs.USAGE + "\n"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_from_the_command_line_writes_nothing(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), "--help"], cwd=tmp_path,
+                          capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout) == (0, contract_outputs.USAGE + "\n")
+    assert list(tmp_path.iterdir()) == []

@@ -303,23 +303,19 @@ def test_aligned_empty_starts_on_a_64_byte_boundary(size):
 
 
 class TestWindowLabel:
+    """A window is judged against the label of its last timestep, which the
+    pipeline reads as timestep_labels[stack.origins]."""
+
     def test_label_of_last_timestep(self):
         labels = np.zeros(20, dtype=np.int64)
         labels[2] = 1
         s = series(labels=labels)
-        win = core.make_windows(s, 3)[0]  # covers rows 0..2
-        assert win.origin_t == 2
-        assert core.window_label(win, s) == 1
+        wins = core.make_windows(s, 3)  # window 0 covers rows 0..2
+        assert s.timestep_labels[wins.origins].tolist() == [1] + [0] * 17
 
     def test_all_zero_labels(self):
         s = series(labels=np.zeros(20, dtype=np.int64))
-        assert all(core.window_label(w, s) == 0 for w in core.make_windows(s, 4))
-
-    def test_unlabeled_series(self):
-        s = series()
-        win = core.make_windows(s, 4)[0]
-        with pytest.raises(ValueError, match="no timestep labels"):
-            core.window_label(win, s)
+        assert not s.timestep_labels[core.make_windows(s, 4).origins].any()
 
 
 class TestSplit:
@@ -409,6 +405,35 @@ def test_all_lists_every_public_name_once():
     namespace = {}
     exec("from chinf import *", namespace)
     assert bound <= namespace.keys()
+
+
+# the public functions that no module of src/chinf calls, and why each stays
+UNCALLED_PUBLIC = {
+    **dict.fromkeys(
+        ("backward", "channel_gradients", "whole_gradient", "channel_loss",
+         "self_influence_per_channel", "score_windows", "normalize_scores", "prune_and_eval"),
+        "perfbench traces or calls it; ROADMAP item 3 retires it after item 1",
+    ),
+    "tracin": "perfbench's influence_pairs op calls it",
+    "cif": "the paper's definition of channel-wise influence",
+    "auroc": "criterion 5's metric",
+    "finite_difference_gradient": "the criteria's gradient oracle",
+}
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    """A public function is called somewhere in src/chinf (an import in
+    __init__.py or elsewhere is no call), or UNCALLED_PUBLIC says why it
+    stays; an entry that gains a caller or leaves the API must go too."""
+    src = Path(chinf.__file__).parent
+    referenced = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for path in src.glob("*.py") if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    functions = {name for name in chinf.__all__
+                 if isinstance(getattr(chinf, name), types.FunctionType)}
+    assert functions - referenced == UNCALLED_PUBLIC.keys()
 
 
 def _prune_refit(refit_epochs):

@@ -11,8 +11,8 @@ from chinf import (
     MtsWindow,
     TrainConfig,
     all_params_selector,
-    channel_gradient,
     channel_gradient_rows,
+    channel_gradients,
     channel_losses,
     cif,
     influence_matrix,
@@ -26,7 +26,6 @@ from chinf import (
     tracin_self_scores,
     train,
     whole_gradient,
-    window_loss,
 )
 from chinf import autodiff
 
@@ -104,7 +103,7 @@ class TestInfluenceMatrix:
         state = init_params(ModelSpec("linear_ci", 4, 2), seed=0)
         for magnitude in (1e100, 1e150):
             z = MtsWindow(np.full((4, 2), magnitude), origin_t=3)
-            g = channel_gradient(state, z, 0)
+            g = channel_gradients(state, z)[0]
             for route in (
                 lambda: cif(g, g, 0.1),
                 lambda: tracin(state, z, z, 0.1),
@@ -381,8 +380,8 @@ class TestInfluencePredictsSgdStep:
         def relative_error(state, selector, src, dst, eps):
             g_src = whole_gradient(state, src, selector).values
             g_dst = whole_gradient(state, dst, selector).values
-            after = window_loss(stepped(state, selector, g_src, eps), dst)
-            change = after - window_loss(state, dst)
+            after = channel_losses(stepped(state, selector, g_src, eps), [dst]).sum()
+            change = after - channel_losses(state, [dst]).sum()
             influence = tracin(state, src, dst, eta=eps, selector=selector)
             # eps |g_src| |g_dst| bounds |influence| and does not vanish with it
             return abs(change + influence) / (eps * np.linalg.norm(g_src) * np.linalg.norm(g_dst))

@@ -18,7 +18,6 @@ from chinf import (
     MtsWindow,
     TrainConfig,
     all_params_selector,
-    channel_gradient,
     channel_gradient_norms,
     channel_gradient_rows,
     channel_gradients,
@@ -29,12 +28,10 @@ from chinf import (
     load_checkpoint,
     mean_window_mse,
     param_shapes,
-    reconstruct,
     save_checkpoint,
     train,
     whole_gradient,
     whole_gradient_rows,
-    window_loss,
 )
 from chinf.autodiff import ParamSelector, finite_difference_gradient
 
@@ -46,6 +43,11 @@ from bench_suite import (
     random_model_case,
     random_window,
 )
+
+
+def predict(state, win):
+    """The model's (out_rows, N) prediction for one window."""
+    return models._forward_parts(state.spec, state.params, models._split_xy(state.spec, win)[0])[0]
 
 
 def identity_linear(window, channels):
@@ -156,8 +158,8 @@ class TestForward:
     def test_identity_model_reproduces_window(self):
         state = identity_linear(4, 3)
         win = random_window(np.random.default_rng(0), 4, 3)
-        assert np.array_equal(reconstruct(state, win), win.values)
-        assert window_loss(state, win) == 0.0
+        assert np.array_equal(predict(state, win), win.values)
+        assert (channel_losses(state, [win]) == 0.0).all()
 
     def test_channel_loss_worked_example(self):
         spec = ModelSpec("linear_ci", 2, 1)
@@ -170,7 +172,8 @@ class TestForward:
         for case in range(12):
             state, win, _, _ = random_model_case(rng, case)
             total = sum(channel_loss(state, win, j) for j in range(win.n_channels))
-            whole = window_loss(state, win)
+            d = (predict(state, win) - split_target(state.spec, win)).ravel()
+            whole = d @ d
             assert abs(total - whole) <= 1e-12 * (abs(whole) + 1.0)
 
     def test_shared_map_gives_identical_columns_identical_outputs(self):
@@ -178,7 +181,7 @@ class TestForward:
         state = init_params(spec, seed=1)
         col = np.random.default_rng(2).normal(size=5)
         win = MtsWindow(np.column_stack([col, col, col * 2.0]), origin_t=4)
-        y = reconstruct(state, win)
+        y = predict(state, win)
         assert np.array_equal(y[:, 0], y[:, 1])
         assert not np.array_equal(y[:, 0], y[:, 2])
 
@@ -188,7 +191,7 @@ class TestForward:
         mix_spec = ModelSpec("mlp_mix", 5, 3, hidden=4)
         mixed = ModelState(mix_spec, {"mix": np.eye(3), **dict(ci.params)})
         win = random_window(rng, 5, 3)
-        assert np.max(np.abs(reconstruct(mixed, win) - reconstruct(ci, win))) <= 1e-12
+        assert np.max(np.abs(predict(mixed, win) - predict(ci, win))) <= 1e-12
         g_ci = whole_gradient(ci, win).values
         g_mix = whole_gradient(mixed, win).values
         assert np.max(np.abs(g_ci - g_mix)) <= 1e-12
@@ -200,23 +203,23 @@ class TestForward:
         )
         values = np.arange(10.0).reshape(5, 2)
         win = MtsWindow(values, origin_t=4)
-        y = reconstruct(state, win)
+        y = predict(state, win)
         assert y.shape == (2, 2)
         assert np.array_equal(y, [[1.0, 1.0], [2.0, 2.0]])
         # target rows are the last horizon rows of the window payload
         expected = float(np.sum((y - values[3:]) ** 2))
-        assert window_loss(state, win) == expected
+        assert channel_losses(state, [win]).sum() == expected
 
     def test_wrong_row_count_rejected(self):
         state = identity_linear(4, 2)
         with pytest.raises(ValueError, match="rows"):
-            window_loss(state, MtsWindow(np.zeros((3, 2)), origin_t=2))
+            channel_losses(state, [MtsWindow(np.zeros((3, 2)), origin_t=2)])
 
     def test_wrong_channel_count_rejected(self):
         spec = ModelSpec("mlp_mix", 3, 4, hidden=2)
         state = init_params(spec, seed=0)
         with pytest.raises(ValueError, match="channels"):
-            window_loss(state, MtsWindow(np.zeros((3, 2)), origin_t=2))
+            channel_losses(state, [MtsWindow(np.zeros((3, 2)), origin_t=2)])
 
     def test_channel_index_out_of_range(self):
         state = identity_linear(3, 2)
@@ -247,7 +250,7 @@ class TestGradients:
         for case in range(8):
             state, win, _, selector = random_model_case(rng, case)
             j = int(rng.integers(win.n_channels))
-            back = channel_gradient(state, win, j, selector)
+            back = channel_gradients(state, win, selector)[j]
 
             def loss_fn(p):
                 return channel_loss(ModelState(state.spec, p), win, j)
@@ -274,12 +277,6 @@ class TestGradients:
             a = channel_loss(state, win, old_j)
             b = channel_loss(state, win_p, new_j)
             assert abs(a - b) <= 1e-12 * (abs(a) + 1.0)
-
-    def test_gradient_index_out_of_range(self):
-        state = identity_linear(3, 2)
-        win = random_window(np.random.default_rng(0), 3, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            channel_gradient(state, win, 5)
 
 
 def tape_squared_error(spec, params, inputs, targets):
@@ -556,7 +553,7 @@ class TestChannelLosses:
         losses = channel_losses(state, windows)
         assert losses.shape == (6, 3)
         for b, w in enumerate(windows):
-            y, target = reconstruct(state, w), split_target(spec, w)
+            y, target = predict(state, w), split_target(spec, w)
             for j in range(3):
                 d = y[:, j] - target[:, j]
                 assert losses[b, j] == d @ d
@@ -576,7 +573,7 @@ class TestChannelLosses:
             monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", chunk)
         total, entries = 0.0, 0
         for w in windows:
-            d = (reconstruct(state, w) - split_target(spec, w)).ravel()
+            d = (predict(state, w) - split_target(spec, w)).ravel()
             total += float(d @ d)
             entries += d.size
         assert mean_window_mse(state, windows) == total / entries
@@ -638,8 +635,9 @@ class TestScoringChunks:
         }
         total, entries = 0.0, 0
         for w in listed:
-            total += window_loss(state, w)
-            entries += spec.out_rows * 4
+            d = (predict(state, w) - split_target(spec, w)).ravel()
+            total += float(d @ d)
+            entries += d.size
         # chunks of 5 windows, the last one short
         monkeypatch.setattr(models, "_FORWARD_CHUNK_ENTRIES", chunk_entries(spec, 4, 5) + 1)
         calls = spy_residual(monkeypatch)
@@ -718,7 +716,7 @@ class TestScoringChunks:
             # squares of 1e154 are finite, and a channel's or the window's
             # sum of them overflows
             win = window_of([[1e154, 1e154], [1e154, 1e154]])
-            for kernel in (channel_losses, mean_window_mse, lambda s, w: window_loss(s, w[0])):
+            for kernel in (channel_losses, mean_window_mse):
                 with pytest.raises(core.NonFiniteError, match="^forward pass produced"):
                     kernel(zero_linear_state(), [win])
 
@@ -1568,14 +1566,13 @@ class TestKernelsFiniteOrRefused:
                 state, w[0], w[-1], 1.0, selector),
             "channel_losses": lambda w: channel_losses(state, w),
             "mean_window_mse": lambda w: mean_window_mse(state, w),
-            "window_loss": lambda w: np.array([window_loss(state, win) for win in w]),
         }
         with np.errstate(all="ignore"):
             for kernel in kernels.values():
                 kernel_outcome(lambda: kernel(windows))
             refused = tape_refuses(state, windows[0])
             for name in ("channel_gradient_rows", "whole_gradient_rows", "channel_losses",
-                         "mean_window_mse", "window_loss"):
+                         "mean_window_mse"):
                 outcome = kernel_outcome(lambda: kernels[name](windows[:1]))
                 forward = outcome == "forward pass produced non-finite values"
                 assert forward == refused, (name, outcome)
@@ -1775,7 +1772,7 @@ class TestTracinPairs:
             assert calls == ([] if selector.names == previous else [(2, 5, 3)])
             previous = selector.names
 
-    def test_same_object_takes_one_window_call(self, monkeypatch):
+    def test_same_object_takes_one_pair_call(self, monkeypatch):
         rng = np.random.default_rng(87)
         state = perturbed_state(ModelSpec("mlp_mix", 5, 3, hidden=4, horizon=2), rng)
         z = random_window(rng, 7, 3)
@@ -1784,7 +1781,7 @@ class TestTracinPairs:
         assert influence.tracin(state, z, z, 0.1, all_params_selector(state.spec)) == (
             0.1 * float(g @ g)
         )
-        assert calls == [(1, 5, 3)]
+        assert calls == [(2, 5, 3)]
 
     def test_equal_values_in_distinct_objects(self, monkeypatch):
         rng = np.random.default_rng(88)
@@ -1796,7 +1793,7 @@ class TestTracinPairs:
         assert influence.tracin(state, z, twin, 0.1, selector) == influence.tracin(
             state, z, z, 0.1, selector
         )
-        assert calls == [(2, 5, 3), (1, 5, 3)]
+        assert calls == [(2, 5, 3), (2, 5, 3)]
 
     @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci"])
     def test_different_channel_counts_take_two_calls(self, monkeypatch, architecture):
@@ -1888,6 +1885,31 @@ class TestPairTable:
             assert m_miss.tobytes() == m_hit.tobytes(), selector.selector_id
             assert t_miss == t_hit, selector.selector_id
 
+    @pytest.mark.parametrize("horizon", [0, 2])
+    @pytest.mark.parametrize("architecture", ["linear_ci", "mlp_ci", "mlp_mix"])
+    def test_equal_windows_give_a_symmetric_matrix_from_one_pass(
+        self, monkeypatch, architecture, horizon
+    ):
+        """Equal windows in distinct objects: the matrix is the one-window
+        rows' g @ g.T, byte for byte and exactly symmetric, and the matrix
+        and tracin share one pass."""
+        rng = np.random.default_rng(93)
+        spec = ModelSpec(architecture, 5, 3, hidden=4, horizon=horizon)
+        state = perturbed_state(spec, rng)
+        z = random_window(rng, spec.total_rows, 3)
+        twin = MtsWindow(z.values.copy(), z.origin_t)
+        calls = count_kernel_calls(monkeypatch)
+        previous = None
+        for _, selector in kernel_selectors(spec):
+            g = channel_gradient_rows(state, [z], selector)[0]
+            calls.clear()
+            matrix, _ = matrix_and_tracin(state, z, twin, selector, ("matrix", "tracin"))
+            assert np.array_equal(matrix, matrix.T), selector.selector_id
+            assert matrix.tobytes() == (0.1 * (g @ g.T)).tobytes(), selector.selector_id
+            # linear_ci's last_layer and all selectors share names
+            assert calls == ([] if selector.names == previous else [(2, spec.window, 3)])
+            previous = selector.names
+
     def test_a_refused_forward_pass_stores_nothing(self, monkeypatch):
         state = ModelState(ModelSpec("linear_ci", 2, 1),
                            {"weight": np.full((2, 2), 1e200), "bias": np.zeros(2)})
@@ -1967,7 +1989,6 @@ def test_row_kernels_refuse_an_overflow_with_no_warning(site):
     "call",
     [
         lambda state, z, sel: channel_gradients(state, z, sel),
-        lambda state, z, sel: channel_gradient(state, z, 0, sel),
         lambda state, z, sel: influence.influence_matrix(state, z, z, 0.1, sel),
         lambda state, z, sel: influence.tracin(state, z, z, 0.1, sel),
         lambda state, z, sel: influence.self_influence_per_channel(state, z, 0.1, sel),
@@ -1977,7 +1998,6 @@ def test_row_kernels_refuse_an_overflow_with_no_warning(site):
     ],
     ids=[
         "channel_gradients",
-        "channel_gradient",
         "influence_matrix",
         "tracin",
         "self_influence_per_channel",

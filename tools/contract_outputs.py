@@ -236,9 +236,24 @@ def compare(old_root, new_root, out=sys.stdout):
     return 1 if failed else 0
 
 
+USAGE = "usage: contract_outputs.py OUT_DIR | --compare OLD_DIR NEW_DIR"
+
+
+def run(argv):
+    """The tool's exit code on its arguments. -h or --help prints the usage
+    and exits 0; any other option, or a wrong argument count, prints it to
+    stderr and exits 2. Neither writes a file."""
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(USAGE, file=sys.stderr)
+        return 2
+    write_all(argv[0])
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        raise SystemExit(compare(sys.argv[2], sys.argv[3]))
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: contract_outputs.py OUT_DIR | --compare OLD_DIR NEW_DIR")
-    write_all(sys.argv[1])
+    raise SystemExit(run(sys.argv[1:]))
