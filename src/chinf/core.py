@@ -136,20 +136,27 @@ def _float_rows(values: np.ndarray):
     return (",".join(map(repr, row.tolist())) for row in values)
 
 
-def _origin_vector(origins) -> np.ndarray:
-    """Read-only int64 copy of a vector of window origins. Integer and bool
-    input is cast as it is; other numbers must survive the cast unchanged."""
-    raw = np.asarray(origins)
-    if raw.ndim != 1 or raw.dtype.kind not in "biuf":
-        raise ValueError("origins must be a vector of integers")
+def _int64_copy(values, message: str, ndim: int | None = None) -> np.ndarray:
+    """Read-only int64 copy of numbers (of ndim dimensions, when given), or
+    a ValueError(message): the one rule for window origins and timestep
+    labels. Integer and bool input is cast as it is; other numbers must
+    survive the cast unchanged."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biuf" or ndim not in (None, raw.ndim):
+        raise ValueError(message)
     if raw.dtype.kind in "bi":
         return _readonly(raw, np.int64)
     # the cast truncates 1.7 to 1, wraps 2**63 and maps NaN to an arbitrary integer
     with np.errstate(invalid="ignore"):
         ints = _readonly(raw, np.int64)
     if not np.array_equal(ints, raw):
-        raise ValueError("origins must be a vector of integers")
+        raise ValueError(message)
     return ints
+
+
+def _origin_vector(origins) -> np.ndarray:
+    """Read-only int64 copy of a vector of window origins (_int64_copy)."""
+    return _int64_copy(origins, "origins must be a vector of integers", ndim=1)
 
 
 def _nonempty(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -195,12 +202,12 @@ class MtsSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channel_names", names)
         if self.timestep_labels is not None:
-            labels = _readonly(self.timestep_labels, np.int64)
+            labels = _int64_copy(self.timestep_labels, "labels must be 0 or 1")
             if labels.shape != (t_total,):
                 raise ValueError(
                     f"labels length {labels.shape} does not match series length {t_total}"
                 )
-            if not np.isin(labels, (0, 1)).all():
+            if labels.min() < 0 or labels.max() > 1:  # np.isin(labels, (0, 1))'s accept set
                 raise ValueError("labels must be 0 or 1")
             object.__setattr__(self, "timestep_labels", labels)
 

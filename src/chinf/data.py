@@ -11,6 +11,10 @@ from .core import MtsSeries, _choice, _finite_number, _float_rows, _integral, _w
 
 # Non-harmonic defaults so clusters stay spectrally distinct.
 _BASE_FREQUENCIES = (3.0, 7.0, 13.0, 23.0, 41.0, 71.0, 113.0, 197.0)
+# Past the pool each cluster's frequency is 1.7 times the last. At 1,000
+# clusters the largest is about 1e231, so 2*pi*f*t stays finite for any
+# t < 2**63; from 1,336 on a frequency overflows.
+_MAX_CLUSTERS = 1000
 
 ANOMALY_KINDS = ("spike", "drift", "correlation_break")
 
@@ -56,6 +60,11 @@ class SyntheticConfig:
                     f"need {self.clusters} base frequencies, got {len(freqs)}"
                 )
             object.__setattr__(self, "base_frequencies", freqs)
+        elif self.clusters > _MAX_CLUSTERS:
+            raise ValueError(
+                f"clusters must be at most {_MAX_CLUSTERS} without base_frequencies, "
+                f"got {self.clusters}"
+            )
 
     def frequencies(self) -> tuple[float, ...]:
         if self.base_frequencies is not None:
@@ -111,23 +120,23 @@ class AnomalySpec:
 
 
 def gen_synthetic(config: SyntheticConfig) -> MtsSeries:
+    """The config's series: each channel's phase and noise drawn in turn,
+    then one np.sin over the (channels, length) grid, formed in place."""
     rng = np.random.default_rng(config.seed)
-    t_total = config.length
-    n = config.clusters * config.channels_per_cluster
-    t = np.arange(t_total, dtype=np.float64)
-    values = np.empty((t_total, n))
-    names = []
-    freqs = config.frequencies()
-    for k in range(config.clusters):
-        for j in range(config.channels_per_cluster):
-            col = k * config.channels_per_cluster + j
-            phase = rng.uniform(-config.phase_jitter, config.phase_jitter)
-            base = np.sin(2.0 * math.pi * freqs[k] * t / t_total + phase)
-            noise = rng.normal(0.0, config.noise_std, size=t_total)
-            values[:, col] = base + noise
-            names.append(f"c{k}_{j}")
-    labels = np.zeros(t_total, dtype=np.int64)
-    return MtsSeries(values, tuple(names), labels)
+    t_total, per = config.length, config.channels_per_cluster
+    phases = np.empty((config.clusters * per, 1))
+    values = np.empty((len(phases), t_total))
+    for col in range(len(phases)):
+        phases[col] = rng.uniform(-config.phase_jitter, config.phase_jitter)
+        values[col] = rng.normal(0.0, config.noise_std, size=t_total)
+    omega = 2.0 * math.pi * np.repeat(config.frequencies(), per)[:, None]
+    grid = omega * np.arange(t_total, dtype=np.float64)
+    grid /= t_total
+    grid += phases
+    values += np.sin(grid, out=grid)
+    del grid
+    names = tuple(f"c{k}_{j}" for k in range(config.clusters) for j in range(per))
+    return MtsSeries(values.T, names, np.zeros(t_total, dtype=np.int64))
 
 
 def inject_anomalies(series: MtsSeries, spec: AnomalySpec, seed: int = 0) -> MtsSeries:

@@ -711,6 +711,9 @@ FIELD_BOUND_CASES = [
     ("synth", {"clusters": 0}, "synth config: clusters must be at least 1, got 0"),
     ("synth", {"length": 1}, "synth config: length must be at least 2, got 1"),
     ("detect", {"stride": 0}, "detect config: stride must be at least 1, got 0"),
+    # 2,000 clusters overflow frequencies() and 1,336 make an infinite one
+    ("synth", {"clusters": 2000, "channels_per_cluster": 1, "length": 4},
+     "synth config: clusters must be at most 1000 without base_frequencies, got 2000"),
 ]
 
 
@@ -897,6 +900,14 @@ def fuzz_base_config(command, root):
                 series_csv=series, checkpoint=checkpoint)
 
 
+# Cases every run of the fuzz tries first, whatever it draws: cluster
+# counts in the zone where the generated frequencies overflow, which no
+# drawn value reaches (1e300 is refused before any frequency is formed).
+EXPLICIT_MUTATIONS = {
+    "synth": [[("clusters", 1336)], [("clusters", 2000), ("length", 4)]],
+}
+
+
 def mutations(command):
     field_and_value = st.sampled_from(FUZZ_FIELDS[command]).flatmap(
         lambda field: st.tuples(st.just(field), st.sampled_from(mutation_values(command, field)))
@@ -942,6 +953,8 @@ def test_mutated_configs_exit_cleanly(pipeline, prune_series, command):
             if out.is_dir():
                 assert_all_finite(out)
 
+    for changes in EXPLICIT_MUTATIONS.get(command, []):
+        check = example(changes)(check)
     check()
 
 

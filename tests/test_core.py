@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,42 @@ class TestMtsSeries:
             series(labels=np.array([0, 1, 2] + [0] * 17))
         with pytest.raises(ValueError, match="length"):
             core.MtsSeries(np.zeros((4, 1)), ("a",), np.array([0, 1]))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0, 1, 1]),
+            np.array([np.iinfo(np.int64).min, 0, 1]),
+            np.array([0, 1, np.iinfo(np.int64).max]),
+            np.array([-1, 0, 0]),
+            np.array([1, 2, 0]),
+            np.array([True, False, True]),
+            np.array([0.0, 1.0, 1.0]),
+            np.array([0, 1, 1], dtype=np.uint8),
+            np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+            np.array([0.5, 1.9, 0.0]),
+            np.array([0.0, np.nan, 1.0]),
+            np.array([0.0, np.inf, 1.0]),
+            [0, 1, 0],
+            ["0", "1", "0"],
+        ],
+        ids=["int", "int64_min", "int64_max", "minus_1", "two", "bool", "integral_float",
+             "uint8", "uint64_max", "fractions", "nan", "inf", "list", "str"],
+    )
+    def test_labels_accepted_exactly_where_isin_0_1_holds(self, labels):
+        # the min/max check must accept and refuse what np.isin(labels, (0, 1))
+        # did on the labels as given, not on their int64 cast
+        raw = np.asarray(labels)
+        accept = raw.dtype.kind in "biuf" and bool(np.isin(raw, (0, 1)).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accept:
+                s = core.MtsSeries(np.zeros((3, 1)), ("a",), labels)
+                assert s.timestep_labels.dtype == np.int64
+                assert s.timestep_labels.tolist() == raw.astype(np.int64).tolist()
+            else:
+                with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+                    core.MtsSeries(np.zeros((3, 1)), ("a",), labels)
 
 
 class TestMakeWindows:

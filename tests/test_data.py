@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tempfile
@@ -30,6 +31,17 @@ class TestSyntheticConfig:
         freqs = SyntheticConfig(clusters=10).frequencies()
         assert len(freqs) == 10
         assert freqs[9] > freqs[8] > freqs[7]
+
+    def test_cluster_counts_whose_frequencies_overflow_are_refused(self):
+        # 1,336 clusters make an infinite frequency and 2,000 an OverflowError
+        for clusters in (1001, 1336, 2000, 10**300):
+            with pytest.raises(ValueError, match="^clusters must be at most 1000"):
+                SyntheticConfig(clusters=clusters, channels_per_cluster=1, length=4)
+        top = max(SyntheticConfig(clusters=1000, channels_per_cluster=1).frequencies())
+        assert math.isfinite(2.0 * math.pi * top * 2.0**63)
+        # explicit frequencies need no generated ones
+        cfg = SyntheticConfig(clusters=1001, base_frequencies=[1.0] * 1001)
+        assert len(cfg.frequencies()) == 1001
 
     def test_explicit_frequencies_must_match_clusters(self):
         with pytest.raises(ValueError, match="need 3 base frequencies, got 2"):
@@ -115,6 +127,54 @@ class TestGenSynthetic:
         spectrum = np.abs(np.fft.rfft(series.values, axis=0))
         assert np.argmax(spectrum[:, 0]) == 2
         assert np.argmax(spectrum[:, 1]) == 9
+
+
+def per_channel_reference(config):
+    """gen_synthetic as one np.sin and one add per channel: the loop the
+    whole-grid version must match bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    t_total = config.length
+    t = np.arange(t_total, dtype=np.float64)
+    values = np.empty((t_total, config.clusters * config.channels_per_cluster))
+    names = []
+    freqs = config.frequencies()
+    for k in range(config.clusters):
+        for j in range(config.channels_per_cluster):
+            col = k * config.channels_per_cluster + j
+            phase = rng.uniform(-config.phase_jitter, config.phase_jitter)
+            base = np.sin(2.0 * math.pi * freqs[k] * t / t_total + phase)
+            noise = rng.normal(0.0, config.noise_std, size=t_total)
+            values[:, col] = base + noise
+            names.append(f"c{k}_{j}")
+    return values, tuple(names), np.zeros(t_total, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"clusters": 11, "channels_per_cluster": 3, "length": 50, "seed": 4},
+        {"clusters": 3, "base_frequencies": (1.5, 2.0, 99.25), "length": 64},
+        {"clusters": 3, "phase_jitter": 0.0, "length": 64},
+        {"clusters": 5, "channels_per_cluster": 1, "length": 64, "seed": 2},
+        {"length": 2},
+        # the shapes of the benchmark's pruning, anomaly and long-series scenarios
+        {"clusters": 4, "channels_per_cluster": 8, "length": 600, "phase_jitter": 0.05,
+         "noise_std": 0.01, "seed": 7},
+        {"clusters": 4, "channels_per_cluster": 2, "length": 2000, "phase_jitter": 0.3},
+        {"clusters": 4, "channels_per_cluster": 2, "length": 21000, "phase_jitter": 0.3,
+         "base_frequencies": (31.5, 73.5, 136.5, 241.5), "seed": 3},
+    ],
+    ids=["past_pool", "explicit_freqs", "no_jitter", "one_per_cluster", "length_2",
+         "4x8x600", "4x2x2000", "4x2x21000"],
+)
+def test_gen_synthetic_matches_the_per_channel_loop_bitwise(kw):
+    config = SyntheticConfig(**kw)
+    values, names, labels = per_channel_reference(config)
+    series = gen_synthetic(config)
+    assert series.values.tobytes() == values.tobytes()
+    assert np.array_equal(series.values, values)
+    assert series.channel_names == names
+    assert np.array_equal(series.timestep_labels, labels)
 
 
 def flat_series(t=40, n=3):
